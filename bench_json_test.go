@@ -54,6 +54,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		{"PartitionRMTSArena", BenchmarkPartitionRMTSArena},
 		{"AdmitService", BenchmarkAdmitService},
 		{"AdmitServiceJournaled", BenchmarkAdmitServiceJournaled},
+		{"AdmitServiceReject", BenchmarkAdmitServiceReject},
 	}
 	records := make([]benchRecord, 0, len(hot))
 	for _, h := range hot {

@@ -356,6 +356,57 @@ func benchAdmitService(b *testing.B, c *admit.Cluster) {
 	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
 }
 
+// BenchmarkAdmitServiceReject measures an analyzed rejection in process:
+// an M=32 cluster prefilled to its capacity edge, offered a cycle of 4,096
+// distinct heavy candidates that every processor refuses. The rejection
+// memo holds at most 1,024 entries, so every op misses it and pays the
+// engine's probe of all 32 processors, the per-processor evidence and the
+// memo insert — the in-process cost behind admitd's rejection responses.
+func BenchmarkAdmitServiceReject(b *testing.B) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	ctx := context.Background()
+	svc := admit.NewService(0)
+	c, err := svc.Create(ctx, "bench", 32, partition.OnlineRTAFirstFit, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Fill with a fixed light-task stream until 64 admissions in a row are
+	// refused: every processor then sits near its capacity edge.
+	for i, refused := 0, 0; refused < 64 && i < 100_000; i++ {
+		T := task.Time(20 * (1 + i%9))
+		res, err := c.Admit(ctx, task.Task{C: 1 + task.Time(i%7)*T/40, T: T})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Accepted {
+			refused = 0
+		} else {
+			refused++
+		}
+	}
+	stream := func(i int) task.Task {
+		T := task.Time(100 + i%64)
+		return task.Task{C: T - 5 - task.Time(i/64%64), T: T}
+	}
+	rejected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Admit(ctx, stream(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Accepted && !res.CacheHit {
+			rejected++
+		}
+	}
+	b.StopTimer()
+	if rejected != b.N {
+		b.Fatalf("%d of %d ops were analyzed rejections; the benchmark needs every op to be one", rejected, b.N)
+	}
+}
+
 func BenchmarkBoundTest(b *testing.B) {
 	sets := benchSets(32, 8, 0.5)
 	b.ReportAllocs()

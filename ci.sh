@@ -5,7 +5,9 @@
 # warm-start toggle are shared atomics), a one-iteration bench smoke so
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
-# checker, the task-set parser and the warm-state removal invalidation, a
+# checker, the task-set parser, the warm-state removal invalidation and the
+# admission service's rejection evidence and verdict JSON (each against its
+# oracle), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -47,18 +49,20 @@ echo "== go test -race (concurrency-sensitive packages) =="
 go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
 
 echo "== alloc guards (hot paths must stay zero-allocation) =="
-go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen
+go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit
 
 echo "== fault injection (every injected fault must surface as a seed-reproducible SampleError) =="
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, task-set parser round trip, removal invalidation, batch-vs-scalar RTA) =="
+echo "== fuzz smokes (invariant checker, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
+go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
+go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit
 
 echo "== prefilter / cross-scale equivalence (tables must be byte-identical with the fast paths off) =="
 fast_on=$(mktemp /tmp/ci-fast-on.XXXXXX.txt)

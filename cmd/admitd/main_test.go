@@ -147,9 +147,9 @@ func TestExitCodes(t *testing.T) {
 }
 
 // startAdmitd boots the daemon with the given extra flags and waits for it
-// to publish its address (which, with -data, also means recovery finished —
-// the address file is written before recovery but the churn client checks
-// below go through the ready guard).
+// to publish its address. With -data the address file is written before
+// recovery finishes, and the ready guard answers 503 until it does, so
+// callers wait with canonDigest before driving the API.
 func startAdmitd(t *testing.T, bin, dir string, extra ...string) (*exec.Cmd, string, *bytes.Buffer) {
 	t.Helper()
 	addrFile := filepath.Join(dir, "addr")
@@ -214,6 +214,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	// Round 1: deterministic churn to completion, digest, SIGKILL, restart,
 	// digest again. fsync=always so every acknowledged op is durable.
 	srv, addr, out := startAdmitd(t, bin, dir, "-data", data, "-fsync", "always")
+	canonDigest(t, bin, addr) // retries until recovery of the empty directory ends
 	if code, cout := exitCode(t, bin, "-churn", addr, "-churn-ops", "400", "-churn-seed", "42"); code != 0 {
 		srv.Process.Kill()
 		t.Fatalf("churn failed (exit %d):\n%s\nserver:\n%s", code, cout, out.String())

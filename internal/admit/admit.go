@@ -491,15 +491,7 @@ func (s *Service) CanonicalState() []byte {
 // candidate — into the reused key buffer. Byte-exact equality of keys is
 // byte-exact equality of questions.
 func (c *Cluster) canonicalKey(t task.Task) []byte {
-	b := c.keyBuf[:0]
-	for q := 0; q < c.eng.M(); q++ {
-		for _, sub := range c.eng.Residents(q) {
-			b = binary.AppendVarint(b, sub.C)
-			b = binary.AppendVarint(b, sub.T)
-			b = binary.AppendVarint(b, sub.Deadline)
-		}
-		b = append(b, 0xFF) // processor boundary
-	}
+	b := c.eng.AppendResidentKey(c.keyBuf[:0])
 	b = binary.AppendVarint(b, t.C)
 	b = binary.AppendVarint(b, t.T)
 	b = binary.AppendVarint(b, t.D)
@@ -510,33 +502,44 @@ func (c *Cluster) canonicalKey(t task.Task) []byte {
 
 // evidence assembles the per-processor rejection probes for analyzed
 // rejections; input-shaped causes (invalid input, surcharge infeasibility,
-// model mismatch) get none — no processor was consulted.
+// model mismatch) get none — no processor was consulted. The RTA probes run
+// on the engine's own mirror (Online.ProbeRTA), cold-started so every
+// response equals the scalar explain.ProbeRTA over the surcharged resident
+// list — its test oracle. Each value kind lives in one backing slice, so a
+// rejection allocates the same handful of times at any M.
 func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {
 	switch cause {
 	case partition.CauseThresholdExhausted, partition.CauseRTADeadlineMiss:
 	default:
 		return nil
 	}
+	m := c.eng.M()
+	out := make([]ProcEvidence, m)
+	details := make([]explain.ProcEvidence, m)
+	var blocked []explain.BlockedResident
+	if cause == partition.CauseRTADeadlineMiss {
+		blocked = make([]explain.BlockedResident, m)
+	}
 	s := c.eng.Surcharge()
-	d := t.Deadline()
-	prio := int(d)
-	out := make([]ProcEvidence, c.eng.M())
 	for q := range out {
-		res := c.eng.Residents(q)
-		pe := ProcEvidence{Proc: q, Utilization: c.eng.Utilization(q), Residents: len(res)}
+		n := c.eng.ProcLen(q)
+		det := &details[q]
 		if cause == partition.CauseThresholdExhausted {
-			u := 0.0
-			for _, sub := range res {
-				u += float64(sub.C+s) / float64(sub.T)
-			}
-			pe.Detail = explain.ProbeThreshold(u, bounds.LL(len(res)+1))
+			*det = *explain.ProbeThreshold(c.eng.SurchargedUtilization(q), bounds.LL(n+1))
 		} else {
-			for i := range res {
-				res[i].C += s
+			p := c.eng.ProbeRTA(q, t)
+			det.OwnResponse, det.OwnVerdict = p.OwnResponse, p.OwnVerdict.String()
+			if p.Blocked >= 0 {
+				sub := c.eng.ResidentAt(q, p.Blocked)
+				blocked[q] = explain.BlockedResident{
+					Task: sub.TaskIndex, Part: sub.Part,
+					C: sub.C + s, Deadline: sub.Deadline,
+					Response: p.BlockedResponse, Verdict: p.BlockedVerdict.String(),
+				}
+				det.Blocked = &blocked[q]
 			}
-			pe.Detail = explain.ProbeRTA(res, prio, t.C+s, t.T, d, false)
 		}
-		out[q] = pe
+		out[q] = ProcEvidence{Proc: q, Utilization: c.eng.Utilization(q), Residents: n, Detail: det}
 	}
 	return out
 }

@@ -146,9 +146,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeResult answers an admission with its verdict, encoded by
+// appendResult into a pooled buffer.
+func writeResult(w http.ResponseWriter, res *Result) {
+	buf := encBufs.Get().(*bytes.Buffer)
+	defer encBufs.Put(buf)
+	buf.Reset()
+	b, err := appendResult(buf.AvailableBuffer(), res)
+	if err != nil {
+		http.Error(w, `{"error":"encoding failed"}`, http.StatusInternalServerError)
+		return
+	}
+	buf.Write(b) // keeps a grown encoding in the pooled buffer
+	writeBody(w, http.StatusOK, buf.Bytes())
+}
+
+// removedBody is the remove route's constant acknowledgement.
+var removedBody = []byte("{\"removed\":true}\n")
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -260,7 +282,7 @@ func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
 			ri.Verdict, ri.Cause = "rejected", res.Cause
 		}
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, &res)
 }
 
 func (s *Service) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -281,7 +303,7 @@ func (s *Service) handleRemove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no resident task with handle %d", req.Handle)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"removed": true})
+	writeBody(w, http.StatusOK, removedBody)
 }
 
 // writeOpError maps service-level operation failures: durability failures

@@ -107,7 +107,7 @@ func AcceptanceGeneral(cfg Config) ([]Table, error) {
 	mt := cfg.meter("acceptance-general", len(points))
 	ratios, err := cfg.sweepRows("acceptance-general", len(points), func(pc Config, i int) ([]float64, error) {
 		target := points[i] * float64(m)
-		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 			return generalSet(r, sc, target)
 		}, algos)
 		if err != nil {
@@ -137,7 +137,7 @@ func AcceptanceLight(cfg Config) ([]Table, error) {
 	mt := cfg.meter("acceptance-light", len(points))
 	ratios, err := cfg.sweepRows("acceptance-light", len(points), func(pc Config, i int) ([]float64, error) {
 		target := points[i] * float64(m)
-		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 			return lightSet(r, sc, target)
 		}, algos)
 		if err != nil {
@@ -169,7 +169,7 @@ func AcceptanceHarmonic(cfg Config) ([]Table, error) {
 	mt := cfg.meter("acceptance-harmonic", len(points))
 	ratios, err := cfg.sweepRows("acceptance-harmonic", len(points), func(pc Config, i int) ([]float64, error) {
 		target := points[i] * float64(m)
-		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 			return harmonicSet(r, sc, target)
 		}, algos)
 		if err != nil {
@@ -216,22 +216,29 @@ func AcceptanceKChains(cfg Config) ([]Table, error) {
 		// which every point was restored and no generator ran.
 		rows, err := cfg.sweepRows(id, len(points), func(pc Config, i int) ([]float64, error) {
 			target := points[i] * float64(m)
-			var boundVal float64
-			row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+			// The note is the bound of the point's last sample in sample
+			// order. Only that sample writes lastBound, and it is read after
+			// the fan-out has joined, so the note does not depend on which
+			// worker finishes last.
+			n := cfg.setsPerPoint()
+			var lastBound float64
+			row, err := pc.acceptance(bases[i], n, m, func(s int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 				ts, err := gen.HarmonicSetInto(r, gen.HarmonicConfig{
 					TargetU: target, UMin: 0.05, UMax: 0.40, Chains: k,
 				}, sc)
 				if err != nil {
 					return nil, err
 				}
-				boundVal = bounds.EffectiveRMTS(bounds.HarmonicChain{Minimal: true}, ts)
+				if s == n-1 {
+					lastBound = bounds.EffectiveRMTS(bounds.HarmonicChain{Minimal: true}, ts)
+				}
 				return ts, nil
 			}, algos)
 			if err != nil {
 				return nil, err
 			}
 			mt.Tick("U_M=%.3f", points[i])
-			return append(row, boundVal), nil
+			return append(row, lastBound), nil
 		})
 		ratios := make([][]float64, len(rows))
 		var boundVal float64
@@ -275,7 +282,7 @@ func ProcsSweep(cfg Config) ([]Table, error) {
 	mt := cfg.meter("procs-sweep", len(ms))
 	rows, err := cfg.sweepRows("procs-sweep", len(ms), func(pc Config, i int) ([]float64, error) {
 		m := ms[i]
-		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 			return procsSet(r, sc, um*float64(m))
 		}, algos)
 		if err != nil {

@@ -551,13 +551,13 @@ func lightAlgos() []algoSpec {
 	}
 }
 
-// acceptance runs one sweep point: nSets random sets from genSet (each set
+// acceptance runs one sweep point: nSets random sets from genSet (set s
 // drawn from its own index-derived generator into the worker's scratch,
 // evaluated across the configured workers), each offered to every
 // algorithm; returns the acceptance ratio per algorithm. Verdicts land in
 // one flat index-addressed array, so the per-sample loop itself is
 // allocation-free.
-func (c Config) acceptance(base int64, nSets, m int, genSet func(*rand.Rand, *gen.Scratch) (task.Set, error), algos []algoSpec) ([]float64, error) {
+func (c Config) acceptance(base int64, nSets, m int, genSet func(s int, r *rand.Rand, sc *gen.Scratch) (task.Set, error), algos []algoSpec) ([]float64, error) {
 	results := make([]bool, nSets*len(algos))
 	var causes []partition.Cause
 	if c.causes != nil {
@@ -565,7 +565,7 @@ func (c Config) acceptance(base int64, nSets, m int, genSet func(*rand.Rand, *ge
 	}
 	errs := make([]error, nSets)
 	if err := c.parEach(base, nSets, func(s int, r *rand.Rand, ws *Workspace) {
-		ts, err := genSet(r, ws.Gen())
+		ts, err := genSet(s, r, ws.Gen())
 		if err != nil {
 			errs[s] = err
 			return

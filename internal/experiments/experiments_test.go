@@ -96,8 +96,9 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 func TestParallelDeterminism(t *testing.T) {
-	// The same seed must produce identical tables at any worker count.
-	for _, key := range []string{"acceptance-general", "fp-vs-edf"} {
+	// The same seed must produce identical tables at any worker count —
+	// acceptance-kchains' "for this set size" note included.
+	for _, key := range []string{"acceptance-general", "fp-vs-edf", "acceptance-kchains"} {
 		e, _ := Find(key)
 		seq := render(mustRun(t, e, Config{Seed: 7, SetsPerPoint: 20, Quick: true, Workers: 1}))
 		par := render(mustRun(t, e, Config{Seed: 7, SetsPerPoint: 20, Quick: true, Workers: 8}))

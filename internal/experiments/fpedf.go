@@ -38,7 +38,7 @@ func FPvsEDF(cfg Config) ([]Table, error) {
 	mt := cfg.meter("fp-vs-edf", len(points))
 	for i, um := range points {
 		target := um * float64(m)
-		row, err := cfg.acceptance(r.Int63(), cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+		row, err := cfg.acceptance(r.Int63(), cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 			return gen.TaskSetInto(r, gen.Config{TargetU: target, UMin: 0.05, UMax: 0.7}, sc)
 		}, algos)
 		if err != nil {

@@ -210,7 +210,7 @@ func AdmissionAblation(cfg Config) ([]Table, error) {
 	mt := cfg.meter("admission-ablation", len(points))
 	for i, um := range points {
 		target := um * float64(m)
-		row, err := cfg.acceptance(r.Int63(), cfg.setsPerPoint(), m, func(r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
+		row, err := cfg.acceptance(r.Int63(), cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
 			return gen.TaskSetInto(r, gen.Config{TargetU: target, UMin: 0.05, UMax: 0.6}, sc)
 		}, algos)
 		if err != nil {

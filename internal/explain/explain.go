@@ -400,8 +400,9 @@ func ProbeThreshold(u, theta float64) *ProcEvidence {
 // deadline breaks once the load interferes, and — when withMaxPortion is
 // set (splitting algorithms) — the largest admissible MaxSplit prefix. The
 // list must carry any analysis surcharge already (the batch explain path
-// passes assignment lists, which are raw because their surcharge is zero;
-// the admission service passes its surcharged resident view).
+// passes assignment lists, which are raw because their surcharge is zero).
+// The admission service computes the same evidence on its engine's mirror
+// (rta.ProcState.ProbeAt); this scalar form is that probe's test oracle.
 func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion bool) *ProcEvidence {
 	ev := &ProcEvidence{}
 	// Position the load at its priority among the residents; hp is every

@@ -134,9 +134,9 @@ func (o *Online) Utilization(q int) float64 {
 	return u
 }
 
-// surchargedUtil is the threshold policy's view: every resident's C
-// inflated by the surcharge.
-func (o *Online) surchargedUtil(q int) float64 {
+// SurchargedUtilization is the threshold policy's view of processor q:
+// every resident's C inflated by the surcharge.
+func (o *Online) SurchargedUtilization(q int) float64 {
 	u := 0.0
 	for _, r := range o.procs[q] {
 		u += float64(r.sub.C+o.surcharge) / float64(r.sub.T)
@@ -145,13 +145,45 @@ func (o *Online) surchargedUtil(q int) float64 {
 }
 
 // Residents returns a copy of processor q's resident subtasks in priority
-// order (raw C), for status reporting and rejection evidence.
+// order (raw C) — the input of the scalar explain.ProbeRTA oracle that the
+// mirror probe (ProbeRTA) is tested against.
 func (o *Online) Residents(q int) []task.Subtask {
 	out := make([]task.Subtask, len(o.procs[q]))
 	for i, r := range o.procs[q] {
 		out[i] = r.sub
 	}
 	return out
+}
+
+// ResidentAt returns the resident at priority position pos of processor q
+// (raw C).
+func (o *Online) ResidentAt(q, pos int) task.Subtask { return o.procs[q][pos].sub }
+
+// ProbeRTA recomputes the exact-RTA admission of t on processor q over the
+// processor's analysis mirror, for rejection evidence: the candidate's own cold-start
+// fixed point against its deadline and the first resident it would break
+// (rta.ProcState.ProbeAt). Execution times in the probe carry the
+// surcharge; a Blocked position indexes ResidentAt.
+func (o *Online) ProbeRTA(q int, t task.Task) rta.Probe {
+	d := t.Deadline()
+	return o.states[q].ProbeAt(int(d), t.C, t.T, d)
+}
+
+// AppendResidentKey appends every resident's (C, T, effective deadline) in
+// per-processor priority order, with a 0xFF byte closing each processor —
+// the cluster-state half of an admission question (configuration and
+// handles excluded), built straight from the engine without copying the
+// resident lists.
+func (o *Online) AppendResidentKey(b []byte) []byte {
+	for q := 0; q < o.m; q++ {
+		for _, r := range o.procs[q] {
+			b = binary.AppendVarint(b, r.sub.C)
+			b = binary.AppendVarint(b, r.sub.T)
+			b = binary.AppendVarint(b, r.sub.Deadline)
+		}
+		b = append(b, 0xFF)
+	}
+	return b
 }
 
 // Admit attempts to place t whole on some processor under the cluster's
@@ -177,7 +209,7 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 		}
 		u := float64(t.C+s) / float64(t.T)
 		for q := 0; q < o.m; q++ {
-			if o.surchargedUtil(q)+u <= bounds.LL(len(o.procs[q])+1)+utilEps {
+			if o.SurchargedUtilization(q)+u <= bounds.LL(len(o.procs[q])+1)+utilEps {
 				return o.place(q, prio, t), nil
 			}
 		}

@@ -206,28 +206,7 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 		ps.staged = make([]task.Time, n+1)
 	}
 	staged := ps.staged[:n+1]
-	pcs := growTimes(&ps.pcs, n+1)
-	pts := growTimes(&ps.pts, n+1)
-	copy(pcs, ps.b.cs[:pos])
-	pcs[pos] = cand
-	copy(pcs[pos+1:], ps.b.cs[pos:])
-	copy(pts, ps.b.ts[:pos])
-	pts[pos] = t
-	copy(pts[pos+1:], ps.b.ts[pos:])
-
-	maxL := d
-	maxC := cand
-	for _, dl := range ps.b.dls {
-		if dl > maxL {
-			maxL = dl
-		}
-	}
-	for _, cv := range pcs {
-		if cv > maxC {
-			maxC = cv
-		}
-	}
-	fast := batchSafe(maxC, pcs, pts, maxL)
+	pcs, pts, fast := ps.splice(pos, cand, t, d)
 
 	// One pass over the post-insert positions, maintaining the running
 	// prefix sum of execution times (the classic cold-start bound for
@@ -279,6 +258,84 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	ps.stagedT = t
 	ps.stagedD = d
 	return true
+}
+
+// splice materializes the post-insert view of a candidate (surcharged
+// execution cand, period t, deadline d) at priority position pos into the
+// probe scratch, and runs the one overflow precheck that licenses the
+// unchecked kernel for every fixed point evaluated over that view.
+func (ps *ProcState) splice(pos int, cand, t, d task.Time) (pcs, pts []task.Time, fast bool) {
+	n := ps.b.len()
+	pcs = growTimes(&ps.pcs, n+1)
+	pts = growTimes(&ps.pts, n+1)
+	copy(pcs, ps.b.cs[:pos])
+	pcs[pos] = cand
+	copy(pcs[pos+1:], ps.b.cs[pos:])
+	copy(pts, ps.b.ts[:pos])
+	pts[pos] = t
+	copy(pts[pos+1:], ps.b.ts[pos:])
+
+	maxL := d
+	maxC := cand
+	for _, dl := range ps.b.dls {
+		if dl > maxL {
+			maxL = dl
+		}
+	}
+	for _, cv := range pcs {
+		if cv > maxC {
+			maxC = cv
+		}
+	}
+	return pcs, pts, batchSafe(maxC, pcs, pts, maxL)
+}
+
+// Probe is the exact-RTA evidence of one candidate on one processor (see
+// ProbeAt): the candidate's own fixed point against its deadline, and the
+// highest-priority resident whose deadline breaks once the candidate
+// interferes.
+type Probe struct {
+	OwnResponse task.Time
+	OwnVerdict  Verdict
+	// Blocked is the breaking resident's priority position in the current
+	// (pre-insert) resident order; -1 when every resident still fits.
+	Blocked         int
+	BlockedResponse task.Time
+	BlockedVerdict  Verdict
+}
+
+// ProbeAt recomputes the admission of a candidate (raw execution c, period
+// t, deadline d, priority index prio) on the surcharged mirror for
+// rejection evidence. Unlike AdmitAt it does not stop at the candidate's
+// own verdict, and it never warm-starts: every fixed point runs from the
+// classic cold-start bound over the spliced view, so each response equals
+// the from-scratch scalar analysis of the same inputs (ResponseTimeVerdict
+// for the candidate, ResponseTimeExtraVerdict for the residents below it),
+// value for value. The probe leaves the response cache and the staged
+// adoption state untouched.
+func (ps *ProcState) ProbeAt(prio int, c, t, d task.Time) Probe {
+	pos := ps.PosFor(prio)
+	pcs, pts, fast := ps.splice(pos, c+ps.Surcharge, t, d)
+	sum := task.Time(0)
+	for _, cv := range pcs[:pos] {
+		sum = mathx.AddSat(sum, cv)
+	}
+	own := pcs[pos]
+	r, v, iters := fixpoint(own, pcs[:pos], pts[:pos], d, mathx.AddSat(sum, own), fast)
+	account(v, iters)
+	p := Probe{OwnResponse: r, OwnVerdict: v, Blocked: -1}
+	sum = mathx.AddSat(sum, own)
+	for k := pos + 1; k < len(pcs); k++ {
+		own = pcs[k]
+		r, v, iters = fixpoint(own, pcs[:k], pts[:k], ps.b.dls[k-1], mathx.AddSat(sum, own), fast)
+		account(v, iters)
+		if v != VerdictFits {
+			p.Blocked, p.BlockedResponse, p.BlockedVerdict = k-1, r, v
+			break
+		}
+		sum = mathx.AddSat(sum, own)
+	}
+	return p
 }
 
 // Remove deletes the resident at priority position pos from the mirror —
