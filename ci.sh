@@ -1,13 +1,13 @@
 #!/bin/sh
 # Tier-1 verification gate (see ROADMAP.md): formatting, vet, build, full
 # test suite, a race-detector pass over the concurrent packages (the
-# experiment harness fans out over workers; the obs counters and the RTA
-# warm-start toggle are shared atomics), a one-iteration bench smoke so
+# experiment harness fans out over workers; the obs counters are shared
+# atomics), a one-iteration bench smoke so
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
-# checker, the task-set parser, the warm-state removal invalidation and the
-# admission service's rejection evidence and verdict JSON (each against its
-# oracle), a
+# checker, the task-set parser, the warm-state removal invalidation, the
+# admission prefilter's soundness and the admission service's rejection
+# evidence and verdict JSON (each against its oracle), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -44,7 +44,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrency-sensitive packages) =="
-# The experiments race pass exercises the default reuse path: pooled
+# The experiments race pass exercises the reuse path: pooled
 # per-worker workspaces with arenas and persistent RNGs under -race.
 go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
 
@@ -55,22 +55,15 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles) =="
+echo "== fuzz smokes (invariant checker, prefilter soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit
-
-echo "== prefilter / cross-scale equivalence (tables must be byte-identical with the fast paths off) =="
-fast_on=$(mktemp /tmp/ci-fast-on.XXXXXX.txt)
-fast_off=$(mktemp /tmp/ci-fast-off.XXXXXX.txt)
-go run ./cmd/experiments -run acceptance-general -quick -sets 50 -q > "$fast_on"
-go run ./cmd/experiments -run acceptance-general -quick -sets 50 -q -prefilter=false -crossscale=false > "$fast_off"
-cmp "$fast_on" "$fast_off"
-rm -f "$fast_on" "$fast_off"
 
 echo "== paranoid quick table (full invariant re-validation of every partitioning) =="
 go run ./cmd/experiments -run acceptance-general -quick -sets 50 -paranoid -q > /dev/null

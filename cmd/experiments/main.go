@@ -46,8 +46,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/rta"
 )
 
 func main() {
@@ -88,10 +86,6 @@ func run() int {
 		listen     = flag.String("listen", "", "serve live status at this address (host:port): /metrics, /progress, /debug/pprof/")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		rtacache   = flag.Bool("rtacache", true, "warm-start RTA caching in the partitioners (tables are identical either way; disable to cross-check or to measure the saving)")
-		prefilter  = flag.Bool("prefilter", true, "sufficient utilization-bound admission prefilter (tables are identical either way; disable to cross-check or to measure the skipped RTA work)")
-		crossscale = flag.Bool("crossscale", true, "cross-scale verdict and response reuse in the breakdown bisections (tables are identical either way; disable to cross-check or to measure the saving)")
-		reuse      = flag.Bool("reuse", true, "per-worker scratch reuse (generation buffers, partitioning arenas, RNGs); tables are identical either way; disable to cross-check or to measure the allocation saving")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock deadline for the run (0 = none); on expiry workers drain and completed sweep rows are still printed")
 		checkpoint = flag.String("checkpoint", "", "write completed sweep points to this file (atomic temp+rename after every point)")
 		resume     = flag.Bool("resume", false, "restore completed points from the -checkpoint file before running; restored output is byte-identical to an uninterrupted run")
@@ -141,8 +135,7 @@ func run() int {
 	}
 
 	cfg := experiments.Config{Seed: *seed, SetsPerPoint: *sets, Quick: *quick,
-		Workers: *workers, ProgressETA: *progress, NoReuse: !*reuse, Paranoid: *paranoid,
-		NoCrossScale: !*crossscale}
+		Workers: *workers, ProgressETA: *progress, Paranoid: *paranoid}
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
@@ -201,8 +194,6 @@ func run() int {
 	if *metrics || *metricsOut != "" || *events != "" || *listen != "" {
 		obs.SetEnabled(true)
 	}
-	rta.SetWarmStart(*rtacache)
-	partition.SetPrefilter(*prefilter)
 
 	var rec *obs.Recorder
 	if *events != "" {

@@ -99,15 +99,12 @@ func Breakdown(cfg Config) ([]Table, error) {
 // functions of (set, m), so identical vectors have identical verdicts. The
 // ≤13 probes of one bisection are memoized on the exact C-vector (the memo
 // is per-(shape, alg) call, so algorithm and m never mix); a hit skips the
-// whole partitioning run. Disabled by Config.NoCrossScale.
+// whole partitioning run.
 func breakdownOf(ws *Workspace, alg partition.Algorithm, shape task.Set, m int) float64 {
 	n := len(shape)
 	scaled := make(task.Set, n)
-	memo := ws != nil && !ws.noCrossScale
-	if memo {
-		ws.memoC = ws.memoC[:0]
-		ws.memoEnt = ws.memoEnt[:0]
-	}
+	ws.memoC = ws.memoC[:0]
+	ws.memoEnt = ws.memoEnt[:0]
 	accepts := func(lambda float64) (bool, float64) {
 		for i, tk := range shape {
 			c := task.Time(float64(tk.C)*lambda + 0.5)
@@ -119,32 +116,28 @@ func breakdownOf(ws *Workspace, alg partition.Algorithm, shape task.Set, m int) 
 			}
 			scaled[i] = task.Task{Name: tk.Name, C: c, T: tk.T}
 		}
-		if memo {
-			for e := range ws.memoEnt {
-				key := ws.memoC[e*n : (e+1)*n]
-				hit := true
-				for i := range key {
-					if key[i] != scaled[i].C {
-						hit = false
-						break
-					}
+		for e := range ws.memoEnt {
+			key := ws.memoC[e*n : (e+1)*n]
+			hit := true
+			for i := range key {
+				if key[i] != scaled[i].C {
+					hit = false
+					break
 				}
-				if hit {
-					if obs.On() {
-						cCrossScaleMemoHits.Inc()
-					}
-					return ws.memoEnt[e].ok, ws.memoEnt[e].u
+			}
+			if hit {
+				if obs.On() {
+					cCrossScaleMemoHits.Inc()
 				}
+				return ws.memoEnt[e].ok, ws.memoEnt[e].u
 			}
 		}
 		res := ws.Partition(alg, scaled, m)
 		ok, u := res.OK && res.Guaranteed, scaled.NormalizedUtilization(m)
-		if memo {
-			for i := range scaled {
-				ws.memoC = append(ws.memoC, scaled[i].C)
-			}
-			ws.memoEnt = append(ws.memoEnt, memoEntry{ok: ok, u: u})
+		for i := range scaled {
+			ws.memoC = append(ws.memoC, scaled[i].C)
 		}
+		ws.memoEnt = append(ws.memoEnt, memoEntry{ok: ok, u: u})
 		return ok, u
 	}
 	lo, hi := 0.0, 1.0

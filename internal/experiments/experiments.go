@@ -60,18 +60,6 @@ type Config struct {
 	// only ever goes to the Progress writer, never into tables, so the
 	// determinism contract is unaffected.
 	ProgressETA bool
-	// NoReuse disables the per-worker scratch workspaces: every task set is
-	// generated into fresh memory, every partitioner call allocates its own
-	// working storage, and each index gets a freshly constructed RNG — the
-	// cold path the reuse-off golden test compares against. Tables are
-	// byte-identical either way; only the allocation profile changes.
-	NoReuse bool
-	// NoCrossScale disables cross-scale result reuse in the breakdown
-	// bisections: the exact-C-vector verdict memo in breakdownOf and the
-	// warm-start response carry in uniBreakdown both fall back to evaluating
-	// every probe from scratch. Tables are byte-identical either way (the
-	// cross-scale-off golden test pins it); only the work per probe changes.
-	NoCrossScale bool
 	// Checkpoint, when non-nil, persists each completed sweep point and
 	// restores already-completed points on resume. Restored rows are
 	// byte-identical to recomputed ones, and the per-point RNG bases are
@@ -202,8 +190,7 @@ func (c Config) workers() int {
 // one pooled Workspace for its whole lifetime and reseeds one persistent
 // RNG per index ((*rand.Rand).Seed(s) restores exactly the state of
 // rand.New(rand.NewSource(s))), so the steady state allocates nothing per
-// index; with NoReuse the RNG is constructed fresh per index and the
-// workspace degrades to the cold path.
+// index.
 //
 // Robustness: each sample runs under recover — a panic in fn (a bug, a
 // paranoid-mode invariant violation, or an injected fault) is converted to
@@ -235,12 +222,7 @@ func (c Config) parEach(base int64, n int, fn func(i int, r *rand.Rand, ws *Work
 			}
 		}()
 		faultinject.MaybePanic()
-		seed := base + int64(i)*sampleSeedStride
-		if c.NoReuse {
-			fn(i, rand.New(rand.NewSource(seed)), ws)
-			return
-		}
-		ws.rng.Seed(seed)
+		ws.rng.Seed(base + int64(i)*sampleSeedStride)
 		fn(i, ws.rng, ws)
 	}
 	if workers <= 1 {

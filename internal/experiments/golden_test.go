@@ -6,9 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/partition"
-	"repro/internal/rta"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden experiment tables")
@@ -17,11 +14,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden experiment tables"
 // benchmark scale — the same tables `cmd/experiments -all -quick -sets 10
 // -seed 1` prints.
 func renderAllQuick(t *testing.T) []byte {
-	return renderAllQuickCfg(t, quickCfg())
-}
-
-func renderAllQuickCfg(t *testing.T, cfg Config) []byte {
 	t.Helper()
+	cfg := quickCfg()
 	var buf bytes.Buffer
 	for _, e := range Registry() {
 		if e.Key == "split-ablation" {
@@ -69,47 +63,6 @@ func TestGoldenQuickTables(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickTablesCacheOff re-renders the same tables with warm-start
-// RTA caching disabled: the experiment pipeline must be byte-identical in
-// both cache modes (the cache may only change iteration counts).
-func TestGoldenQuickTablesCacheOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: cache-off rerun skipped")
-	}
-	path := filepath.Join("testdata", "quick_tables.golden")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to record): %v", err)
-	}
-	rta.SetWarmStart(false)
-	defer rta.SetWarmStart(true)
-	got := renderAllQuick(t)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("tables with cache off diverged from golden\n%s", firstDiff(got, want))
-	}
-}
-
-// TestGoldenQuickTablesReuseOff re-renders the same tables with scratch
-// reuse disabled (Config.NoReuse, the `-reuse=false` cold path): arenas and
-// workspaces may only change where memory comes from, never a verdict, so
-// the rendered tables must match the golden file byte for byte.
-func TestGoldenQuickTablesReuseOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: reuse-off rerun skipped")
-	}
-	path := filepath.Join("testdata", "quick_tables.golden")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to record): %v", err)
-	}
-	cfg := quickCfg()
-	cfg.NoReuse = true
-	got := renderAllQuickCfg(t, cfg)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("tables with reuse off diverged from golden\n%s", firstDiff(got, want))
-	}
-}
-
 // firstDiff returns a short context window around the first differing byte.
 func firstDiff(got, want []byte) string {
 	i := 0
@@ -131,48 +84,4 @@ func firstDiff(got, want []byte) string {
 		return b[lo:hi]
 	}
 	return "got:  …" + string(clip(got)) + "…\nwant: …" + string(clip(want)) + "…"
-}
-
-// TestGoldenQuickTablesPrefilterOff re-renders the same tables with the
-// sufficient-PUB admission prefilter disabled: the prefilter only ever skips
-// an exact RTA probe whose verdict it already proved (prefilter-yes ⟹
-// exact-yes), so the rendered tables must match the golden file byte for
-// byte in both modes.
-func TestGoldenQuickTablesPrefilterOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: prefilter-off rerun skipped")
-	}
-	path := filepath.Join("testdata", "quick_tables.golden")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to record): %v", err)
-	}
-	partition.SetPrefilter(false)
-	defer partition.SetPrefilter(true)
-	got := renderAllQuick(t)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("tables with prefilter off diverged from golden\n%s", firstDiff(got, want))
-	}
-}
-
-// TestGoldenQuickTablesCrossScaleOff re-renders the same tables with
-// cross-scale verdict reuse disabled (Config.NoCrossScale, the
-// `-crossscale=false` path): breakdown bisections then re-evaluate every
-// scale from cold, which may only change iteration counts, never a verdict
-// or a table byte.
-func TestGoldenQuickTablesCrossScaleOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: cross-scale-off rerun skipped")
-	}
-	path := filepath.Join("testdata", "quick_tables.golden")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to record): %v", err)
-	}
-	cfg := quickCfg()
-	cfg.NoCrossScale = true
-	got := renderAllQuickCfg(t, cfg)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("tables with cross-scale reuse off diverged from golden\n%s", firstDiff(got, want))
-	}
 }

@@ -211,8 +211,8 @@ func RecipeFor(experiment string, runSeed int64, quick bool, point, sample int) 
 // its replay seeds: the experiment key, the Quick flag the run used, the
 // 0-based sweep point, and the sample's derived seed. It returns the set and
 // the processor count the sweep offered it to. Generation uses a fresh RNG
-// and fresh scratch; sweeps produce identical sets either way (the reuse-off
-// golden test pins scratch-independence).
+// and a nil scratch; sweeps produce identical sets through their reused
+// scratch (gen's TestScratchMatchesNil pins scratch-independence).
 func ReplaySample(experiment string, quick bool, point int, sampleSeed int64) (task.Set, int, error) {
 	spec, ok := replaySpecs()[experiment]
 	if !ok {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/obs"
-	"repro/internal/rta"
 	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/xrand"
@@ -76,8 +75,7 @@ func UniprocessorBreakdown(cfg Config) ([]Table, error) {
 // every scale, and C is non-decreasing in the scale), which is exactly the
 // access pattern rta.BatchState.EvaluateList warm-carries across: each probe
 // above the last accepted scale warm-starts every fixed point from that
-// scale's converged responses. Disabled by Config.NoCrossScale (and inert
-// with a nil workspace), with byte-identical results either way.
+// scale's converged responses, with the same verdicts cold starts give.
 func uniBreakdown(r *rand.Rand, ws *Workspace, n int) float64 {
 	type shape struct {
 		t task.Time
@@ -99,16 +97,8 @@ func uniBreakdown(r *rand.Rand, ws *Workspace, n int) float64 {
 	for i := range shapes {
 		shapes[i].u /= sum // total utilization 1 at scale 1
 	}
-	crossScale := ws != nil && !ws.noCrossScale
-	var ts task.Set
-	var list []task.Subtask
-	if ws != nil && !ws.noReuse {
-		ts = growSet(&ws.uniTS, n)
-		list = growSubtasks(&ws.uniList, n)
-	} else {
-		ts = make(task.Set, n)
-		list = make([]task.Subtask, n)
-	}
+	ts := growSet(&ws.uniTS, n)
+	list := growSubtasks(&ws.uniList, n)
 	firstProbe := true
 	build := func(scale float64) ([]task.Subtask, bool) {
 		for i, sh := range shapes {
@@ -128,9 +118,6 @@ func uniBreakdown(r *rand.Rand, ws *Workspace, n int) float64 {
 		u := ts.TotalUtilization()
 		if u > 1.000001 {
 			return list, false
-		}
-		if !crossScale {
-			return list, rta.ProcessorSchedulable(list)
 		}
 		carry := !firstProbe
 		firstProbe = false

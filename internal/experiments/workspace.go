@@ -27,13 +27,8 @@ type Workspace struct {
 	gen      gen.Scratch
 	arena    partition.Arena
 	rng      *rand.Rand
-	noReuse  bool
 	paranoid bool
 
-	// noCrossScale disables the cross-scale verdict and warm-start reuse in
-	// the breakdown bisections (Config.NoCrossScale) — the ablation knob the
-	// cross-scale-off golden test compares against.
-	noCrossScale bool
 	// carry is the breakdown bisections' cross-scale warm-start state: the
 	// converged responses of the last accepted scale of the CURRENT sample
 	// (see rta.BatchState.EvaluateList). Reset at the start of each sample.
@@ -55,35 +50,27 @@ type memoEntry struct {
 	u  float64
 }
 
-// Gen returns the workspace's generator scratch, or nil in no-reuse mode —
-// a nil scratch makes every gen.*Into call allocate fresh, reproducing the
-// cold path exactly.
-func (ws *Workspace) Gen() *gen.Scratch {
-	if ws == nil || ws.noReuse {
-		return nil
-	}
-	return &ws.gen
-}
+// Gen returns the workspace's generator scratch. Every generator draws
+// identically through it and through a nil scratch (the gen scratch
+// equivalence test pins this), which is what lets ReplaySample regenerate
+// a sweep sample without a workspace.
+func (ws *Workspace) Gen() *gen.Scratch { return &ws.gen }
 
 // Partition runs alg on (ts, m) drawing all working storage from the
-// workspace arena. The result borrows the workspace. In no-reuse mode — or
-// for an algorithm without arena support — it is a plain cold Partition
-// call; the verdict and every Result field are identical either way (the
-// arena equivalence tests pin this).
+// workspace arena. The result borrows the workspace. An algorithm without
+// arena support gets a plain Partition call; the verdict and every Result
+// field are identical either way (the arena equivalence tests pin this).
 func (ws *Workspace) Partition(alg partition.Algorithm, ts task.Set, m int) *partition.Result {
 	var res *partition.Result
-	if ws != nil && !ws.noReuse {
-		if ap, ok := alg.(partition.ArenaPartitioner); ok {
-			res = ap.PartitionArena(ts, m, &ws.arena)
-		}
-	}
-	if res == nil {
+	if ap, ok := alg.(partition.ArenaPartitioner); ok {
+		res = ap.PartitionArena(ts, m, &ws.arena)
+	} else {
 		res = alg.Partition(ts, m)
 	}
 	// Paranoid mode: re-prove every successful result from scratch. The
 	// panic is deliberate — parEach's isolation converts it into a
 	// seed-reproducible SampleError naming this exact sample.
-	if ws != nil && ws.paranoid && res != nil && res.OK {
+	if ws.paranoid && res != nil && res.OK {
 		if err := partition.ValidateFor(alg, res); err != nil {
 			panic(fmt.Sprintf("paranoid: invariant violation in %s on m=%d: %v", alg.Name(), m, err))
 		}
@@ -93,18 +80,16 @@ func (ws *Workspace) Partition(alg partition.Algorithm, ts task.Set, m int) *par
 
 // wsPool recycles workspaces across parEach calls (and across benchmark
 // iterations), so buffer capacities survive the whole process lifetime.
-// The pooled RNG rides xrand.Source — bit-identical to rand.NewSource but
-// with the ~3× cheaper reseed the per-sample loop actually pays for (the
-// cold NoReuse path keeps constructing stdlib sources, pinning the contract).
+// The pooled RNG rides xrand.Source — bit-identical to rand.NewSource (the
+// xrand tests pin this) but with the ~3× cheaper reseed the per-sample loop
+// actually pays for.
 var wsPool = sync.Pool{New: func() interface{} {
 	return &Workspace{rng: rand.New(xrand.New(0))}
 }}
 
 func getWorkspace(c Config) *Workspace {
 	ws := wsPool.Get().(*Workspace)
-	ws.noReuse = c.NoReuse
 	ws.paranoid = c.Paranoid
-	ws.noCrossScale = c.NoCrossScale
 	return ws
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/rta"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -35,9 +36,9 @@ func TestAdmissionHierarchy(t *testing.T) {
 		T := periods[newPos]
 		C := task.Time(1 + r.Intn(int(T)))
 		prio := newPos
-		ll := AdmitLL.admits(list, prio, C, T, T)
-		hb := AdmitHyperbolic.admits(list, prio, C, T, T)
-		rtaOK := AdmitRTA.admits(list, prio, C, T, T)
+		ll := AdmitLL.admits(list, C, T)
+		hb := AdmitHyperbolic.admits(list, C, T)
+		rtaOK := rta.SchedulableWithExtraAt(list, prio, C, T, T)
 		if ll && !hb {
 			t.Fatalf("trial %d: LL accepted but hyperbolic rejected", trial)
 		}

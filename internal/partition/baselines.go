@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/obs"
-	"repro/internal/rta"
 	"repro/internal/task"
 )
 
@@ -159,12 +158,12 @@ func (a Admission) String() string {
 	}
 }
 
-// admits reports whether task (c, t, d) at priority index prio fits on the
-// processor under the admission test.
-func (a Admission) admits(list []task.Subtask, prio int, c, t, d task.Time) bool {
+// admits reports whether task (c, t) fits on the processor under one of
+// the threshold admission tests. AdmitRTA never reaches it:
+// fitPartitionAdmit routes the exact test through the processor's
+// rta.ProcState.
+func (a Admission) admits(list []task.Subtask, c, t task.Time) bool {
 	switch a {
-	case AdmitRTA:
-		return rta.SchedulableWithExtraAt(list, prio, c, t, d)
 	case AdmitHyperbolic:
 		prod := 1 + float64(c)/float64(t)
 		for _, s := range list {
@@ -250,7 +249,7 @@ func fitPartitionAdmit(ts task.Set, m int, order FitOrder, pick func(*Arena, *ta
 				pre = prefilterAdmit(&states[q], i, t.C, t.Deadline())
 				ok = pre || states[q].AdmitAt(i, t.C, t.T, t.Deadline())
 			} else {
-				ok = admit.admits(asg.Procs[q], i, t.C, t.T, t.Deadline())
+				ok = admit.admits(asg.Procs[q], t.C, t.T)
 			}
 			if ok {
 				asg.Add(q, task.Whole(i, t))

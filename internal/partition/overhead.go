@@ -61,17 +61,9 @@ func surcharged(list []task.Subtask, s task.Time) []task.Subtask {
 // both the zero-overhead and overhead-aware analyses (see
 // partition.go/assignOrSplit and rta.ProcState.Surcharge).
 
-func hpInterferences(list []task.Subtask, i int) []rta.Interference {
-	hp := make([]rta.Interference, i)
-	for j := 0; j < i; j++ {
-		hp[j] = rta.Interference{C: list[j].C, T: list[j].T}
-	}
-	return hp
-}
-
 // VerifyWithSurcharge re-checks a Result like Verify, but with every RTA
 // term surcharged by s per fragment — the independent check matching
-// overhead-aware admission. VerifyWithSurcharge(res, 0) equals Verify(res).
+// overhead-aware admission. VerifyWithSurcharge(res, 0) is Verify(res).
 func VerifyWithSurcharge(res *Result, s task.Time) error {
 	if res == nil || res.Assignment == nil {
 		return fmt.Errorf("partition: nil result")
@@ -83,24 +75,29 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 	if err := asg.Validate(); err != nil {
 		return fmt.Errorf("partition: structural check failed: %w", err)
 	}
+	under := ""
+	if s != 0 {
+		under = fmt.Sprintf(" under surcharge %d", s)
+	}
+	// Exact RTA of every subtask on its processor.
 	for q, list := range asg.Procs {
 		sur := surcharged(list, s)
 		for i := range sur {
-			r, ok := rta.ResponseTime(sur[i].C, hpInterferences(sur, i), sur[i].Deadline)
-			if !ok {
-				return fmt.Errorf("partition: processor %d: %s has surcharged response %d exceeding synthetic deadline %d", q, list[i], r, list[i].Deadline)
+			if r, ok := rta.SubtaskResponse(sur, i); !ok {
+				return fmt.Errorf("partition: processor %d: %s has response %d%s exceeding synthetic deadline %d", q, list[i], r, under, list[i].Deadline)
 			}
 		}
 	}
+	// Synthetic deadlines must cover the accumulated response times of the
+	// preceding fragments.
 	for idx := range asg.Set {
 		subs, procs := asg.Subtasks(idx)
 		var acc task.Time
 		for k, sub := range subs {
 			if sub.Offset < acc {
-				return fmt.Errorf("partition: task %d part %d: offset %d is below accumulated surcharged response %d", idx, sub.Part, sub.Offset, acc)
+				return fmt.Errorf("partition: task %d part %d: offset %d is below accumulated response %d%s", idx, sub.Part, sub.Offset, acc, under)
 			}
 			list := asg.Procs[procs[k]]
-			sur := surcharged(list, s)
 			pos := -1
 			for i, ls := range list {
 				if ls.TaskIndex == idx && ls.Part == sub.Part {
@@ -108,14 +105,14 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 					break
 				}
 			}
-			r, ok := rta.ResponseTime(sur[pos].C, hpInterferences(sur, pos), sur[pos].Deadline)
+			r, ok := rta.SubtaskResponse(surcharged(list, s), pos)
 			if !ok {
-				return fmt.Errorf("partition: task %d part %d unschedulable on processor %d under surcharge", idx, sub.Part, procs[k])
+				return fmt.Errorf("partition: task %d part %d unschedulable on processor %d%s", idx, sub.Part, procs[k], under)
 			}
 			acc = sub.Offset + r
 		}
 		if acc > asg.Set[idx].T {
-			return fmt.Errorf("partition: task %d: accumulated surcharged response %d exceeds its deadline %d", idx, acc, asg.Set[idx].T)
+			return fmt.Errorf("partition: task %d: accumulated response %d%s exceeds its deadline %d", idx, acc, under, asg.Set[idx].T)
 		}
 	}
 	return nil

@@ -236,55 +236,7 @@ func minUtilProcessor(asg *task.Assignment, eligible, full []bool) int {
 // deadlines with the body fragments' actual response times
 // (Δ^{k+1} ≤ T − Σ_{l≤k} R^l). A nil error means the partitioned system
 // provably meets all deadlines (Lemma 4's argument).
-func Verify(res *Result) error {
-	if res == nil || res.Assignment == nil {
-		return fmt.Errorf("partition: nil result")
-	}
-	if !res.OK {
-		return fmt.Errorf("partition: result reports failure: %s", res.Reason)
-	}
-	asg := res.Assignment
-	if err := asg.Validate(); err != nil {
-		return fmt.Errorf("partition: structural check failed: %w", err)
-	}
-	// Exact RTA of every subtask on its processor.
-	for q, list := range asg.Procs {
-		for i := range list {
-			r, ok := rta.SubtaskResponse(list, i)
-			if !ok {
-				return fmt.Errorf("partition: processor %d: %s has response %d exceeding synthetic deadline %d", q, list[i], r, list[i].Deadline)
-			}
-		}
-	}
-	// Synthetic deadlines must cover the accumulated response times of the
-	// preceding fragments.
-	for idx := range asg.Set {
-		subs, procs := asg.Subtasks(idx)
-		var acc task.Time
-		for k, s := range subs {
-			if s.Offset < acc {
-				return fmt.Errorf("partition: task %d part %d: offset %d is below accumulated response %d", idx, s.Part, s.Offset, acc)
-			}
-			list := asg.Procs[procs[k]]
-			pos := -1
-			for i, ls := range list {
-				if ls.TaskIndex == idx && ls.Part == s.Part {
-					pos = i
-					break
-				}
-			}
-			r, ok := rta.SubtaskResponse(list, pos)
-			if !ok {
-				return fmt.Errorf("partition: task %d part %d unschedulable on processor %d", idx, s.Part, procs[k])
-			}
-			acc = s.Offset + r
-		}
-		if acc > asg.Set[idx].T {
-			return fmt.Errorf("partition: task %d: accumulated response %d exceeds its deadline %d", idx, acc, asg.Set[idx].T)
-		}
-	}
-	return nil
-}
+func Verify(res *Result) error { return VerifyWithSurcharge(res, 0) }
 
 // requireImplicit fails algorithms whose theory only covers the
 // implicit-deadline L&L model (the SPA thresholds, the bound-based

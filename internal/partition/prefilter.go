@@ -13,28 +13,15 @@
 // Liu–Layland sum test, by AM–GM); Δ_i ≤ T_i makes real interference no
 // larger than the surrogate's; DM order equals the surrogate's RM order.
 // Hence prefilter-yes ⟹ exact-RTA-yes, so skipping the RTA probe never
-// changes an admission verdict — golden tables are byte-identical with the
-// prefilter on or off, only rta.iterations and the probe cost change.
+// changes an admission verdict — only rta.iterations and the probe cost
+// change. FuzzPrefilterSound checks the implication against the scalar RTA.
 package partition
 
 import (
-	"sync/atomic"
-
 	"repro/internal/obs"
 	"repro/internal/rta"
 	"repro/internal/task"
 )
-
-// prefilterOff is the global toggle; the zero value means enabled.
-var prefilterOff atomic.Bool
-
-// SetPrefilter enables (true, the default) or disables the sufficient
-// utilization-bound admission prefilter. Disabling never changes any
-// admission verdict — only how much fixed-point work reaching it costs.
-func SetPrefilter(on bool) { prefilterOff.Store(!on) }
-
-// PrefilterEnabled reports whether the admission prefilter is active.
-func PrefilterEnabled() bool { return !prefilterOff.Load() }
 
 // cPrefilterHits counts admissions decided by the closed-form density test
 // alone, with the exact RTA probe skipped entirely.
@@ -49,9 +36,6 @@ const prefilterEps = 1e-9
 // deadline d at priority index prio. False means "unknown — run exact RTA",
 // never "rejected".
 func prefilterAdmit(ps *rta.ProcState, prio int, c, d task.Time) bool {
-	if !PrefilterEnabled() {
-		return false
-	}
 	prod, dmOK := ps.DensityProbe(prio, c, d)
 	if !dmOK || prod > 2-prefilterEps {
 		return false

@@ -226,7 +226,7 @@ func fixpoint(own task.Time, cs, ts []task.Time, limit, start task.Time, fast bo
 // it anchored at the bisection's monotone lo-sequence.
 func (b *BatchState) EvaluateList(list []task.Subtask, carry bool) bool {
 	n := len(list)
-	warm := carry && WarmStartEnabled() && len(b.cs) == n
+	warm := carry && len(b.cs) == n
 	if warm {
 		for i := range list {
 			if b.ts[i] != list[i].T || b.dls[i] != list[i].Deadline || b.cs[i] > list[i].C {

@@ -15,15 +15,13 @@ import (
 // Each 4-byte group is one admission attempt; the selector's low bit picks
 // a near-MaxInt64 magnitude class so the stream drives both fixpointFast
 // (batchSafe accepts) and the checked fallback twins (batchSafe rejects),
-// and the warm flag toggles warm starts so cached-response starts are
-// compared against cold scalar fixed points.
+// and every warm-started response is compared against the cold scalar
+// fixed point.
 func FuzzBatchVsScalarRTA(f *testing.F) {
-	f.Add([]byte{0, 40, 3, 5, 2, 80, 7, 9, 0, 33, 2, 1}, true)
-	f.Add([]byte{1, 200, 250, 3, 3, 255, 255, 255}, false)
-	f.Add([]byte{0, 10, 1, 0, 1, 2, 2, 2, 0, 90, 11, 4}, true)
-	f.Fuzz(func(t *testing.T, data []byte, warm bool) {
-		defer SetWarmStart(true)
-		SetWarmStart(warm)
+	f.Add([]byte{0, 40, 3, 5, 2, 80, 7, 9, 0, 33, 2, 1})
+	f.Add([]byte{1, 200, 250, 3, 3, 255, 255, 255})
+	f.Add([]byte{0, 10, 1, 0, 1, 2, 2, 2, 0, 90, 11, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 120 {
 			data = data[:120]
 		}
@@ -34,7 +32,7 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 		for op := 0; len(data) >= 4; op++ {
 			sel, b1, b2, b3 := data[0], data[1], data[2], data[3]
 			data = data[4:]
-			ctx := fmt.Sprintf("op %d (surcharge %d, warm %v)", op, s, warm)
+			ctx := fmt.Sprintf("op %d (surcharge %d)", op, s)
 			var T, c, d task.Time
 			if sel&1 == 1 {
 				// Near-MaxInt64 magnitudes: interferenceBound overflows, so

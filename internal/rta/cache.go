@@ -24,35 +24,20 @@
 //     with, and re-checking them is provably redundant (every resident was
 //     schedulable when the last admission committed).
 //
-// Equivalence contract: with warm starts disabled (SetWarmStart(false))
-// ProcState reproduces the from-scratch computation step for step — every
-// admission decision, split portion and response value is byte-identical
-// either way, because the least fixed point is unique. Only the iteration
-// counts (rta.iterations, rta.iters_per_call) differ. The partition
-// package's equivalence fuzz test and the experiments golden test pin this
-// contract.
+// Equivalence contract: every admission decision, split portion and
+// response value equals the from-scratch scalar analysis of the same
+// surcharged view (rta.go), because the least fixed point is unique; only
+// the iteration counts (rta.iterations, rta.iters_per_call) are smaller.
+// The rta fuzz targets pin ProcState and BatchState against the scalar
+// functions, and the partition package's fingerprint digest and the
+// experiments golden test pin the decisions built on them.
 package rta
 
 import (
-	"sync/atomic"
-
 	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/task"
 )
-
-// warmStartOff is the global cache toggle; the zero value means enabled.
-// It exists so experiments and tests can prove decision-equivalence of the
-// cached and from-scratch paths on identical inputs.
-var warmStartOff atomic.Bool
-
-// SetWarmStart enables (true, the default) or disables warm-start caching
-// and affected-range skipping in every ProcState. Disabling never changes
-// any analysis outcome — only how much work reaching it costs.
-func SetWarmStart(on bool) { warmStartOff.Store(!on) }
-
-// WarmStartEnabled reports whether ProcState warm starts are active.
-func WarmStartEnabled() bool { return !warmStartOff.Load() }
 
 // Cache-effectiveness instrumentation (no-ops unless obs.SetEnabled):
 // warm_starts counts fixed points started from a cached response,
@@ -183,14 +168,12 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 // of SchedulableWithExtraAt on the surcharged resident view, with c taken
 // as the RAW execution time (the surcharge is added internally).
 //
-// With warm starts enabled, residents above the insertion position are
-// skipped (the candidate cannot interfere with them, and the processor
-// invariant — every resident is schedulable in the current configuration,
-// whether its admission came from RTA or the sufficient prefilter — makes
-// their re-check redundant) and every evaluated fixed point starts from the
-// cached response when that beats the cold lower bound. With warm starts
-// disabled every resident is re-analysed from a cold start, reproducing
-// the from-scratch path. Both modes return identical verdicts.
+// Residents above the insertion position are skipped (the candidate cannot
+// interfere with them, and the processor invariant — every resident is
+// schedulable in the current configuration, whether its admission came from
+// RTA or the sufficient prefilter — makes their re-check redundant) and
+// every evaluated fixed point starts from the cached response when that
+// beats the cold lower bound. The verdict equals the from-scratch one.
 //
 // The probe materializes the post-insert view once — candidate spliced into
 // the scratch arrays (pcs, pts) at pos — so position k's interferers are
@@ -199,7 +182,6 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	cand := c + ps.Surcharge
 	pos := ps.PosFor(prio)
-	warm := WarmStartEnabled()
 	ps.stagedValid = false
 	n := ps.b.len()
 	if cap(ps.staged) < n+1 {
@@ -208,34 +190,24 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	staged := ps.staged[:n+1]
 	pcs, pts, fast := ps.splice(pos, cand, t, d)
 
-	// One pass over the post-insert positions, maintaining the running
-	// prefix sum of execution times (the classic cold-start bound for
-	// position k is sum(pcs[:k]) + pcs[k]). Warm mode skips positions above
-	// the insertion point; limits come from d at pos and the resident
-	// deadlines elsewhere.
-	kstart := 0
-	sum := task.Time(0)
-	if warm {
-		if obs.On() && pos > 0 {
-			cSkippedHP.Add(int64(pos))
-		}
-		copy(staged[:pos], ps.b.resp[:pos])
-		kstart = pos
-		for _, cv := range pcs[:pos] {
-			sum = mathx.AddSat(sum, cv)
-		}
+	// One pass over the post-insert positions from the insertion point down,
+	// maintaining the running prefix sum of execution times (the classic
+	// cold-start bound for position k is sum(pcs[:k]) + pcs[k]); limits
+	// come from d at pos and the resident deadlines below it.
+	if obs.On() && pos > 0 {
+		cSkippedHP.Add(int64(pos))
 	}
-	for k := kstart; k <= n; k++ {
+	copy(staged[:pos], ps.b.resp[:pos])
+	sum := task.Time(0)
+	for _, cv := range pcs[:pos] {
+		sum = mathx.AddSat(sum, cv)
+	}
+	for k := pos; k <= n; k++ {
 		own := pcs[k]
 		limit := d
-		switch {
-		case k < pos:
-			limit = ps.b.dls[k]
-		case k > pos:
-			limit = ps.b.dls[k-1]
-		}
 		start := mathx.AddSat(sum, own)
-		if k > pos && warm {
+		if k > pos {
+			limit = ps.b.dls[k-1]
 			if cached := ps.b.resp[k-1]; cached > start {
 				start = cached
 				if obs.On() {
@@ -404,7 +376,7 @@ func (ps *ProcState) MaxOwnLoadAt(pos int, d task.Time) task.Time {
 }
 
 // ResponseAt computes the response time of resident pos against limit,
-// warm-starting from its cached response when enabled, and commits the
+// warm-starting from its cached response, and commits the
 // converged value back to the cache. The partitioners use it for the body
 // fragment of a fresh split (equation (1)'s R term).
 func (ps *ProcState) ResponseAt(pos int, limit task.Time) (task.Time, bool) {
@@ -413,7 +385,7 @@ func (ps *ProcState) ResponseAt(pos int, limit task.Time) (task.Time, bool) {
 	for _, cv := range ps.b.cs[:pos] {
 		start = mathx.AddSat(start, cv)
 	}
-	if WarmStartEnabled() && ps.b.resp[pos] > start {
+	if ps.b.resp[pos] > start {
 		start = ps.b.resp[pos]
 		if obs.On() {
 			cWarmStarts.Inc()
@@ -431,8 +403,8 @@ func (ps *ProcState) ResponseAt(pos int, limit task.Time) (task.Time, bool) {
 	return r, true
 }
 
-// DensityProbe supports the sufficient utilization-bound prefilter
-// (partition.SetPrefilter): for the post-insert view with a candidate of raw
+// DensityProbe supports the sufficient utilization-bound admission
+// prefilter (partition/prefilter.go): for the post-insert view with a candidate of raw
 // execution c and synthetic deadline d at priority position PosFor(prio), it
 // returns the deadline-density hyperbolic product Π (1 + (C_i+Surcharge)/Δ_i)
 // (candidate included) and whether the post-insert priority order is

@@ -32,11 +32,11 @@ func mirror(list []task.Subtask, surcharge task.Time) *ProcState {
 	return ps
 }
 
-// TestAdmitAtMatchesFromScratch fuzzes AdmitAt in both cache modes against
+// TestAdmitAtMatchesFromScratch fuzzes AdmitAt against the scalar
 // SchedulableWithExtraAt on the equivalent (surcharged) list view — the
-// decision-equivalence contract of the incremental engine.
+// decision-equivalence contract of the incremental engine. Each state is
+// probed twice, so the second probe also runs over the first one's staging.
 func TestAdmitAtMatchesFromScratch(t *testing.T) {
-	defer SetWarmStart(true)
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 3000; trial++ {
 		n := r.Intn(7)
@@ -62,30 +62,24 @@ func TestAdmitAtMatchesFromScratch(t *testing.T) {
 		}
 		want := SchedulableWithExtraAt(sur, prio, c+s, T, d)
 
-		SetWarmStart(true)
-		if got := ps.AdmitAt(prio, c, T, d); got != want {
-			t.Fatalf("trial %d (warm): AdmitAt=%v, from-scratch=%v (list=%v s=%d prio=%d c=%d T=%d d=%d)",
-				trial, got, want, list, s, prio, c, T, d)
+		for probe := 0; probe < 2; probe++ {
+			if got := ps.AdmitAt(prio, c, T, d); got != want {
+				t.Fatalf("trial %d probe %d: AdmitAt=%v, from-scratch=%v (list=%v s=%d prio=%d c=%d T=%d d=%d)",
+					trial, probe, got, want, list, s, prio, c, T, d)
+			}
 		}
-		SetWarmStart(false)
-		if got := ps.AdmitAt(prio, c, T, d); got != want {
-			t.Fatalf("trial %d (cold): AdmitAt=%v, from-scratch=%v (list=%v s=%d prio=%d c=%d T=%d d=%d)",
-				trial, got, want, list, s, prio, c, T, d)
-		}
-		SetWarmStart(true)
 	}
 }
 
 // TestInsertAdoptsStagedResponses checks the probe-then-commit staging: a
 // successful AdmitAt immediately followed by the matching Insert reuses the
 // probe's converged fixed points, and later warm-started evaluations return
-// the same responses a cold mirror computes.
+// the responses the scalar SubtaskResponse computes from scratch.
 func TestInsertAdoptsStagedResponses(t *testing.T) {
-	defer SetWarmStart(true)
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 500; trial++ {
 		ps := &ProcState{}
-		cold := &ProcState{}
+		var list []task.Subtask
 		n := 2 + r.Intn(5)
 		for i := 0; i < n; i++ {
 			T := task.Time(50 + r.Intn(1000))
@@ -93,19 +87,17 @@ func TestInsertAdoptsStagedResponses(t *testing.T) {
 			sub := task.Subtask{TaskIndex: i, Part: 1, C: c, T: T, Deadline: T, Tail: true}
 			if ps.AdmitAt(i, c, T, T) {
 				ps.Insert(sub)
-				cold.Insert(sub)
+				list = append(list, sub)
 			}
 		}
-		if ps.Len() != cold.Len() {
-			t.Fatalf("mirrors diverged: %d vs %d", ps.Len(), cold.Len())
+		if ps.Len() != len(list) {
+			t.Fatalf("mirror holds %d residents, model %d", ps.Len(), len(list))
 		}
-		for i := 0; i < ps.Len(); i++ {
+		for i := range list {
 			rw, okw := ps.ResponseAt(i, ps.Deadline(i))
-			SetWarmStart(false)
-			rc, okc := cold.ResponseAt(i, cold.Deadline(i))
-			SetWarmStart(true)
+			rc, okc := SubtaskResponse(list, i)
 			if rw != rc || okw != okc {
-				t.Fatalf("trial %d pos %d: warm (%d,%v) vs cold (%d,%v)", trial, i, rw, okw, rc, okc)
+				t.Fatalf("trial %d pos %d: ResponseAt (%d,%v) vs SubtaskResponse (%d,%v)", trial, i, rw, okw, rc, okc)
 			}
 		}
 	}
@@ -207,20 +199,5 @@ func TestPosForMatchesAssignmentOrder(t *testing.T) {
 	// Equal index inserts after, matching task.Assignment.Add's sort.Search.
 	if ps.PosFor(4) != 2 {
 		t.Fatalf("PosFor(equal) = %d, want 2", ps.PosFor(4))
-	}
-}
-
-func TestSetWarmStartToggle(t *testing.T) {
-	defer SetWarmStart(true)
-	if !WarmStartEnabled() {
-		t.Fatal("warm starts should default to enabled")
-	}
-	SetWarmStart(false)
-	if WarmStartEnabled() {
-		t.Fatal("toggle off failed")
-	}
-	SetWarmStart(true)
-	if !WarmStartEnabled() {
-		t.Fatal("toggle on failed")
 	}
 }

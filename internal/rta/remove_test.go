@@ -96,7 +96,6 @@ func stepChurn(t *testing.T, r *rand.Rand, ps *ProcState, list []task.Subtask, n
 // (with and without an analysis surcharge) and after every operation checks
 // the full cold-equivalence contract on the surviving set.
 func TestRemoveMatchesFromScratch(t *testing.T) {
-	defer SetWarmStart(true)
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
 		s := task.Time(r.Intn(3))
@@ -119,7 +118,6 @@ func FuzzProcStateRemove(f *testing.F) {
 	f.Add([]byte{0, 10, 200, 0, 2, 10, 200, 0, 1, 1, 0, 0, 3, 255, 255, 255})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		defer SetWarmStart(true)
 		if len(data) > 200 {
 			data = data[:200]
 		}
@@ -213,12 +211,10 @@ func TestRemoveOutOfRangePanics(t *testing.T) {
 	}
 }
 
-// TestRemoveGoldenSequence replays a fixed admit→remove→re-admit script in
-// both cache modes and pins the full transcript: warm and cold must be
-// byte-identical to each other (the equivalence contract) and to the
-// recorded literal (guarding drift across toolchains and refactors).
+// TestRemoveGoldenSequence replays a fixed admit→remove→re-admit script
+// and pins the full transcript to a recorded literal (guarding drift across
+// toolchains and refactors); the responses in it are the from-scratch ones.
 func TestRemoveGoldenSequence(t *testing.T) {
-	defer SetWarmStart(true)
 	type op struct {
 		remove   bool
 		pos      int
@@ -236,35 +232,27 @@ func TestRemoveGoldenSequence(t *testing.T) {
 		{prio: 1, c: 9, tt: 12, d: 12}, // still rejected: idx 4 misses
 		{prio: 1, c: 3, tt: 12, d: 12},
 	}
-	run := func(warm bool) string {
-		SetWarmStart(warm)
-		defer SetWarmStart(true)
-		ps := &ProcState{}
-		var sb strings.Builder
-		for _, o := range script {
-			if o.remove {
-				fmt.Fprintf(&sb, "remove pos=%d\n", o.pos)
-				ps.Remove(o.pos)
-			} else {
-				ok := ps.AdmitAt(o.prio, o.c, o.tt, o.d)
-				fmt.Fprintf(&sb, "admit idx=%d c=%d t=%d d=%d -> %v\n", o.prio, o.c, o.tt, o.d, ok)
-				if ok {
-					ps.Insert(task.Subtask{TaskIndex: o.prio, Part: 1, C: o.c, T: o.tt, Deadline: o.d, Tail: true})
-				}
+	ps := &ProcState{}
+	var sb strings.Builder
+	for _, o := range script {
+		if o.remove {
+			fmt.Fprintf(&sb, "remove pos=%d\n", o.pos)
+			ps.Remove(o.pos)
+		} else {
+			ok := ps.AdmitAt(o.prio, o.c, o.tt, o.d)
+			fmt.Fprintf(&sb, "admit idx=%d c=%d t=%d d=%d -> %v\n", o.prio, o.c, o.tt, o.d, ok)
+			if ok {
+				ps.Insert(task.Subtask{TaskIndex: o.prio, Part: 1, C: o.c, T: o.tt, Deadline: o.d, Tail: true})
 			}
-			sb.WriteString("  state:")
-			for i := 0; i < ps.Len(); i++ {
-				r, rok := ps.ResponseAt(i, ps.Deadline(i))
-				fmt.Fprintf(&sb, " %d:r=%d/%v", ps.TaskAt(i), r, rok)
-			}
-			sb.WriteString("\n")
 		}
-		return sb.String()
+		sb.WriteString("  state:")
+		for i := 0; i < ps.Len(); i++ {
+			r, rok := ps.ResponseAt(i, ps.Deadline(i))
+			fmt.Fprintf(&sb, " %d:r=%d/%v", ps.TaskAt(i), r, rok)
+		}
+		sb.WriteString("\n")
 	}
-	warm, cold := run(true), run(false)
-	if warm != cold {
-		t.Fatalf("warm and cold transcripts differ:\n--- warm\n%s--- cold\n%s", warm, cold)
-	}
+	got := sb.String()
 	const golden = "" +
 		"admit idx=2 c=2 t=10 d=10 -> true\n" +
 		"  state: 2:r=2/true\n" +
@@ -284,7 +272,7 @@ func TestRemoveGoldenSequence(t *testing.T) {
 		"  state: 4:r=5/true 6:r=9/true\n" +
 		"admit idx=1 c=3 t=12 d=12 -> true\n" +
 		"  state: 1:r=3/true 4:r=8/true 6:r=12/true\n"
-	if warm != golden {
-		t.Errorf("transcript drifted from golden:\n--- want\n%s--- got\n%s", golden, warm)
+	if got != golden {
+		t.Errorf("transcript drifted from golden:\n--- want\n%s--- got\n%s", golden, got)
 	}
 }
