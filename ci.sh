@@ -11,8 +11,10 @@
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
-# recipe must render a byte-identical why-report), an admitd smoke that
-# boots the admission service and drives the admit→remove→re-admit cycle
+# recipe must render a byte-identical why-report), a CLI vocabulary smoke
+# (every command resolves algorithm names through one registry), an
+# admitd smoke that boots the admission service and drives the
+# admit→remove→re-admit cycle
 # plus a load run through its -check client, a metrics lint that
 # grammar-checks the daemon's live Prometheus exposition and schema-checks
 # its JSONL access log (DESIGN.md §15), a crash-recovery smoke that
@@ -87,6 +89,37 @@ go run ./cmd/explain -recipe "$explain_recipe" -quick -algo rm-ts > "$explain_ou
 [ "$explain_status" -eq 1 ]
 cmp "$explain_out" cmd/explain/testdata/recipe_rmts.golden
 rm -f "$explain_out"
+
+echo "== CLI vocabulary (one algorithm/bound registry behind every command) =="
+# Every command resolves -algo through partition.Lookup: an unknown name is
+# a usage error (exit 2) everywhere, every listed name runs, and partition
+# and simulate build the same RM-TS (the fixture separates RM-TS under the
+# best bound from the L&L default). schedtest rejects -m 0 as usage.
+cli_dir=$(mktemp -d /tmp/ci-cli.XXXXXX)
+cli_set=cmd/partition/testdata/harmonic3.txt
+for c in partition simulate explain schedtest; do
+    go build -o "$cli_dir/$c" "./cmd/$c"
+done
+for c in partition simulate explain; do
+    cli_status=0
+    "$cli_dir/$c" -set "$cli_set" -m 2 -algo nope > /dev/null 2>&1 || cli_status=$?
+    [ "$cli_status" -eq 2 ] || { echo "$c -algo nope exited $cli_status, want 2" >&2; exit 1; }
+done
+cli_names=$("$cli_dir/partition" -h 2>&1 | sed -n 's/^.*algorithm: \(.*\) (default.*$/\1/p' | tr -d ',')
+[ -n "$cli_names" ]
+for name in $cli_names; do
+    cli_status=0
+    "$cli_dir/partition" -set "$cli_set" -m 2 -algo "$name" -q > /dev/null 2>&1 || cli_status=$?
+    [ "$cli_status" -le 1 ] || { echo "partition -algo $name exited $cli_status" >&2; exit 1; }
+done
+"$cli_dir/partition" -set "$cli_set" -m 2 -algo rm-ts | grep '^P[0-9]* (U=' > "$cli_dir/partition.plan"
+"$cli_dir/simulate" -set "$cli_set" -m 2 -algo rm-ts | grep '^P[0-9]* (U=' > "$cli_dir/simulate.plan"
+[ -s "$cli_dir/partition.plan" ]
+cmp "$cli_dir/partition.plan" "$cli_dir/simulate.plan"
+cli_status=0
+"$cli_dir/schedtest" -set "$cli_set" -m 0 > /dev/null 2>&1 || cli_status=$?
+[ "$cli_status" -eq 2 ] || { echo "schedtest -m 0 exited $cli_status, want 2" >&2; exit 1; }
+rm -rf "$cli_dir"
 
 echo "== admitd smoke (boot, admit→remove→re-admit cycle, load run, graceful stop) =="
 admitd_bin=$(mktemp /tmp/ci-admitd.XXXXXX)

@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("harmonic: %v   minimum harmonic chain cover K = %d\n\n", a.Harmonic, a.HarmonicChains)
 
 	fmt.Println("parametric utilization bounds Λ(τ):")
-	for _, b := range core.DefaultBounds() {
+	for _, b := range bounds.Portfolio() {
 		fmt.Printf("  %-8s  %7.4f  (%.1f%%)\n", b.Name(), b.Value(sorted), 100*b.Value(sorted))
 	}
 	fmt.Println()

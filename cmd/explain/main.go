@@ -6,13 +6,16 @@
 //
 // Usage:
 //
-//	explain -set tasks.txt -m 4 [-algo ...] [-pub ...] [-json]
-//	explain -recipe "repro: experiment=acceptance-general point=3 sample=7 base-seed=... sample-seed=..." [-quick] [-algo ...]
+//	explain -set tasks.txt -m 4 [-algo name] [-pub name] [-json]
+//	explain -recipe "repro: experiment=acceptance-general point=3 sample=7 base-seed=... sample-seed=..." [-quick] [-algo name]
 //
 // The -recipe form accepts the replay recipe printed by a failing experiment
 // sample (experiments.SampleError.Repro) and regenerates that exact task set
 // from its seeds; -quick must match the original run's quick flag. Output is
 // deterministic: identical inputs render byte-identical reports.
+//
+// -algo takes a name from partition.Names and -pub one from bounds.Names;
+// -help lists both. "auto" explains the algorithm core.Choose picks.
 //
 // Exit status: 0 the set is accepted with a guarantee, 1 it was analyzed and
 // rejected (or packed without a guarantee), 2 usage or input error — including
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
@@ -64,8 +68,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		m       = fs.Int("m", 0, "number of processors (with -set)")
 		recipe  = fs.String("recipe", "", "sample replay recipe (the \"repro: experiment=... sample-seed=...\" line of a sample error)")
 		quick   = fs.Bool("quick", false, "the recipe's run used -quick scale")
-		algo    = fs.String("algo", "auto", "algorithm: auto, rm-ts, rm-ts-light, spa1, spa2, ff, wf, edf-ff, edf-ts")
-		pubName = fs.String("pub", "best", "parametric bound for RM-TS: ll, hc, t, r, best")
+		algo    = fs.String("algo", "auto", "algorithm: "+strings.Join(partition.Names(), ", "))
+		pubName = fs.String("pub", "best", "parametric bound for RM-TS: "+strings.Join(bounds.Names(), ", "))
 		jsonOut = fs.Bool("json", false, "emit the explanation as JSON instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -111,13 +115,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		procs = *m
 	}
 
-	pub, err := pubByName(*pubName)
+	pub, err := bounds.Lookup(*pubName)
 	if err != nil {
 		return fail(err)
 	}
-	alg, err := explain.AlgorithmByName(*algo, pub, ts)
+	alg, err := partition.Lookup(*algo, pub, nil)
 	if err != nil {
 		return fail(err)
+	}
+	if alg == nil {
+		alg = core.Choose(ts, pub, nil)
 	}
 
 	// Metric counters feed the trace's per-decision RTA iteration deltas; a
@@ -149,22 +156,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	default:
 		return 1
-	}
-}
-
-func pubByName(name string) (bounds.PUB, error) {
-	switch name {
-	case "ll":
-		return bounds.LiuLayland{}, nil
-	case "hc":
-		return bounds.HarmonicChain{Minimal: true}, nil
-	case "t":
-		return bounds.TBound{}, nil
-	case "r":
-		return bounds.RBound{}, nil
-	case "best", "":
-		return bounds.Max{Bounds: core.DefaultBounds()}, nil
-	default:
-		return nil, fmt.Errorf("unknown bound %q (want ll, hc, t, r, best)", name)
 	}
 }

@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	partition -set tasks.txt -m 4 [-algo rm-ts|rm-ts-light|spa1|spa2|ff|wf|auto] [-pub ll|hc|t|r|best] [-trace [-trace-format text|json]]
+//	partition -set tasks.txt -m 4 [-algo name] [-pub name] [-trace [-trace-format text|json]]
+//
+// -algo takes a name from partition.Names and -pub one from bounds.Names;
+// -help lists both.
 //
 // The task-set file holds either "name C T" lines or the JSON format of
 // internal/taskio. Exit status 1 means the set could not be scheduled.
@@ -13,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
@@ -25,8 +29,8 @@ func main() {
 	var (
 		setPath  = flag.String("set", "", "task set file (text or JSON)")
 		m        = flag.Int("m", 2, "number of processors")
-		algo     = flag.String("algo", "auto", "algorithm: auto, rm-ts, rm-ts-light, spa1, spa2, ff, wf, edf-ff, edf-ts")
-		pubName  = flag.String("pub", "best", "parametric bound for RM-TS: ll, hc, t, r, best")
+		algo     = flag.String("algo", "auto", "algorithm: "+strings.Join(partition.Names(), ", "))
+		pubName  = flag.String("pub", "best", "parametric bound for RM-TS: "+strings.Join(bounds.Names(), ", "))
 		quiet    = flag.Bool("q", false, "only print the verdict")
 		sens     = flag.Bool("sensitivity", false, "also compute critical scaling factors (global and per task)")
 		outPlan  = flag.String("o", "", "write the verified plan as JSON (replayable via simulate -plan)")
@@ -53,7 +57,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pub, err := pubByName(*pubName)
+	pub, err := bounds.Lookup(*pubName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "partition:", err)
 		os.Exit(2)
@@ -65,7 +69,7 @@ func main() {
 		obs.SetEnabled(true)
 		tr = &obs.Trace{}
 	}
-	alg, err := algoByName(*algo, pub, tr)
+	alg, err := partition.Lookup(*algo, pub, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "partition:", err)
 		os.Exit(2)
@@ -134,47 +138,5 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("plan written to %s\n", *outPlan)
-	}
-}
-
-func pubByName(name string) (bounds.PUB, error) {
-	switch name {
-	case "ll":
-		return bounds.LiuLayland{}, nil
-	case "hc":
-		return bounds.HarmonicChain{Minimal: true}, nil
-	case "t":
-		return bounds.TBound{}, nil
-	case "r":
-		return bounds.RBound{}, nil
-	case "best", "":
-		return bounds.Max{Bounds: core.DefaultBounds()}, nil
-	default:
-		return nil, fmt.Errorf("unknown bound %q (want ll, hc, t, r, best)", name)
-	}
-}
-
-func algoByName(name string, pub bounds.PUB, tr *obs.Trace) (partition.Algorithm, error) {
-	switch name {
-	case "auto", "":
-		return nil, nil // let the planner decide (core.Options.Trace applies)
-	case "rm-ts":
-		return &partition.RMTS{PUB: pub, Trace: tr}, nil
-	case "rm-ts-light":
-		return partition.RMTSLight{Trace: tr}, nil
-	case "spa1":
-		return partition.SPA1{Trace: tr}, nil
-	case "spa2":
-		return partition.SPA2{Trace: tr}, nil
-	case "ff":
-		return partition.FirstFitRTA{Trace: tr}, nil
-	case "wf":
-		return partition.WorstFitRTA{Trace: tr}, nil
-	case "edf-ff":
-		return partition.EDFFirstFit{}, nil
-	case "edf-ts":
-		return partition.EDFTS{Trace: tr}, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want auto, rm-ts, rm-ts-light, spa1, spa2, ff, wf, edf-ff, edf-ts)", name)
 	}
 }

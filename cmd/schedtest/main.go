@@ -29,6 +29,10 @@ func main() {
 		doSim   = flag.Bool("sim", false, "also simulate every successful partition (capped hyperperiod)")
 	)
 	flag.Parse()
+	if *m < 1 {
+		fmt.Fprintf(os.Stderr, "schedtest: -m must be at least 1 (got %d)\n", *m)
+		os.Exit(2)
+	}
 	if *setPath == "" {
 		fmt.Fprintln(os.Stderr, "schedtest: -set is required")
 		flag.Usage()
@@ -46,7 +50,7 @@ func main() {
 	fmt.Printf("implicit=%v light=%v harmonic chains K=%d\n\n", a.Implicit, a.Light, a.HarmonicChains)
 
 	fmt.Println("bound-only admission (no packing):")
-	for _, b := range core.DefaultBounds() {
+	for _, b := range bounds.Portfolio() {
 		v := b.Value(ts)
 		verdict := "-"
 		if a.Implicit {
@@ -68,6 +72,8 @@ func main() {
 	}
 	fmt.Println()
 
+	// The registry's RM-TS is the one partition -algo rm-ts runs.
+	rmts, _ := partition.Lookup("rm-ts", nil, nil) // registry names never fail
 	type entry struct {
 		alg    partition.Algorithm
 		policy sim.Policy
@@ -75,7 +81,7 @@ func main() {
 	}
 	entries := []entry{
 		{partition.RMTSLight{}, sim.PolicyFP, partition.Verify},
-		{partition.NewRMTS(nil), sim.PolicyFP, partition.Verify},
+		{rmts, sim.PolicyFP, partition.Verify},
 		{partition.SPA1{}, sim.PolicyFP, nil},
 		{partition.SPA2{}, sim.PolicyFP, nil},
 		{partition.FirstFitRTA{}, sim.PolicyFP, partition.Verify},

@@ -5,14 +5,19 @@
 //
 // Usage:
 //
-//	simulate -set tasks.txt -m 4 [-horizon 1000000] [-algo auto] [-continue]
+//	simulate -set tasks.txt -m 4 [-horizon 1000000] [-algo name] [-continue]
 //	simulate -plan plan.json            # replay a saved plan (partition -o)
+//
+// -algo takes a name from partition.Names (-help lists them) and builds the
+// same algorithm partition does, so both commands print the same plan. The
+// EDF baselines run under the EDF policy.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/partition"
@@ -27,7 +32,7 @@ func main() {
 		m        = flag.Int("m", 2, "number of processors")
 		horizon  = flag.Int64("horizon", 0, "simulation horizon in ticks (0 = hyperperiod, capped)")
 		cap      = flag.Int64("cap", 10_000_000, "hyperperiod cap when -horizon is 0")
-		algo     = flag.String("algo", "auto", "algorithm: auto, rm-ts, rm-ts-light, spa1, spa2, ff, wf")
+		algo     = flag.String("algo", "auto", "algorithm: "+strings.Join(partition.Names(), ", "))
 		contMiss = flag.Bool("continue", false, "continue past deadline misses and count them all")
 		gantt    = flag.Int64("gantt", 0, "render a per-processor timeline of the first N ticks")
 		dispOv   = flag.Int64("dispatch-overhead", 0, "context-switch cost in ticks charged per dispatch")
@@ -71,24 +76,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(2)
 	}
-	var alg partition.Algorithm
-	switch *algo {
-	case "auto", "":
-	case "rm-ts":
-		alg = partition.NewRMTS(nil)
-	case "rm-ts-light":
-		alg = partition.RMTSLight{}
-	case "spa1":
-		alg = partition.SPA1{}
-	case "spa2":
-		alg = partition.SPA2{}
-	case "ff":
-		alg = partition.FirstFitRTA{}
-	case "wf":
-		alg = partition.WorstFitRTA{}
-	default:
-		fmt.Fprintf(os.Stderr, "simulate: unknown algorithm %q\n", *algo)
-		os.Exit(2)
+	alg, err := partition.Lookup(*algo, nil, nil)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	plan, err := core.Partition(ts, *m, core.Options{Algorithm: alg})

@@ -53,18 +53,6 @@ type Analysis struct {
 	GuaranteeLight, GuaranteeAny float64
 }
 
-// DefaultBounds is the PUB portfolio the planner evaluates: the best
-// (largest) applicable deflatable bound is used. All are period-parametric,
-// so evaluating all of them is cheap.
-func DefaultBounds() []bounds.PUB {
-	return []bounds.PUB{
-		bounds.LiuLayland{},
-		bounds.HarmonicChain{Minimal: true},
-		bounds.TBound{},
-		bounds.RBound{},
-	}
-}
-
 // Analyze computes the Analysis of a task set on m processors.
 func Analyze(ts task.Set, m int) Analysis {
 	sorted := ts.Clone()
@@ -86,9 +74,8 @@ func Analyze(ts task.Set, m int) Analysis {
 	}
 	a.Light = sorted.IsLight(a.LightThreshold)
 	a.Implicit = sorted.Implicit()
-	best := bounds.Max{Bounds: DefaultBounds()}
-	a.BestBoundValue = best.Value(sorted)
-	for _, b := range DefaultBounds() {
+	a.BestBoundValue = bounds.Best().Value(sorted)
+	for _, b := range bounds.Portfolio() {
 		if b.Value(sorted) == a.BestBoundValue {
 			a.BestBound = b.Name()
 			break
@@ -111,10 +98,10 @@ func Analyze(ts task.Set, m int) Analysis {
 // Options configures the planner.
 type Options struct {
 	// Algorithm forces a specific partitioning algorithm; nil lets the
-	// planner choose (RM-TS/light for light sets, RM-TS otherwise).
+	// planner choose (see Choose).
 	Algorithm partition.Algorithm
 	// PUB overrides the bound portfolio used by RM-TS's pre-assignment
-	// condition; nil uses the best of DefaultBounds.
+	// condition; nil uses bounds.Best.
 	PUB bounds.PUB
 	// SkipVerify disables the independent RTA re-verification of the
 	// produced assignment (it is cheap; only skip it in tight loops that
@@ -154,6 +141,19 @@ func (p *Plan) Simulate(opt sim.Options) (*sim.Report, error) {
 	return sim.Simulate(p.Result.Assignment, opt)
 }
 
+// Choose is the planner's algorithm choice for ts: RM-TS/light when every
+// task is light (Definition 1), otherwise RM-TS with pub for its
+// pre-assignment condition (nil means bounds.Best). tr becomes the chosen
+// algorithm's decision trace.
+func Choose(ts task.Set, pub bounds.PUB, tr *obs.Trace) partition.Algorithm {
+	name := "rm-ts"
+	if ts.IsLight(bounds.LightThresholdFor(len(ts))) {
+		name = "rm-ts-light"
+	}
+	alg, _ := partition.Lookup(name, pub, tr) // registry names never fail
+	return alg
+}
+
 // Partition analyzes ts, selects an algorithm, partitions, and verifies.
 // A non-nil error means no feasible verified plan was produced; the error
 // text carries the algorithm's failure diagnostics.
@@ -161,15 +161,7 @@ func Partition(ts task.Set, m int, opt Options) (*Plan, error) {
 	analysis := Analyze(ts, m)
 	alg := opt.Algorithm
 	if alg == nil {
-		pub := opt.PUB
-		if pub == nil {
-			pub = bounds.Max{Bounds: DefaultBounds()}
-		}
-		if analysis.Light {
-			alg = partition.RMTSLight{Trace: opt.Trace}
-		} else {
-			alg = &partition.RMTS{PUB: pub, Trace: opt.Trace}
-		}
+		alg = Choose(ts, opt.PUB, opt.Trace)
 	}
 	res := alg.Partition(ts, m)
 	if !res.OK {

@@ -154,7 +154,7 @@ func TestBoundTestAgreesWithPartitionOnAcceptance(t *testing.T) {
 }
 
 func TestDefaultBoundsAllDeflatable(t *testing.T) {
-	for _, b := range DefaultBounds() {
+	for _, b := range bounds.Portfolio() {
 		if !b.Deflatable() {
 			t.Errorf("%s in the default portfolio is not deflatable", b.Name())
 		}

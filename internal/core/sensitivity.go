@@ -48,13 +48,9 @@ func Sensitivity(ts task.Set, m int, alg partition.Algorithm) (*SensitivityRepor
 	feasible := func(scaled task.Set) bool {
 		a := alg
 		if a == nil {
-			if _, err := Partition(scaled, m, Options{SkipVerify: true}); err != nil {
-				return false
-			}
-			return true
+			a = Choose(scaled, nil, nil)
 		}
-		res := a.Partition(scaled, m)
-		return res.OK
+		return a.Partition(scaled, m).OK
 	}
 	if !feasible(sorted) {
 		return nil, fmt.Errorf("core: the unscaled set is not schedulable on %d processors", m)

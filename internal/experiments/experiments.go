@@ -516,9 +516,7 @@ type algoSpec struct {
 
 func defaultAlgos() []algoSpec {
 	return []algoSpec{
-		{"RM-TS", partition.NewRMTS(bounds.Max{Bounds: []bounds.PUB{
-			bounds.LiuLayland{}, bounds.HarmonicChain{Minimal: true}, bounds.TBound{}, bounds.RBound{},
-		}})},
+		{"RM-TS", partition.NewRMTS(bounds.Best())},
 		{"SPA2", partition.SPA2{}},
 		{"P-RM-FF", partition.FirstFitRTA{}},
 	}

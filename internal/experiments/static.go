@@ -71,7 +71,6 @@ func BoundsTable(cfg Config) ([]Table, error) {
 		{"generic {7,11,13,17}", []task.Time{7, 11, 13, 17}},
 		{"generic {120,150,180,600}", []task.Time{120, 150, 180, 600}},
 	}
-	pubs := []bounds.PUB{bounds.LiuLayland{}, bounds.HarmonicChain{Minimal: true}, bounds.TBound{}, bounds.RBound{}}
 	for _, ex := range examples {
 		ts := make(task.Set, len(ex.periods))
 		for i, p := range ex.periods {
@@ -79,7 +78,7 @@ func BoundsTable(cfg Config) ([]Table, error) {
 		}
 		row := []string{ex.name}
 		best := 0.0
-		for _, p := range pubs {
+		for _, p := range bounds.Portfolio() {
 			v := p.Value(ts)
 			if v > best {
 				best = v

@@ -17,8 +17,6 @@
 package explain
 
 import (
-	"fmt"
-
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -440,39 +438,4 @@ func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion b
 		ev.HasMaxPortion = true
 	}
 	return ev
-}
-
-// AlgorithmByName constructs the named algorithm (same vocabulary as
-// cmd/partition: rm-ts, rm-ts-light, spa1, spa2, ff, wf, edf-ff, edf-ts)
-// using pub for RM-TS's pre-assignment bound. "auto" picks RM-TS/light for
-// light sets and RM-TS otherwise, mirroring the core planner.
-func AlgorithmByName(name string, pub bounds.PUB, ts task.Set) (partition.Algorithm, error) {
-	if pub == nil {
-		pub = bounds.Max{Bounds: core.DefaultBounds()}
-	}
-	switch name {
-	case "auto", "":
-		if ts.IsLight(bounds.LightThresholdFor(len(ts))) {
-			return partition.RMTSLight{}, nil
-		}
-		return &partition.RMTS{PUB: pub}, nil
-	case "rm-ts":
-		return &partition.RMTS{PUB: pub}, nil
-	case "rm-ts-light":
-		return partition.RMTSLight{}, nil
-	case "spa1":
-		return partition.SPA1{}, nil
-	case "spa2":
-		return partition.SPA2{}, nil
-	case "ff":
-		return partition.FirstFitRTA{}, nil
-	case "wf":
-		return partition.WorstFitRTA{}, nil
-	case "edf-ff":
-		return partition.EDFFirstFit{}, nil
-	case "edf-ts":
-		return partition.EDFTS{}, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want auto, rm-ts, rm-ts-light, spa1, spa2, ff, wf, edf-ff, edf-ts)", name)
-	}
 }

@@ -165,15 +165,3 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost fields: %+v", back)
 	}
 }
-
-func TestAlgorithmByName(t *testing.T) {
-	for _, name := range []string{"auto", "rm-ts", "rm-ts-light", "spa1", "spa2", "ff", "wf", "edf-ff", "edf-ts"} {
-		alg, err := AlgorithmByName(name, nil, overloaded)
-		if err != nil || alg == nil {
-			t.Errorf("AlgorithmByName(%q) = %v, %v", name, alg, err)
-		}
-	}
-	if _, err := AlgorithmByName("nope", nil, overloaded); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}

@@ -1,6 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: means, standard deviations, and Wilson score intervals for
-// the acceptance-ratio estimates (which are binomial proportions).
+// harness needs: means, maxima and quantiles.
 package stats
 
 import "math"
@@ -17,33 +16,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n−1 denominator), or 0 for
-// fewer than two samples.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Min returns the smallest value, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest value, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -53,29 +25,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Wilson returns the Wilson score interval for k successes out of n trials
-// at confidence z (1.96 for 95%). It is well-behaved for extreme
-// proportions, unlike the normal approximation. Returns (0, 1) for n = 0.
-func Wilson(k, n int, z float64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	z2 := z * z
-	den := 1 + z2/nf
-	center := (p + z2/(2*nf)) / den
-	half := z / den * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
