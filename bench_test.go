@@ -277,7 +277,7 @@ func BenchmarkAdmitService(b *testing.B) {
 // BenchmarkAdmitServiceJournaled is the same workload with the write-ahead
 // journal attached (fsync off, periodic snapshots disabled), so the delta
 // against BenchmarkAdmitService is the pure journaling CPU cost per
-// admission — record marshal plus buffered file append, no fsync syscalls
+// admission — record encoding plus buffered file append, no fsync syscalls
 // and no background snapshot noise in the alloc counts. The ci.sh
 // admissions/sec floor applies to the unjournaled variant only; this one
 // is recorded in BENCH_hotpath.json so perfdiff flags drift in the

@@ -6,8 +6,9 @@
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
 # checker, the task-set parser, the warm-state removal invalidation, the
-# admission prefilter's soundness and the admission service's rejection
-# evidence and verdict JSON (each against its oracle), a
+# admission prefilter's soundness, the admission service's rejection
+# evidence and verdict JSON (each against its oracle) and its rejection
+# memo (FuzzClusterMemo, against an unmemoized twin), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -57,7 +58,7 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, prefilter soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles) =="
+echo "== fuzz smokes (invariant checker, prefilter soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
@@ -66,6 +67,7 @@ go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit
+go test -run '^$' -fuzz FuzzClusterMemo -fuzztime 5s repro/internal/admit
 
 echo "== paranoid quick table (full invariant re-validation of every partitioning) =="
 go run ./cmd/experiments -run acceptance-general -quick -sets 50 -paranoid -q > /dev/null

@@ -13,19 +13,20 @@
 // readable lock-free while admissions are in flight.
 //
 // Rejection caching: admission is deterministic in (cluster state,
-// candidate), so each cluster memoizes rejected verdicts under an exact
-// canonical byte key of every resident plus the candidate — no hashing in
-// the key, hence no collision unsoundness. Only rejections are cached:
-// they are the expensive repeated case under churn (retry storms re-ask
-// the same question against the same state), while an acceptance mutates
-// the state and so can never repeat. Any successful admit or remove
-// changes the canonical state and thereby orphans stale entries; the map
-// is cleared wholesale when it outgrows its cap.
+// candidate), so each cluster memoizes rejected verdicts keyed by the
+// candidate alone, valid for exactly one engine state: the memo records the
+// engine's mutation counter (partition.Online.Epoch) it was filled at, and
+// the first Admit after any accepted admit, remove or rollback finds the
+// epoch moved and empties it before the lookup. Same epoch means no
+// mutation in between, hence the same state and the same verdict, so no
+// state key is built and no entry outlives the state it answers for. Only
+// rejections are cached: they are the expensive repeated case under churn
+// (retry storms re-ask the same question against the same state), while an
+// acceptance mutates the state and so can never repeat.
 package admit
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -76,9 +77,10 @@ func countRejection(cause string) {
 	}
 }
 
-// defaultCacheCap bounds each cluster's rejection cache; outgrowing it
-// clears the map (the entries are all orphaned by state drift eventually,
-// and wholesale clearing keeps the policy deterministic).
+// defaultCacheCap bounds the distinct rejected candidates a cluster
+// memoizes at one state — the candidates come from outside, so a burst of
+// distinct rejections must not grow the memo without limit. Outgrowing the
+// cap drops the map wholesale, which keeps the policy deterministic.
 const defaultCacheCap = 1024
 
 // ErrExists is returned by Create when the cluster name is already taken.
@@ -267,12 +269,12 @@ type Cluster struct {
 	j  *Journal
 	jr *shardJournal
 
-	mu       sync.Mutex // serializes eng, cache, keyBuf and deleted
-	eng      *partition.Online
-	cache    map[string]Result
-	cacheCap int
-	keyBuf   []byte
-	deleted  bool // set by Service.Delete; mutations through stale handles fail
+	mu         sync.Mutex // serializes eng, cache, cacheEpoch and deleted
+	eng        *partition.Online
+	cache      map[task.Task]Result // rejections at engine epoch cacheEpoch
+	cacheEpoch uint64
+	cacheCap   int
+	deleted    bool // set by Service.Delete; mutations through stale handles fail
 }
 
 // Name returns the cluster's registered name.
@@ -348,10 +350,12 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 		}
 	}
 
-	var key []byte
 	if c.cacheCap > 0 {
-		key = c.canonicalKey(t)
-		if res, ok := c.cache[string(key)]; ok {
+		if e := c.eng.Epoch(); e != c.cacheEpoch {
+			clear(c.cache)
+			c.cacheEpoch = e
+		}
+		if res, ok := c.cache[t]; ok {
 			cCacheHits.Inc()
 			cRejected.Inc()
 			countRejection(res.Cause)
@@ -397,12 +401,12 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 	}
 	if c.cacheCap > 0 {
 		if len(c.cache) >= c.cacheCap {
-			clear(c.cache)
+			c.cache = nil
 		}
 		if c.cache == nil {
-			c.cache = make(map[string]Result)
+			c.cache = make(map[task.Task]Result)
 		}
-		c.cache[string(key)] = res
+		c.cache[t] = res
 	}
 	return res, nil
 }
@@ -483,20 +487,6 @@ func (s *Service) CanonicalState() []byte {
 			b = c.appendCanonical(b)
 		}
 	}
-	return b
-}
-
-// canonicalKey serializes the full admission question — every resident of
-// every processor (surcharge and policy are cluster constants) plus the
-// candidate — into the reused key buffer. Byte-exact equality of keys is
-// byte-exact equality of questions.
-func (c *Cluster) canonicalKey(t task.Task) []byte {
-	b := c.eng.AppendResidentKey(c.keyBuf[:0])
-	b = binary.AppendVarint(b, t.C)
-	b = binary.AppendVarint(b, t.T)
-	b = binary.AppendVarint(b, t.D)
-	b = append(b, t.Name...)
-	c.keyBuf = b
 	return b
 }
 

@@ -121,10 +121,32 @@ func TestDeletedClusterRefusesMutations(t *testing.T) {
 	}
 }
 
+// guardCluster creates an unjournaled M-processor cluster and admits
+// (C=24, T=100) tasks until one is rejected, which leaves every processor
+// full, so the probes walk a populated mirror everywhere.
+func guardCluster(tb testing.TB, m int, policy string) *Cluster {
+	tb.Helper()
+	c, err := NewService(0).Create(context.Background(), "guard", m, policy, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 8*m; i++ {
+		if res := admitNow(tb, c, task.Task{C: 24, T: 100}); !res.Accepted {
+			break
+		}
+	}
+	for q := 0; q < m; q++ {
+		if c.eng.ProcLen(q) == 0 {
+			tb.Fatalf("processor %d empty after prefill", q)
+		}
+	}
+	return c
+}
+
 // TestClusterCacheEquivalence drives identical random churn through a
 // cached cluster and a twin with the cache disabled (cap 0), checking every
 // Result is identical modulo the CacheHit marker — the soundness contract
-// of the canonical-key memo.
+// of the rejection memo.
 func TestClusterCacheEquivalence(t *testing.T) {
 	for _, policy := range partition.OnlinePolicies() {
 		t.Run(policy, func(t *testing.T) {

@@ -18,29 +18,7 @@ import (
 // Alloc guards for the service layer (run with `go test -run AllocGuard`):
 // the accept path must not allocate once the cluster is warm, and an
 // analyzed rejection must cost a fixed number of allocations however many
-// processors its evidence covers.
-
-// guardCluster creates an unjournaled M-processor cluster and admits
-// (C=24, T=100) tasks until one is rejected, which leaves every processor
-// full, so the memo key and the probes walk a populated mirror everywhere.
-func guardCluster(tb testing.TB, m int, policy string) *Cluster {
-	tb.Helper()
-	c, err := NewService(0).Create(context.Background(), "guard", m, policy, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 8*m; i++ {
-		if res := admitNow(tb, c, task.Task{C: 24, T: 100}); !res.Accepted {
-			break
-		}
-	}
-	for q := 0; q < m; q++ {
-		if c.eng.ProcLen(q) == 0 {
-			tb.Fatalf("processor %d empty after prefill", q)
-		}
-	}
-	return c
-}
+// processors its evidence covers, and a memo hit must cost none.
 
 func TestAllocGuardAdmitRemoveCycle(t *testing.T) {
 	defer obs.SetEnabled(obs.On())
@@ -58,7 +36,7 @@ func TestAllocGuardAdmitRemoveCycle(t *testing.T) {
 				t.Fatalf("%s: remove failed: %v", policy, err)
 			}
 		}
-		cycle() // warm the probe scratch and the memo key buffer
+		cycle() // warm the probe scratch
 		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 			t.Errorf("%s: admit+remove cycle on a warm M=32 cluster: %v allocs/op, want 0", policy, allocs)
 		}
@@ -94,5 +72,26 @@ func TestAllocGuardRejectionIndependentOfM(t *testing.T) {
 		if small != large {
 			t.Errorf("%s: analyzed rejection allocates %v at M=8 but %v at M=32; want a count independent of M", tc.policy, small, large)
 		}
+	}
+}
+
+// TestAllocGuardMemoHit pins a memoized rejection at M=32 to zero
+// allocations: the hit looks the candidate up and copies the stored
+// Result, evidence included, without building a key.
+func TestAllocGuardMemoHit(t *testing.T) {
+	defer obs.SetEnabled(obs.On())
+	obs.SetEnabled(true)
+	c := guardCluster(t, 32, partition.OnlineRTAFirstFit)
+	cand := task.Task{Name: "big", C: 90, T: 100}
+	if res := admitNow(t, c, cand); res.Accepted || res.CacheHit || len(res.Evidence) != 32 {
+		t.Fatalf("want a fresh analyzed rejection with 32 evidence records, got %+v", res)
+	}
+	hit := func() {
+		if res := admitNow(t, c, cand); !res.CacheHit {
+			t.Fatalf("repeat rejection missed the memo: %+v", res)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
+		t.Errorf("memo hit on an M=32 cluster: %v allocs/op, want 0", allocs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -167,8 +168,13 @@ func writeResult(w http.ResponseWriter, res *Result) {
 // removedBody is the remove route's constant acknowledgement.
 var removedBody = []byte("{\"removed\":true}\n")
 
+// writeBody sends a complete JSON body with an explicit Content-Length:
+// without it net/http frames any body past its 2 KB pre-chunking buffer
+// (every analyzed rejection on a large cluster) as chunked.
 func writeBody(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body)
 }

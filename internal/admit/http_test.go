@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -268,4 +270,48 @@ func TestHTTPConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestHTTPLargeBodyHasContentLength pins the response framing of a verdict
+// past net/http's 2 KB pre-chunking buffer: a 32-processor analyzed
+// rejection (32 evidence records) must go out with a Content-Length equal
+// to its body, not Transfer-Encoding: chunked.
+func TestHTTPLargeBodyHasContentLength(t *testing.T) {
+	srv := httptest.NewServer(NewService(1).Handler())
+	defer srv.Close()
+	post := func(path, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b
+	}
+	if resp, b := post("/v1/clusters", `{"name":"wide","m":32}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, b)
+	}
+	for i := 0; i < 8*32; i++ {
+		if _, b := post("/v1/clusters/wide/admit", `{"c":24,"t":100}`); !strings.Contains(string(b), `"accepted":true`) {
+			break
+		}
+	}
+	resp, b := post("/v1/clusters/wide/admit", `{"name":"big","c":90,"t":100}`)
+	var res Result
+	if err := json.Unmarshal(b, &res); err != nil || res.Accepted || len(res.Evidence) != 32 {
+		t.Fatalf("want a 32-processor analyzed rejection, got %d %s (%v)", resp.StatusCode, b, err)
+	}
+	if len(b) <= 2048 {
+		t.Fatalf("rejection body is %d bytes; the test needs one past the 2 KB chunking threshold", len(b))
+	}
+	if resp.ContentLength != int64(len(b)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(b)) {
+		t.Errorf("Content-Length = %d (header %q), want %d", resp.ContentLength, resp.Header.Get("Content-Length"), len(b))
+	}
+	if len(resp.TransferEncoding) != 0 {
+		t.Errorf("Transfer-Encoding = %v, want none", resp.TransferEncoding)
+	}
 }

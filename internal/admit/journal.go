@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -268,8 +269,11 @@ type shardJournal struct {
 	// making every snapshot a quiescent consistent cut.
 	freeze sync.RWMutex
 
-	mu        sync.Mutex // file, off, seq, sinceSnap, pending, dirty, broken
+	mu        sync.Mutex // file, rec, buf, enc, off, seq, sinceSnap, pending, dirty, broken
 	file      *os.File
+	rec       walRecord     // the record being appended (a field: encoding it does not allocate)
+	buf       bytes.Buffer  // its encoding, reused across appends
+	enc       *json.Encoder // into buf: exactly json.Marshal's bytes plus '\n'
 	off       int64
 	seq       uint64
 	sinceSnap int
@@ -306,12 +310,16 @@ func (sh *shardJournal) append(rec walRecord, cfg *JournalConfig) error {
 	}
 	rec.V = walSchemaVersion
 	rec.Seq = sh.seq + 1
-	data, err := json.Marshal(rec)
-	if err != nil {
+	if sh.enc == nil {
+		sh.enc = json.NewEncoder(&sh.buf)
+	}
+	sh.rec = rec
+	sh.buf.Reset()
+	if err := sh.enc.Encode(&sh.rec); err != nil {
 		cJournalAppendErrs.Inc()
 		return err
 	}
-	data = append(data, '\n')
+	data := sh.buf.Bytes()
 	if err := faultinject.JournalAppendErr(); err != nil {
 		cJournalAppendErrs.Inc()
 		return err

@@ -36,6 +36,7 @@ type Online struct {
 	procs  [][]onlineResident // shadows states' priority positions exactly
 	loc    map[uint64]int     // handle → hosting processor
 	nextH  uint64
+	epoch  uint64 // bumped by every resident or handle-counter change
 
 	order []int     // worst-fit candidate order scratch
 	utils []float64 // worst-fit utilization scratch
@@ -118,6 +119,13 @@ func (o *Online) Policy() string { return o.policy }
 // Surcharge returns the per-task analysis surcharge.
 func (o *Online) Surcharge() task.Time { return o.surcharge }
 
+// Epoch returns the engine's mutation counter. Every change to the
+// residents or the handle counter (an accepted Admit, Remove, UndoAdmit,
+// RestoreResident, SetHandleSeq) bumps it, and nothing else does, so two
+// calls returning the same epoch bracket an unchanged state: every verdict
+// asked in between is a pure function of the candidate.
+func (o *Online) Epoch() uint64 { return o.epoch }
+
 // Len returns the number of resident tasks across all processors.
 func (o *Online) Len() int { return len(o.loc) }
 
@@ -167,23 +175,6 @@ func (o *Online) ResidentAt(q, pos int) task.Subtask { return o.procs[q][pos].su
 func (o *Online) ProbeRTA(q int, t task.Task) rta.Probe {
 	d := t.Deadline()
 	return o.states[q].ProbeAt(int(d), t.C, t.T, d)
-}
-
-// AppendResidentKey appends every resident's (C, T, effective deadline) in
-// per-processor priority order, with a 0xFF byte closing each processor —
-// the cluster-state half of an admission question (configuration and
-// handles excluded), built straight from the engine without copying the
-// resident lists.
-func (o *Online) AppendResidentKey(b []byte) []byte {
-	for q := 0; q < o.m; q++ {
-		for _, r := range o.procs[q] {
-			b = binary.AppendVarint(b, r.sub.C)
-			b = binary.AppendVarint(b, r.sub.T)
-			b = binary.AppendVarint(b, r.sub.Deadline)
-		}
-		b = append(b, 0xFF)
-	}
-	return b
 }
 
 // Admit attempts to place t whole on some processor under the cluster's
@@ -278,6 +269,7 @@ func (o *Online) install(q int, h uint64, sub task.Subtask) int {
 	copy(o.procs[q][pos+1:], o.procs[q][pos:])
 	o.procs[q][pos] = onlineResident{handle: h, sub: sub}
 	o.loc[h] = q
+	o.epoch++
 	return pos
 }
 
@@ -379,6 +371,7 @@ func (o *Online) SetHandleSeq(h uint64) error {
 		return fmt.Errorf("partition: handle counter %d below restored maximum %d", h, o.nextH)
 	}
 	o.nextH = h
+	o.epoch++
 	return nil
 }
 
@@ -425,5 +418,6 @@ func (o *Online) Remove(handle uint64) bool {
 	o.states[q].Remove(pos)
 	o.procs[q] = append(list[:pos], list[pos+1:]...)
 	delete(o.loc, handle)
+	o.epoch++
 	return true
 }

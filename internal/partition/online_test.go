@@ -476,3 +476,44 @@ func TestOnlineRestoreValidation(t *testing.T) {
 		t.Errorf("post-restore admit: %+v, %v (want handle 10)", pl, err)
 	}
 }
+
+// TestOnlineEpoch pins the mutation counter's contract: every change to the
+// residents or the handle counter moves it, and nothing else does — a
+// rejection, a failed remove or undo, or a refused restore leaves it put.
+func TestOnlineEpoch(t *testing.T) {
+	o, err := NewOnline(1, OnlineRTAFirstFit, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(what string, moved bool, op func()) {
+		t.Helper()
+		before := o.Epoch()
+		op()
+		if got := o.Epoch() != before; got != moved {
+			t.Errorf("%s: epoch moved = %v, want %v", what, got, moved)
+		}
+	}
+	var a, b Placement
+	step("accepted admit", true, func() { a, _ = o.Admit(task.Task{C: 5, T: 10}) })
+	step("second admit", true, func() { b, _ = o.Admit(task.Task{C: 5, T: 20}) })
+	step("rejected admit", false, func() { o.Admit(task.Task{C: 9, T: 10}) })
+	step("invalid admit", false, func() { o.Admit(task.Task{C: 0, T: 10}) })
+	step("undo of a stale handle", false, func() { o.UndoAdmit(a.Handle) })
+	step("undo", true, func() {
+		if err := o.UndoAdmit(b.Handle); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("remove", true, func() { o.Remove(a.Handle) })
+	step("remove of an absent handle", false, func() { o.Remove(a.Handle) })
+	step("restore", true, func() { o.RestoreResident(0, 7, 3, 10, 10) })
+	step("refused restore", false, func() { o.RestoreResident(0, 7, 3, 10, 10) })
+	step("handle counter", true, func() { o.SetHandleSeq(9) })
+	step("refused handle counter", false, func() { o.SetHandleSeq(1) })
+	step("reads", false, func() {
+		o.ResidentsSnapshot()
+		o.AppendCanonical(nil)
+		o.ProbeRTA(0, task.Task{C: 9, T: 10})
+		o.Has(7)
+	})
+}
