@@ -8,6 +8,7 @@ package repro
 // comparable numbers instead of scraping bench output.
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -75,6 +76,10 @@ func TestBenchHotpathJSON(t *testing.T) {
 	meta := benchMeta{Schema: 1, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), GitRev: "unknown"}
 	if rev, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
 		meta.GitRev = strings.TrimSpace(string(rev))
+		// Numbers measured on uncommitted changes are not HEAD's numbers.
+		if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+			meta.GitRev += "-dirty"
+		}
 	}
 	doc := struct {
 		Meta       benchMeta     `json:"meta"`

@@ -360,8 +360,12 @@ func benchAdmitService(b *testing.B, c *admit.Cluster) {
 // an M=32 cluster prefilled to its capacity edge, offered a cycle of 4,096
 // distinct heavy candidates that every processor refuses. The rejection
 // memo holds at most 1,024 entries, so every op misses it and pays the
-// engine's probe of all 32 processors, the per-processor evidence and the
+// engine's pass over all 32 processors, the per-processor evidence and the
 // memo insert — the in-process cost behind admitd's rejection responses.
+// Most processors are over-full for a heavy candidate: those are refused
+// by utilization alone and report the utilization room as evidence, so
+// only the processors with room left run exact RTA, once in the engine
+// and once for the evidence probe.
 func BenchmarkAdmitServiceReject(b *testing.B) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)

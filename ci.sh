@@ -6,9 +6,10 @@
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
 # checker, the task-set parser, the warm-state removal invalidation, the
-# admission prefilter's soundness, the admission service's rejection
-# evidence and verdict JSON (each against its oracle) and its rejection
-# memo (FuzzClusterMemo, against an unmemoized twin), a
+# admission prefilter's and the online engine's utilization refusal's
+# soundness, the admission service's rejection evidence and verdict JSON
+# (each against its oracle) and its rejection memo (FuzzClusterMemo,
+# against an unmemoized twin), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -58,9 +59,10 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, prefilter soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin) =="
+echo "== fuzz smokes (invariant checker, prefilter and utilization-refusal soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
@@ -153,6 +155,7 @@ go run ./cmd/perfdiff -validate-prom "$admitd_prom"
 grep -q '^# TYPE admit_http_admit_latency_us histogram$' "$admitd_prom"
 grep -q '^# TYPE admit_journal_fsync_us histogram$' "$admitd_prom"
 grep -q '^# TYPE admit_gate_queue_depth gauge$' "$admitd_prom"
+grep -q '^# TYPE partition_online_util_skips counter$' "$admitd_prom"
 kill -TERM "$admitd_pid"
 wait "$admitd_pid"
 go run ./cmd/perfdiff -validate-access-log "$admitd_access"

@@ -492,11 +492,15 @@ func (s *Service) CanonicalState() []byte {
 
 // evidence assembles the per-processor rejection probes for analyzed
 // rejections; input-shaped causes (invalid input, surcharge infeasibility,
-// model mismatch) get none — no processor was consulted. The RTA probes run
-// on the engine's own mirror (Online.ProbeRTA), cold-started so every
-// response equals the scalar explain.ProbeRTA over the surcharged resident
-// list — its test oracle. Each value kind lives in one backing slice, so a
-// rejection allocates the same handful of times at any M.
+// model mismatch) get none — no processor was consulted. Each processor's
+// detail names the test that refused it there. A processor the candidate
+// would push past U = 1 (Online.OverUtilized) was refused without RTA, and
+// its detail is that utilization room (explain.ProbeUtilization). Every
+// other processor gets an RTA probe on the engine's own mirror
+// (Online.ProbeRTA), cold-started so every response equals the scalar
+// explain.ProbeRTA over the surcharged resident list — its test oracle.
+// Each value kind lives in one backing slice, so a rejection allocates the
+// same handful of times at any M.
 func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {
 	switch cause {
 	case partition.CauseThresholdExhausted, partition.CauseRTADeadlineMiss:
@@ -511,12 +515,16 @@ func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {
 		blocked = make([]explain.BlockedResident, m)
 	}
 	s := c.eng.Surcharge()
+	u := t.Utilization()
 	for q := range out {
 		n := c.eng.ProcLen(q)
 		det := &details[q]
-		if cause == partition.CauseThresholdExhausted {
+		switch {
+		case cause == partition.CauseThresholdExhausted:
 			*det = *explain.ProbeThreshold(c.eng.SurchargedUtilization(q), bounds.LL(n+1))
-		} else {
+		case c.eng.OverUtilized(q, u):
+			*det = *explain.ProbeUtilization(c.eng.Utilization(q))
+		default:
 			p := c.eng.ProbeRTA(q, t)
 			det.OwnResponse, det.OwnVerdict = p.OwnResponse, p.OwnVerdict.String()
 			if p.Blocked >= 0 {

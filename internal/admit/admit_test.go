@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/explain"
 	"repro/internal/partition"
 	"repro/internal/task"
 )
@@ -215,19 +216,33 @@ func TestClusterAdmitRejectShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := admitNow(t, c, task.Task{C: 5, T: 10})
-	if !ok.Accepted || ok.Handle == 0 || ok.Proc != 0 || ok.Response != 5 {
+	ok := admitNow(t, c, task.Task{C: 2, T: 5})
+	if !ok.Accepted || ok.Handle == 0 || ok.Proc != 0 || ok.Response != 2 {
 		t.Fatalf("accept result: %+v", ok)
 	}
+	// U = 0.4 + 4/7 ≤ 1, yet the candidate's response (8) exceeds its
+	// deadline (7): exact RTA refused it, and the evidence is its probe.
+	miss := admitNow(t, c, task.Task{Name: "miss", C: 4, T: 7})
+	if miss.Accepted || miss.Cause != "rta-deadline-miss" || miss.Proc != -1 {
+		t.Fatalf("reject result: %+v", miss)
+	}
+	if len(miss.Evidence) != 1 || miss.Evidence[0].Detail == nil ||
+		miss.Evidence[0].Detail.OwnVerdict == "" || miss.Evidence[0].Detail.HasUtilization {
+		t.Fatalf("RTA rejection lacks its probe: %+v", miss.Evidence)
+	}
+	if miss.CauseDetail == "" || miss.Reason == "" {
+		t.Fatalf("rejection lacks prose: %+v", miss)
+	}
+	// U = 0.4 + 0.8 > 1: refused by utilization alone, and the evidence is
+	// the room 1 − U the candidate overflowed, with no RTA probe.
 	full := admitNow(t, c, task.Task{Name: "big", C: 8, T: 10})
 	if full.Accepted || full.Cause != "rta-deadline-miss" || full.Proc != -1 {
 		t.Fatalf("reject result: %+v", full)
 	}
-	if len(full.Evidence) != 1 || full.Evidence[0].Detail == nil || full.Evidence[0].Detail.OwnVerdict == "" {
-		t.Fatalf("analyzed rejection lacks evidence: %+v", full.Evidence)
-	}
-	if full.CauseDetail == "" || full.Reason == "" {
-		t.Fatalf("rejection lacks prose: %+v", full)
+	if len(full.Evidence) != 1 || full.Evidence[0].Detail == nil ||
+		*full.Evidence[0].Detail != (explain.ProcEvidence{UtilizationRoom: 1 - 0.4, HasUtilization: true}) ||
+		full.Evidence[0].Utilization != 0.4 {
+		t.Fatalf("over-full rejection lacks utilization evidence: %+v", full.Evidence)
 	}
 	bad := admitNow(t, c, task.Task{C: 0, T: 10})
 	if bad.Accepted || bad.Cause != "invalid-input" || bad.Evidence != nil {
@@ -237,8 +252,8 @@ func TestClusterAdmitRejectShapes(t *testing.T) {
 		t.Error("Remove semantics broken")
 	}
 	st := c.Status()
-	if st.Tasks != 0 || st.M != 1 || len(st.Procs) != 1 || st.Stats.Requests != 3 ||
-		st.Stats.Accepted != 1 || st.Stats.Rejected != 2 || st.Stats.Removed != 1 {
+	if st.Tasks != 0 || st.M != 1 || len(st.Procs) != 1 || st.Stats.Requests != 4 ||
+		st.Stats.Accepted != 1 || st.Stats.Rejected != 3 || st.Stats.Removed != 1 {
 		t.Errorf("status: %+v", st)
 	}
 }

@@ -18,10 +18,14 @@ import (
 // mirror (Online.ProbeRTA, one backing slice per value kind) to the scalar
 // oracle it replaced: explain.ProbeRTA over a surcharged copy of each
 // processor's resident list, and explain.ProbeThreshold over the copy's
-// surcharged utilization. Residents are decoded from varints, so the
-// fuzzer reaches constrained deadlines, priority ties, surcharges and
-// parameters near MaxInt64 (where the checked kernel and the demand
-// overflow verdict take over) as readily as small task sets.
+// surcharged utilization. A processor the candidate would push past U = 1
+// (Online.OverUtilized) instead carries exactly the utilization room
+// 1 − Utilization(q), and the scalar oracle must confirm the refusal there:
+// the candidate's own verdict is not fits, or a resident is blocked.
+// Residents are decoded from varints, so the fuzzer reaches constrained
+// deadlines, priority ties, surcharges and parameters near MaxInt64 (where
+// the checked kernel and the demand overflow verdict take over) as readily
+// as small task sets.
 func FuzzEvidenceVsProbeRTA(f *testing.F) {
 	seed := func(vals ...uint64) []byte {
 		var b []byte
@@ -108,6 +112,13 @@ func FuzzEvidenceVsProbeRTA(f *testing.F) {
 				list[i].C += s
 			}
 			want := explain.ProbeRTA(list, int(d), cand.C+s, cand.T, d, false)
+			if eng.OverUtilized(q, cand.Utilization()) {
+				if want.OwnVerdict == rta.VerdictFits.String() && want.Blocked == nil {
+					t.Fatalf("proc %d refused by utilization (u=%v + %v), but the scalar RTA fits (s=%d cand=%v residents=%v)",
+						q, eng.Utilization(q), cand.Utilization(), s, cand, list)
+				}
+				want = &explain.ProcEvidence{UtilizationRoom: 1 - eng.Utilization(q), HasUtilization: true}
+			}
 			if got := rtaEv[q].Detail; !reflect.DeepEqual(got, want) {
 				t.Fatalf("proc %d rta evidence diverged (s=%d cand=%v residents=%v)\n got %+v %+v\nwant %+v %+v",
 					q, s, cand, list, got, got.Blocked, want, want.Blocked)

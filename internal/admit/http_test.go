@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/explain"
 	"repro/internal/faultinject"
 )
 
@@ -274,8 +275,9 @@ func TestHTTPConcurrentStress(t *testing.T) {
 
 // TestHTTPLargeBodyHasContentLength pins the response framing of a verdict
 // past net/http's 2 KB pre-chunking buffer: a 32-processor analyzed
-// rejection (32 evidence records) must go out with a Content-Length equal
-// to its body, not Transfer-Encoding: chunked.
+// rejection at the capacity edge (32 evidence records, each in the
+// utilization form) must go out with a Content-Length equal to its body,
+// not Transfer-Encoding: chunked.
 func TestHTTPLargeBodyHasContentLength(t *testing.T) {
 	srv := httptest.NewServer(NewService(1).Handler())
 	defer srv.Close()
@@ -307,6 +309,13 @@ func TestHTTPLargeBodyHasContentLength(t *testing.T) {
 	}
 	if len(b) <= 2048 {
 		t.Fatalf("rejection body is %d bytes; the test needs one past the 2 KB chunking threshold", len(b))
+	}
+	// Every processor sits at u = 0.96, so the 0.9 candidate overfills each
+	// one: the evidence is the utilization room, with no RTA probe.
+	for _, ev := range res.Evidence {
+		if *ev.Detail != (explain.ProcEvidence{UtilizationRoom: 1 - ev.Utilization, HasUtilization: true}) {
+			t.Fatalf("proc %d: want utilization evidence at u=%v, got %+v", ev.Proc, ev.Utilization, *ev.Detail)
+		}
 	}
 	if resp.ContentLength != int64(len(b)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(b)) {
 		t.Errorf("Content-Length = %d (header %q), want %d", resp.ContentLength, resp.Header.Get("Content-Length"), len(b))

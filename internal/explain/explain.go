@@ -155,7 +155,10 @@ type ProcEvidence struct {
 	// threshold admission (SPA/bound-based algorithms only).
 	ThresholdRoom float64 `json:"thresholdRoom,omitempty"`
 	HasThreshold  bool    `json:"hasThreshold,omitempty"`
-	// UtilizationRoom is 1 − U(P_q) (EDF algorithms only).
+	// UtilizationRoom is 1 − U(P_q): the EDF algorithms' admission room,
+	// and the necessary utilization test's — the online service reports it
+	// instead of an RTA probe for a processor the candidate would push past
+	// U = 1, where no schedule exists.
 	UtilizationRoom float64 `json:"utilizationRoom,omitempty"`
 	HasUtilization  bool    `json:"hasUtilization,omitempty"`
 }
@@ -354,10 +357,7 @@ func finalFragment(tr *obs.Trace, failed int, t task.Task) *FragmentInfo {
 // room for the threshold and EDF tests.
 func probe(alg partition.Algorithm, list []task.Subtask, u float64, prio int, frag *FragmentInfo, scheduler string, n int) *ProcEvidence {
 	if scheduler == "EDF" {
-		ev := &ProcEvidence{}
-		ev.UtilizationRoom = 1 - u
-		ev.HasUtilization = true
-		return ev
+		return ProbeUtilization(u)
 	}
 	splitting := false
 	rtaBased := false
@@ -390,6 +390,13 @@ func probe(alg partition.Algorithm, list []task.Subtask, u float64, prio int, fr
 // is exactly why the threshold said no.
 func ProbeThreshold(u, theta float64) *ProcEvidence {
 	return &ProcEvidence{ThresholdRoom: theta - u, HasThreshold: true}
+}
+
+// ProbeUtilization builds the evidence of the necessary utilization test:
+// the room 1 − u left on a processor with utilization u. A candidate whose
+// own utilization exceeds the room cannot be scheduled there by any policy.
+func ProbeUtilization(u float64) *ProcEvidence {
+	return &ProcEvidence{UtilizationRoom: 1 - u, HasUtilization: true}
 }
 
 // ProbeRTA recomputes the exact-RTA admission of a load (c, t, d) with

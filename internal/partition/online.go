@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/bounds"
+	"repro/internal/obs"
 	"repro/internal/rta"
 	"repro/internal/task"
 )
@@ -34,12 +35,12 @@ type Online struct {
 
 	states []rta.ProcState
 	procs  [][]onlineResident // shadows states' priority positions exactly
+	util   []float64          // util[q]: procs[q]'s raw utilization, summed in priority order
 	loc    map[uint64]int     // handle → hosting processor
 	nextH  uint64
 	epoch  uint64 // bumped by every resident or handle-counter change
 
-	order []int     // worst-fit candidate order scratch
-	utils []float64 // worst-fit utilization scratch
+	order []int // worst-fit candidate order scratch
 }
 
 // Online placement policies. The RTA policies admit with the exact test
@@ -56,6 +57,10 @@ const (
 func OnlinePolicies() []string {
 	return []string{OnlineRTAFirstFit, OnlineRTAWorstFit, OnlineThreshold}
 }
+
+// cUtilSkips counts processors an RTA admission refused by utilization
+// alone (OverUtilized), with neither the prefilter nor the exact probe run.
+var cUtilSkips = obs.NewCounter("partition.online.util_skips")
 
 type onlineResident struct {
 	handle uint64
@@ -106,6 +111,7 @@ func NewOnline(m int, policy string, surcharge task.Time) (*Online, error) {
 		surcharge: surcharge,
 		states:    rta.NewProcStates(m, surcharge),
 		procs:     make([][]onlineResident, m),
+		util:      make([]float64, m),
 		loc:       make(map[uint64]int),
 	}, nil
 }
@@ -133,13 +139,33 @@ func (o *Online) Len() int { return len(o.loc) }
 func (o *Online) ProcLen(q int) int { return len(o.procs[q]) }
 
 // Utilization returns processor q's assigned raw utilization (no
-// surcharge), summed in priority order for determinism.
-func (o *Online) Utilization(q int) float64 {
+// surcharge), summed in priority order for determinism. The sum is cached
+// and recomputed from the residents on every change to q (resum), never
+// adjusted incrementally, so it is bit-identical to a fresh sum and float
+// error cannot build up over a long-lived cluster.
+func (o *Online) Utilization(q int) float64 { return o.util[q] }
+
+// resum recomputes processor q's cached utilization after its residents
+// changed.
+func (o *Online) resum(q int) {
 	u := 0.0
 	for _, r := range o.procs[q] {
 		u += r.sub.Utilization()
 	}
-	return u
+	o.util[q] = u
+}
+
+// OverUtilized reports whether adding raw utilization u to processor q
+// takes it past 1: no schedule of any kind exists there, so with D ≤ T and
+// synchronous release — where RTA is exact — the exact admission test
+// would refuse the candidate. The utilEps margin lies far above the float
+// error of a sum of a few hundred C/T terms (≈ 1e-14), so the predicate
+// only holds when the true utilization exceeds 1. It ignores the
+// surcharge, which can only raise the load, so it is sound under any.
+// The RTA policies skip such processors, and the admission service's
+// rejection evidence reports this test for them.
+func (o *Online) OverUtilized(q int, u float64) bool {
+	return o.util[q]+u > 1+utilEps
 }
 
 // SurchargedUtilization is the threshold policy's view of processor q:
@@ -208,7 +234,12 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 			fmt.Sprintf("no processor has %.4f utilization room under the L&L threshold for %s", u, t))
 	}
 
+	u := t.Utilization()
 	for _, q := range o.candidates() {
+		if o.OverUtilized(q, u) {
+			cUtilSkips.Inc()
+			continue
+		}
 		if d >= t.C+s && (prefilterAdmit(&o.states[q], prio, t.C, d) || o.states[q].AdmitAt(prio, t.C, t.T, d)) {
 			return o.place(q, prio, t), nil
 		}
@@ -223,7 +254,6 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 func (o *Online) candidates() []int {
 	if cap(o.order) < o.m {
 		o.order = make([]int, o.m)
-		o.utils = make([]float64, o.m)
 	}
 	out := o.order[:o.m]
 	for q := range out {
@@ -232,15 +262,11 @@ func (o *Online) candidates() []int {
 	if o.policy != OnlineRTAWorstFit {
 		return out
 	}
-	utils := o.utils[:o.m]
-	for q := range utils {
-		utils[q] = o.Utilization(q)
-	}
 	for i := 1; i < len(out); i++ {
 		q := out[i]
-		u := utils[q]
+		u := o.util[q]
 		j := i - 1
-		for j >= 0 && utils[out[j]] > u {
+		for j >= 0 && o.util[out[j]] > u {
 			out[j+1] = out[j]
 			j--
 		}
@@ -268,6 +294,7 @@ func (o *Online) install(q int, h uint64, sub task.Subtask) int {
 	o.procs[q] = append(o.procs[q], onlineResident{})
 	copy(o.procs[q][pos+1:], o.procs[q][pos:])
 	o.procs[q][pos] = onlineResident{handle: h, sub: sub}
+	o.resum(q)
 	o.loc[h] = q
 	o.epoch++
 	return pos
@@ -417,6 +444,7 @@ func (o *Online) Remove(handle uint64) bool {
 	}
 	o.states[q].Remove(pos)
 	o.procs[q] = append(list[:pos], list[pos+1:]...)
+	o.resum(q)
 	delete(o.loc, handle)
 	o.epoch++
 	return true
