@@ -48,6 +48,8 @@ func TestBenchHotpathJSON(t *testing.T) {
 		fn   func(*testing.B)
 	}{
 		{"E2AcceptanceGeneral", BenchmarkE2AcceptanceGeneral},
+		{"E12GlobalCompare", BenchmarkE12GlobalCompare},
+		{"E15FPvsEDF", BenchmarkE15FPvsEDF},
 		{"RTAProcessor", BenchmarkRTAProcessor},
 		{"BatchRTAKernel", BenchmarkBatchRTAKernel},
 		{"MaxSplitTestingPoint", BenchmarkMaxSplitTestingPoint},

@@ -9,7 +9,9 @@
 # admission prefilter's and the online engine's utilization refusal's
 # soundness, the admission service's rejection evidence and verdict JSON
 # (each against its oracle) and its rejection memo (FuzzClusterMemo,
-# against an unmemoized twin), a
+# against an unmemoized twin), the global-RM simulator, the EDF-TS budget
+# search and the EDF check interval (each against the implementation it
+# replaced, kept in its tests), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -53,13 +55,13 @@ echo "== go test -race (concurrency-sensitive packages) =="
 go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
 
 echo "== alloc guards (hot paths must stay zero-allocation) =="
-go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit
+go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit repro/internal/edfa repro/internal/global
 
 echo "== fault injection (every injected fault must surface as a seed-reproducible SampleError) =="
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, prefilter and utilization-refusal soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin) =="
+echo "== fuzz smokes (invariant checker, prefilter and utilization-refusal soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search and EDF check interval vs their former implementations) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
@@ -70,6 +72,9 @@ go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzClusterMemo -fuzztime 5s repro/internal/admit
+go test -run '^$' -fuzz FuzzGlobalSimVsReference -fuzztime 5s repro/internal/global
+go test -run '^$' -fuzz FuzzMaxAdditionalDemand -fuzztime 5s repro/internal/edfa
+go test -run '^$' -fuzz FuzzSchedulableInterval -fuzztime 5s repro/internal/edfa
 
 echo "== paranoid quick table (full invariant re-validation of every partitioning) =="
 go run ./cmd/experiments -run acceptance-general -quick -sets 50 -paranoid -q > /dev/null

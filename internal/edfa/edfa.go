@@ -3,8 +3,12 @@
 // criterion (Baruah, Rosier & Howell): the system is schedulable iff the
 // demand bound function satisfies dbf(t) ≤ t at every absolute deadline in
 // the synchronous busy period. The check uses QPA (Zhang & Burns), which
-// walks backwards from the busy-period end visiting only a handful of
-// points, making the test fast enough to sit inside packing loops.
+// walks backwards from the end of the check interval — the busy period L,
+// or the shorter Zhang & Burns bound La when L is provably within the
+// analysis limit — visiting only a handful of points, making the test fast
+// enough to sit inside packing loops. MaxAdditionalDemand, the EDF-TS
+// window budget, descends from utilization and first-deadline caps along
+// the points QPA refutes instead of bisecting over whole QPA runs.
 //
 // The paper positions its fixed-priority results against EDF-based
 // splitting algorithms (§I cites a 65% bound as the EDF state of the art);
@@ -25,6 +29,9 @@ import (
 type Demand struct {
 	C, T, D task.Time
 }
+
+// valid reports whether the source satisfies 0 < C ≤ D ≤ T.
+func (s Demand) valid() bool { return s.C > 0 && s.C <= s.D && s.D <= s.T }
 
 // DBF returns the demand bound function of the sources at time t:
 // Σ max(0, ⌊(t − D_i)/T_i⌋ + 1) · C_i.
@@ -94,39 +101,61 @@ func lastDeadlineBefore(sources []Demand, t task.Time) task.Time {
 	return best
 }
 
+// utilEps is the float slack Schedulable's utilization test allows
+// (U ≤ 1 + utilEps).
+const utilEps = 1e-9
+
+// The interval shortening: min(L, La) replaces L only when the float bound
+// ΣC/(1−U) ≥ L puts L far below analysisLimit and 1−U is large enough
+// (laMinSlack) that the float U cannot hide a set at or above 1; La is
+// rounded up by laMargin, so rounding can only lengthen the walk.
+const (
+	laMinSlack = 1e-4
+	laMargin   = 1.001
+)
+
 // Schedulable reports whether the demand sources are EDF-schedulable on a
 // single processor. Exact for constrained-deadline sporadic tasks with
 // utilization below 1 (and for implicit-deadline sets up to exactly 1);
 // constrained sets at utilization ≥ 1 − 1e-9 whose busy period cannot be
 // bounded are rejected conservatively.
 func Schedulable(sources []Demand) bool {
+	ok, _ := qpa(sources)
+	return ok
+}
+
+// qpa is Schedulable naming its refutation: when the QPA walk finds a
+// point t with dbf(t) > t it returns (false, t); every other refusal (an
+// invalid source, utilization above 1, a busy period it cannot bound)
+// returns (false, 0).
+func qpa(sources []Demand) (bool, task.Time) {
 	if len(sources) == 0 {
-		return true
+		return true, 0
 	}
 	u := 0.0
 	implicit := true
 	for _, s := range sources {
-		if s.C <= 0 || s.D <= 0 || s.T <= 0 || s.C > s.D || s.D > s.T {
-			return false
+		if !s.valid() {
+			return false, 0
 		}
 		u += float64(s.C) / float64(s.T)
 		if s.D != s.T {
 			implicit = false
 		}
 	}
-	const eps = 1e-9
-	if u > 1+eps {
-		return false
+	if u > 1+utilEps {
+		return false, 0
 	}
 	if implicit {
 		// Implicit deadlines: EDF is schedulable iff U ≤ 1.
-		return true
+		return true, 0
 	}
-	l := BusyPeriod(sources, analysisLimit)
+	l := checkEnd(sources, u)
 	if l >= analysisLimit {
-		return false // cannot bound the check interval; reject conservatively
+		return false, 0 // cannot bound the check interval; reject conservatively
 	}
-	// QPA: walk backwards from the last deadline before (or at) L.
+	// QPA: walk backwards from the last deadline before (or at) the end of
+	// the check interval.
 	var dmin task.Time = -1
 	for _, s := range sources {
 		if dmin < 0 || s.D < dmin {
@@ -137,7 +166,7 @@ func Schedulable(sources []Demand) bool {
 	for t >= dmin && t > 0 {
 		h := DBF(sources, t)
 		if h > t {
-			return false
+			return false, t
 		}
 		if h < t {
 			t = h
@@ -149,36 +178,126 @@ func Schedulable(sources []Demand) bool {
 			t = lastDeadlineBefore(sources, t)
 		}
 	}
-	return true
+	return true, 0
+}
+
+// checkEnd returns the end of the QPA check interval for valid,
+// constrained sources of float utilization u ≤ 1 + utilEps: the busy
+// period L (saturating at analysisLimit, which Schedulable rejects), or
+// min(L, La) with La = Σ(T_i−D_i)U_i/(1−U) (Zhang & Burns) when L is
+// provably below analysisLimit. No dbf(t) > t lies at or beyond La, and
+// the proof of L < analysisLimit keeps the conservative rejection exactly
+// where the plain busy-period walk puts it (DESIGN.md, "Sweep kernels
+// outside RTA").
+func checkEnd(sources []Demand, u float64) task.Time {
+	if den := 1 - u; den > laMinSlack {
+		var sumC, num float64
+		for _, s := range sources {
+			sumC += float64(s.C)
+			num += float64(s.T-s.D) * float64(s.C) / float64(s.T)
+		}
+		// L < ΣC/(1−U), and La ≤ ΣC/(1−U) because (T−D)·C/T ≤ C.
+		if sumC/den*laMargin < analysisLimit/2 {
+			return BusyPeriod(sources, task.Time(num/den*laMargin)+1)
+		}
+	}
+	return BusyPeriod(sources, analysisLimit)
 }
 
 // MaxAdditionalDemand returns the largest execution budget c ≤ cap such
 // that adding a new source (c, t, d) keeps the sources EDF-schedulable,
-// computed by binary search (the demand test is monotone in c). Returns 0
-// if even c = 1 does not fit.
+// or 0 if even c = 1 does not fit. See MaxAdditionalDemandScratch.
 func MaxAdditionalDemand(sources []Demand, t, d, cap task.Time) task.Time {
+	c, _ := MaxAdditionalDemandScratch(sources, t, d, cap, nil)
+	return c
+}
+
+// MaxAdditionalDemandScratch is MaxAdditionalDemand probing on buf (grown
+// as needed and returned for reuse), so a warm buffer makes it
+// allocation-free.
+//
+// Schedulable is monotone in c, and a point t with dbf(t) > t refutes
+// every larger c as well, so the search descends by witness instead of
+// bisecting: it starts from the largest c that passes the utilization
+// test and fits the new source's first deadline (dbf_S(d) + c ≤ d), and
+// while QPA refutes the current c at a point t, lowers it to
+// ⌊(t − dbf_S(t)) / n(t)⌋, where n(t) counts the new source's jobs due by
+// t. The first c QPA accepts is the maximum a bisection over [0, cap]
+// finds. Only a refusal without a demand point (the conservative
+// busy-period rejection) falls back to bisection below the current c.
+func MaxAdditionalDemandScratch(sources []Demand, t, d, cap task.Time, buf []Demand) (task.Time, []Demand) {
 	if cap > d {
 		cap = d
 	}
 	if cap <= 0 {
-		return 0
+		return 0, buf
 	}
-	buf := make([]Demand, len(sources)+1)
-	copy(buf, sources)
-	feasible := func(c task.Time) bool {
-		if c == 0 {
-			return true
+	implicit := d == t
+	for _, s := range sources {
+		if !s.valid() {
+			return 0, buf // Schedulable refuses every c
 		}
-		buf[len(sources)] = Demand{C: c, T: t, D: d}
-		return Schedulable(buf)
+		implicit = implicit && s.D == s.T
 	}
-	if feasible(cap) {
-		return cap
+	if d > t {
+		return 0, buf
 	}
-	lo, hi := task.Time(0), cap
+	hi := utilizationCap(Utilization(sources), t, cap)
+	if hi > 0 && !implicit {
+		// dbf(d) = dbf_S(d) + c must stay ≤ d. (An all-implicit set is
+		// judged by the float utilization test alone, which this integer
+		// cap could undercut.)
+		if room := d - DBF(sources, d); room < hi {
+			hi = max(room, 0)
+		}
+	}
+	n := len(sources)
+	buf = append(append(buf[:0], sources...), Demand{T: t, D: d})
+	for hi > 0 {
+		buf[n].C = hi
+		ok, w := qpa(buf)
+		if ok {
+			return hi, buf
+		}
+		if w == 0 {
+			break
+		}
+		var jobs task.Time
+		if w >= d {
+			jobs = (w-d)/t + 1
+		}
+		room := w - DBF(sources, w)
+		if jobs == 0 || room <= 0 {
+			return 0, buf // the sources alone leave no room by w
+		}
+		hi = room / jobs
+	}
+	// Bisection below hi, which is 0 or infeasible.
+	lo := task.Time(0)
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		if feasible(mid) {
+		buf[n].C = mid
+		if Schedulable(buf) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, buf
+}
+
+// utilizationCap returns the largest c ≤ hi whose source c/t passes
+// Schedulable's utilization test when added after sources of utilization
+// uS (the same float expression, so the same verdict), or 0.
+func utilizationCap(uS float64, t, hi task.Time) task.Time {
+	fits := func(c task.Time) bool { return !(uS+float64(c)/float64(t) > 1+utilEps) }
+	if fits(hi) {
+		return hi
+	}
+	lo := task.Time(0)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if fits(mid) {
 			lo = mid
 		} else {
 			hi = mid

@@ -185,6 +185,12 @@ func TestMaxAdditionalDemand(t *testing.T) {
 	if MaxAdditionalDemand(src, 10, 0, 5) != 0 {
 		t.Error("zero window should yield zero budget")
 	}
+	// All implicit: Schedulable judges U ≤ 1 + 1e-9 in float alone, so a
+	// full processor still takes 1,000 units every 10^12 (exact U > 1).
+	full := []Demand{{C: 10, T: 10, D: 10}}
+	if got := MaxAdditionalDemand(full, 1e12, 1e12, 1e12); got != 1000 {
+		t.Errorf("implicit budget on a full processor = %d, want 1000 (the float utilization slack)", got)
+	}
 }
 
 func TestMaxAdditionalDemandAgainstLinearScan(t *testing.T) {

@@ -20,7 +20,6 @@
 package global
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -124,34 +123,25 @@ type Report struct {
 // Ok reports whether no deadline was missed.
 func (r *Report) Ok() bool { return len(r.Misses) == 0 }
 
-type gjob struct {
-	taskIdx   int
-	prio      int // position in the priority permutation: lower runs first
-	remaining task.Time
-	release   task.Time
-	preempted bool // has been displaced at least once
-	index     int
-}
-
-type gqueue []*gjob
-
-func (q gqueue) Len() int            { return len(q) }
-func (q gqueue) Less(i, j int) bool  { return q[i].prio < q[j].prio }
-func (q gqueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *gqueue) Push(x interface{}) { j := x.(*gjob); j.index = len(*q); *q = append(*q, j) }
-func (q *gqueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return j
-}
-
 const defaultHorizonCap = 10_000_000
+
+// slot names one job: the task it belongs to and that task's job
+// generation (how many jobs the task had released when this one was).
+type slot struct {
+	idx, gen int
+}
 
 // Simulate runs the RM-sorted task set under global preemptive
 // fixed-priority scheduling on m processors.
+//
+// A task has at most one live job, so the ready queue is a set of per-task
+// arrays and the running set is the first m active tasks in priority-
+// permutation order, rebuilt by one scan into one of two reused slot
+// buffers. A job is named by (task, generation): at an overrun with
+// StopOnMiss false the successor replaces a still-active job, and the
+// generation keeps the two apart, so the replaced job counts as a
+// preemption and the successor never counts as a migration. After set-up
+// nothing is allocated per event (DESIGN.md, "Sweep kernels outside RTA").
 func Simulate(ts task.Set, m int, opt Options) (*Report, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("global: non-positive processor count %d", m)
@@ -176,39 +166,31 @@ func Simulate(ts task.Set, m int, opt Options) (*Report, error) {
 		}
 	}
 	perm := Priorities(sorted, m, opt.Policy)
-	prioOf := make([]int, len(sorted))
-	for k, idx := range perm {
-		prioOf[idx] = k
-	}
 
-	rep := &Report{Horizon: horizon, WorstResponse: make(map[int]task.Time, len(sorted))}
-	ready := gqueue{}
-	active := make([]*gjob, len(sorted))
-	nextRelease := make([]task.Time, len(sorted))
+	n := len(sorted)
+	times := make([]task.Time, 4*n)
+	remaining, release, nextRelease, worst := times[:n], times[n:2*n], times[2*n:3*n], times[3*n:]
+	ints := make([]int, 3*n)
+	gen, doneGen, stamp := ints[:n], ints[n:2*n], ints[2*n:]
+	flags := make([]bool, 2*n)
+	active, preempted := flags[:n], flags[n:]
+	k := min(m, n)
+	slots := make([]slot, 2*k)
+	run, nextRun := slots[:0:k], slots[k:k]
+
+	rep := &Report{Horizon: horizon}
+	finish := func() *Report {
+		rep.WorstResponse = make(map[int]task.Time, n)
+		for idx, w := range worst {
+			if w > 0 {
+				rep.WorstResponse[idx] = w
+			}
+		}
+		return rep
+	}
 	now := task.Time(0)
-
-	running := func() []*gjob {
-		// The m highest-priority ready jobs run. Peeling the heap is O(m
-		// log n) per event; n and m are small here.
-		k := m
-		if len(ready) < k {
-			k = len(ready)
-		}
-		out := make([]*gjob, 0, k)
-		var tmp []*gjob
-		for len(out) < k {
-			j := heap.Pop(&ready).(*gjob)
-			out = append(out, j)
-			tmp = append(tmp, j)
-		}
-		for _, j := range tmp {
-			heap.Push(&ready, j)
-		}
-		return out
-	}
-
+	epoch := 0
 	for now < horizon {
-		run := running()
 		next := task.Time(math.MaxInt64)
 		for idx := range sorted {
 			if nextRelease[idx] > now && nextRelease[idx] < next {
@@ -217,8 +199,8 @@ func Simulate(ts task.Set, m int, opt Options) (*Report, error) {
 				next = now
 			}
 		}
-		for _, j := range run {
-			if t := now + j.remaining; t < next {
+		for _, s := range run {
+			if t := now + remaining[s.idx]; t < next {
 				next = t
 			}
 		}
@@ -226,27 +208,28 @@ func Simulate(ts task.Set, m int, opt Options) (*Report, error) {
 			next = horizon
 		}
 		delta := next - now
-		for _, j := range run {
-			j.remaining -= delta
+		for _, s := range run {
+			remaining[s.idx] -= delta
 		}
 		now = next
-		// Completions (before releases at the same instant).
-		for _, j := range run {
-			if j.remaining > 0 {
+		// Completions (before releases at the same instant), in priority
+		// order.
+		for _, s := range run {
+			idx := s.idx
+			if remaining[idx] > 0 {
 				continue
 			}
-			heap.Remove(&ready, j.index)
-			active[j.taskIdx] = nil
+			active[idx] = false
+			doneGen[idx] = s.gen
 			rep.Completed++
-			resp := now - j.release
-			if resp > rep.WorstResponse[j.taskIdx] {
-				rep.WorstResponse[j.taskIdx] = resp
+			if resp := now - release[idx]; resp > worst[idx] {
+				worst[idx] = resp
 			}
-			if deadline := j.release + sorted[j.taskIdx].T; now > deadline {
+			if deadline := release[idx] + sorted[idx].T; now > deadline {
 				rep.Misses = append(rep.Misses, now)
-				rep.MissedTasks = append(rep.MissedTasks, j.taskIdx)
+				rep.MissedTasks = append(rep.MissedTasks, idx)
 				if opt.StopOnMiss {
-					return rep, nil
+					return finish(), nil
 				}
 			}
 		}
@@ -258,51 +241,74 @@ func Simulate(ts task.Set, m int, opt Options) (*Report, error) {
 			if nextRelease[idx] != now {
 				continue
 			}
-			if old := active[idx]; old != nil {
+			if active[idx] {
 				rep.Misses = append(rep.Misses, now)
 				rep.MissedTasks = append(rep.MissedTasks, idx)
 				if opt.StopOnMiss {
-					return rep, nil
+					return finish(), nil
 				}
-				heap.Remove(&ready, old.index)
-				active[idx] = nil
 			}
-			j := &gjob{taskIdx: idx, prio: prioOf[idx], remaining: sorted[idx].C, release: now}
-			active[idx] = j
-			heap.Push(&ready, j)
+			gen[idx]++
+			active[idx] = true
+			preempted[idx] = false
+			remaining[idx] = sorted[idx].C
+			release[idx] = now
 			rep.Released++
 			nextRelease[idx] += sorted[idx].T
 		}
 		// Preemption/migration accounting: jobs that were running but are
 		// not in the new top-m were displaced.
-		newRun := map[*gjob]bool{}
-		for _, j := range running() {
-			newRun[j] = true
+		nextRun = topM(nextRun, perm, active, gen, m)
+		epoch++
+		for _, s := range nextRun {
+			stamp[s.idx] = epoch
 		}
-		for _, j := range run {
-			if j.remaining > 0 && !newRun[j] {
+		for _, s := range run {
+			switch idx := s.idx; {
+			case doneGen[idx] == s.gen:
+				// Completed.
+			case gen[idx] != s.gen:
+				// Replaced by its successor at an overrun.
 				rep.Preemptions++
-				j.preempted = true
+			case stamp[idx] != epoch:
+				rep.Preemptions++
+				preempted[idx] = true
 			}
 		}
-		for j := range newRun {
-			if j.preempted {
+		for _, s := range nextRun {
+			if preempted[s.idx] {
 				rep.Migrations++
-				j.preempted = false
+				preempted[s.idx] = false
 			}
 		}
+		run, nextRun = nextRun, run
 	}
 	// Incomplete jobs whose deadline fell inside the horizon.
-	for idx, j := range active {
-		if j == nil {
+	for idx := range sorted {
+		if !active[idx] {
 			continue
 		}
-		if deadline := j.release + sorted[idx].T; deadline <= horizon {
+		if deadline := release[idx] + sorted[idx].T; deadline <= horizon {
 			rep.Misses = append(rep.Misses, deadline)
 			rep.MissedTasks = append(rep.MissedTasks, idx)
 		}
 	}
-	return rep, nil
+	return finish(), nil
+}
+
+// topM refills buf with the jobs that run: the first m active tasks in
+// priority order.
+func topM(buf []slot, perm []int, active []bool, gen []int, m int) []slot {
+	buf = buf[:0]
+	for _, idx := range perm {
+		if len(buf) == m {
+			break
+		}
+		if active[idx] {
+			buf = append(buf, slot{idx, gen[idx]})
+		}
+	}
+	return buf
 }
 
 // SchedulableByUSBound reports whether the set is guaranteed schedulable

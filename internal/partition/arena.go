@@ -42,13 +42,13 @@ type Arena struct {
 	suffix   []float64
 	idxs     []int
 	order    []int
-	utils    []float64
 	keys     []float64
 	preProcs []int
 	bsc      bounds.Scratch
 	demands  [][]edfa.Demand
 	scratch  []edfa.Demand
 	caps     []edfCap
+	budget   []task.Time
 }
 
 // ArenaPartitioner is implemented by every algorithm in this package: a
@@ -217,4 +217,17 @@ func (ar *Arena) demandsBuf(m int) [][]edfa.Demand {
 type edfCap struct {
 	q int
 	c task.Time
+}
+
+// budgetBuf returns the per-processor EDF-TS window budgets, m entries
+// all set to c.
+func (ar *Arena) budgetBuf(m int, c task.Time) []task.Time {
+	if cap(ar.budget) < m {
+		ar.budget = make([]task.Time, m)
+	}
+	ar.budget = ar.budget[:m]
+	for q := range ar.budget {
+		ar.budget[q] = c
+	}
+	return ar.budget
 }

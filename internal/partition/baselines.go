@@ -99,20 +99,15 @@ func pickFirstFit(ar *Arena, asg *task.Assignment) []int {
 }
 
 // pickWorstFit returns candidate processors sorted by ascending assigned
-// utilization (ties by index). Utilizations are computed once per call and
-// sorted with a stable insertion sort — the same permutation the former
-// sort.SliceStable produced.
+// utilization (ties by index), with a stable insertion sort — the same
+// permutation the former sort.SliceStable produced.
 func pickWorstFit(ar *Arena, asg *task.Assignment) []int {
 	out := pickFirstFit(ar, asg)
-	utils := floatBuf(&ar.utils, len(out))
-	for q := range utils {
-		utils[q] = asg.Utilization(q)
-	}
 	for i := 1; i < len(out); i++ {
 		q := out[i]
-		u := utils[q]
+		u := asg.Utilization(q)
 		j := i - 1
-		for j >= 0 && utils[out[j]] > u {
+		for j >= 0 && asg.Utilization(out[j]) > u {
 			out[j+1] = out[j]
 			j--
 		}

@@ -113,9 +113,15 @@ func edfAdd(asg *task.Assignment, demands [][]edfa.Demand, q int, s task.Subtask
 // fragments update both the assignment and the demand mirror. The candidate
 // list lives in the arena and is ordered by (capacity desc, index asc) — a
 // total order, so the sort is deterministic.
+//
+// Windows shrink as k grows, and a shorter deadline only adds demand, so
+// processor q's budget for window w_k caps its budget for w_{k+1}: the
+// search starts from the previous budget, and a processor whose budget
+// reached 0 is not probed again.
 func splitByWindows(ar *Arena, asg *task.Assignment, demands [][]edfa.Demand, i int, t task.Task, m int, tr *obs.Trace) bool {
 	d := t.Deadline()
 	base := t.T - d
+	budget := ar.budgetBuf(m, t.C)
 	for k := task.Time(2); k <= task.Time(m); k++ {
 		w := d / k
 		if w < 1 {
@@ -123,9 +129,12 @@ func splitByWindows(ar *Arena, asg *task.Assignment, demands [][]edfa.Demand, i 
 		}
 		caps := ar.caps[:0]
 		for q := 0; q < m; q++ {
-			c := edfa.MaxAdditionalDemand(demands[q], t.T, w, t.C)
-			if c > 0 {
-				caps = append(caps, edfCap{q, c})
+			if budget[q] == 0 {
+				continue
+			}
+			budget[q], ar.scratch = edfa.MaxAdditionalDemandScratch(demands[q], t.T, w, budget[q], ar.scratch)
+			if budget[q] > 0 {
+				caps = append(caps, edfCap{q, budget[q]})
 			}
 		}
 		ar.caps = caps

@@ -13,11 +13,15 @@ type Assignment struct {
 	// Set is the RM-sorted task set that was partitioned.
 	Set Set
 	// Procs holds the subtasks hosted by each processor, highest priority
-	// first.
+	// first. It is mutated only through Add and Reset, which keep the
+	// cached per-processor utilizations in step with it.
 	Procs [][]Subtask
 	// PreAssigned records, per processor, the task index pre-assigned to it
 	// by RM-TS phase 1, or -1 for normal processors.
 	PreAssigned []int
+	// util[q] caches processor q's utilization: the in-order sum of its
+	// subtasks' C/T, recomputed whole on every Add, never adjusted.
+	util []float64
 }
 
 // NewAssignment returns an empty assignment for set ts on m processors.
@@ -55,6 +59,12 @@ func (a *Assignment) Reset(ts Set, m int) {
 	for i := range a.PreAssigned {
 		a.PreAssigned[i] = -1
 	}
+	if cap(a.util) < m {
+		a.util = make([]float64, m)
+	} else {
+		a.util = a.util[:m]
+		clear(a.util)
+	}
 }
 
 // M returns the number of processors.
@@ -70,16 +80,18 @@ func (a *Assignment) Add(q int, s Subtask) {
 	copy(list[pos+1:], list[pos:])
 	list[pos] = s
 	a.Procs[q] = list
-}
-
-// Utilization returns the assigned utilization U(P_q) of processor q.
-func (a *Assignment) Utilization(q int) float64 {
+	// A fresh in-order sum, not an increment: the cached value is then
+	// bit-identical to summing the list, so no worst-fit tie can flip.
 	sum := 0.0
-	for _, s := range a.Procs[q] {
+	for _, s := range list {
 		sum += s.Utilization()
 	}
-	return sum
+	a.util[q] = sum
 }
+
+// Utilization returns the assigned utilization U(P_q) of processor q: the
+// sum of its subtasks' C/T in priority order, cached by Add.
+func (a *Assignment) Utilization(q int) float64 { return a.util[q] }
 
 // TotalUtilization returns the sum of assigned utilizations over all
 // processors.

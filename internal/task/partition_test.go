@@ -1,6 +1,8 @@
 package task
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -49,6 +51,42 @@ func TestUtilizationSums(t *testing.T) {
 	}
 }
 
+// TestUtilizationNeverStale drives one Assignment through random Add and
+// Reset sequences (growing and shrinking m over recycled capacity) and
+// requires every Utilization(q) to equal a fresh in-order sum of
+// Procs[q], bit for bit, after every step.
+func TestUtilizationNeverStale(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	a := &Assignment{}
+	check := func(step string) {
+		t.Helper()
+		for q, list := range a.Procs {
+			sum := 0.0
+			for _, s := range list {
+				sum += s.Utilization()
+			}
+			if got := a.Utilization(q); math.Float64bits(got) != math.Float64bits(sum) {
+				t.Fatalf("%s: Utilization(%d) = %v, fresh sum %v", step, q, got, sum)
+			}
+		}
+	}
+	for round := 0; round < 200; round++ {
+		m := 1 + r.Intn(6)
+		n := 1 + r.Intn(12)
+		set := make(Set, n)
+		for i := range set {
+			tt := Time(3 + r.Intn(1000))
+			set[i] = Task{C: 1 + Time(r.Int63n(int64(tt))), T: tt}
+		}
+		a.Reset(set, m)
+		check("Reset")
+		for _, i := range r.Perm(n) {
+			a.Add(r.Intn(m), Whole(i, set[i]))
+			check("Add")
+		}
+	}
+}
+
 func TestSubtasksAndSplitTasks(t *testing.T) {
 	set := Set{{Name: "a", C: 6, T: 20}, {Name: "b", C: 2, T: 30}}
 	a := NewAssignment(set, 2)
@@ -94,10 +132,8 @@ func TestValidateCatchesBadFragmentSum(t *testing.T) {
 func TestValidateCatchesSharedProcessor(t *testing.T) {
 	set := Set{{Name: "a", C: 6, T: 20}}
 	a := NewAssignment(set, 1)
-	a.Procs[0] = []Subtask{
-		{TaskIndex: 0, Part: 1, C: 4, T: 20, Deadline: 20, Offset: 0},
-		{TaskIndex: 0, Part: 2, C: 2, T: 20, Deadline: 16, Offset: 4, Tail: true},
-	}
+	a.Add(0, Subtask{TaskIndex: 0, Part: 1, C: 4, T: 20, Deadline: 20, Offset: 0})
+	a.Add(0, Subtask{TaskIndex: 0, Part: 2, C: 2, T: 20, Deadline: 16, Offset: 4, Tail: true})
 	err := a.Validate()
 	if err == nil {
 		t.Error("fragments on one processor not caught")
