@@ -6,12 +6,12 @@
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
 # checker, the task-set parser, the warm-state removal invalidation, the
-# admission prefilter's and the online engine's utilization refusal's
-# soundness, the admission service's rejection evidence and verdict JSON
-# (each against its oracle) and its rejection memo (FuzzClusterMemo,
-# against an unmemoized twin), the global-RM simulator, the EDF-TS budget
-# search and the EDF check interval (each against the implementation it
-# replaced, kept in its tests), a
+# admission prefilter's soundness and that of the utilization refusal in
+# the online engine and the batch partitioners, the admission service's
+# rejection evidence and verdict JSON (each against its oracle) and its
+# rejection memo (FuzzClusterMemo, against an unmemoized twin), the
+# global-RM simulator, the EDF-TS budget search and the EDF check interval
+# (each against the implementation it replaced, kept in its tests), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -61,10 +61,11 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, prefilter and utilization-refusal soundness, task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search and EDF check interval vs their former implementations) =="
+echo "== fuzz smokes (invariant checker, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search and EDF check interval vs their former implementations) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzBatchUtilRuleSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta

@@ -50,7 +50,8 @@ func HanTyanSchedulable(ts task.Set) bool {
 		u := 0.0
 		for _, t := range ts {
 			h := b
-			for h*2 <= t.T {
+			// h ≤ T/2 is h·2 ≤ T without the overflow past 2^62.
+			for h <= t.T/2 {
 				h *= 2
 			}
 			u += float64(t.C) / float64(h)

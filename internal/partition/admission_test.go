@@ -3,7 +3,9 @@ package partition
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/bounds"
 	"repro/internal/gen"
 	"repro/internal/rta"
 	"repro/internal/sim"
@@ -191,5 +193,26 @@ func TestHanTyanAdmissionPartitionsSimulateClean(t *testing.T) {
 	}
 	if simulated < 10 {
 		t.Errorf("only %d partitions simulated", simulated)
+	}
+}
+
+// TestHanTyanHugePeriodReturns is a regression test: the Han–Tyan folding
+// once doubled its harmonic base with h*2 ≤ T, which overflows and loops
+// forever once a period exceeds 2^62. Both entry points must return, and
+// accept the lone nearly-idle task.
+func TestHanTyanHugePeriodReturns(t *testing.T) {
+	ts := task.Set{{C: 1, T: 1<<62 + 1}}
+	done := make(chan [2]bool, 1)
+	go func() {
+		res := FirstFit{Admission: AdmitHanTyan}.Partition(ts, 1)
+		done <- [2]bool{bounds.HanTyanSchedulable(ts), res.OK}
+	}()
+	select {
+	case got := <-done:
+		if !got[0] || !got[1] {
+			t.Errorf("HanTyanSchedulable = %v, FirstFit[HT] OK = %v; want both true", got[0], got[1])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Han–Tyan test did not return for a period above 2^62")
 	}
 }

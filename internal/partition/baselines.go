@@ -234,9 +234,21 @@ func fitPartitionAdmit(ts task.Set, m int, order FitOrder, pick func(*Arena, *ta
 
 	for _, i := range idxs {
 		t := sorted[i]
+		u := t.Utilization()
 		placed := false
 		for _, q := range pick(ar, asg) {
 			cAssignAttempts.Inc()
+			// Every admission refuses U > 1, so an over-full processor
+			// is refused before any of them runs (overUtilized).
+			if overUtilized(asg.Utilization(q), u) {
+				cUtilSkips.Inc()
+				if tr != nil {
+					tr.Add(obs.Event{Kind: obs.EvReject, Task: i, Part: 1, Proc: q,
+						C: t.C, Deadline: t.Deadline(),
+						Note: "utilization room: U_q + u > 1, no " + admit.String()})
+				}
+				continue
+			}
 			before := traceIters(tr)
 			abortsBefore := traceAborts(tr)
 			var ok, pre bool

@@ -58,9 +58,10 @@ func OnlinePolicies() []string {
 	return []string{OnlineRTAFirstFit, OnlineRTAWorstFit, OnlineThreshold}
 }
 
-// cUtilSkips counts processors an RTA admission refused by utilization
-// alone (OverUtilized), with neither the prefilter nor the exact probe run.
-var cUtilSkips = obs.NewCounter("partition.online.util_skips")
+// cOnlineUtilSkips counts processors an RTA admission refused by
+// utilization alone (OverUtilized), with neither the prefilter nor the
+// exact probe run.
+var cOnlineUtilSkips = obs.NewCounter("partition.online.util_skips")
 
 type onlineResident struct {
 	handle uint64
@@ -156,16 +157,12 @@ func (o *Online) resum(q int) {
 }
 
 // OverUtilized reports whether adding raw utilization u to processor q
-// takes it past 1: no schedule of any kind exists there, so with D ≤ T and
-// synchronous release — where RTA is exact — the exact admission test
-// would refuse the candidate. The utilEps margin lies far above the float
-// error of a sum of a few hundred C/T terms (≈ 1e-14), so the predicate
-// only holds when the true utilization exceeds 1. It ignores the
-// surcharge, which can only raise the load, so it is sound under any.
-// The RTA policies skip such processors, and the admission service's
-// rejection evidence reports this test for them.
+// takes it past 1 — the batch partitioners' rule (overUtilized, sound
+// under any surcharge), applied to the cached utilization. The RTA
+// policies skip such processors, and the admission service's rejection
+// evidence reports this test for them.
 func (o *Online) OverUtilized(q int, u float64) bool {
-	return o.util[q]+u > 1+utilEps
+	return overUtilized(o.util[q], u)
 }
 
 // SurchargedUtilization is the threshold policy's view of processor q:
@@ -237,7 +234,7 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 	u := t.Utilization()
 	for _, q := range o.candidates() {
 		if o.OverUtilized(q, u) {
-			cUtilSkips.Inc()
+			cOnlineUtilSkips.Inc()
 			continue
 		}
 		if d >= t.C+s && (prefilterAdmit(&o.states[q], prio, t.C, d) || o.states[q].AdmitAt(prio, t.C, t.T, d)) {

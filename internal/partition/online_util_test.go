@@ -189,7 +189,7 @@ func TestOnlineUtilSkipsCounter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		o.Admit(task.Task{C: 6, T: 10})
 	}
-	if got := cUtilSkips.Value(); got != 0+1+2+3 {
+	if got := cOnlineUtilSkips.Value(); got != 0+1+2+3 {
 		t.Errorf("util_skips = %d, want 6", got)
 	}
 }

@@ -154,10 +154,17 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 		}
 		tr.Add(ev)
 	}
-	// The closed-form density prefilter proves the common lightly-loaded
+	// A fragment that would take q past U = 1 cannot be placed whole
+	// (overUtilized), so it goes straight to MaxSplit. Otherwise the
+	// closed-form density prefilter proves the common lightly-loaded
 	// admission without any fixed point; a miss is "unknown", not "no", and
 	// falls through to the exact probe (see prefilter.go).
-	if d >= f.remC+s && (prefilterAdmit(ps, f.idx, f.remC, d) || ps.AdmitAt(f.idx, f.remC, t.T, d)) {
+	uq := asg.Utilization(q)
+	over := overUtilized(uq, float64(f.remC)/float64(t.T))
+	if over {
+		cUtilSkips.Inc()
+	}
+	if !over && d >= f.remC+s && (prefilterAdmit(ps, f.idx, f.remC, d) || ps.AdmitAt(f.idx, f.remC, t.T, d)) {
 		sub := task.Subtask{
 			TaskIndex: f.idx, Part: f.part, C: f.remC, T: t.T,
 			Deadline: d, Offset: f.offset, Tail: true,
@@ -172,7 +179,7 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 		}
 		return true, fragment{}, false
 	}
-	portion := split.MaxPortionState(ps, f.idx, t.T, f.remC+s, d) - s
+	portion := split.MaxPortionState(ps, f.idx, t.T, utilRoomBudget(uq, f.remC, t.T, s), d) - s
 	if portion >= f.remC {
 		// MaxSplit and AdmitAt implement the same exact criterion;
 		// disagreement means a broken analysis, not bad input.

@@ -15,6 +15,9 @@
 // Hence prefilter-yes ⟹ exact-RTA-yes, so skipping the RTA probe never
 // changes an admission verdict — only rta.iterations and the probe cost
 // change. FuzzPrefilterSound checks the implication against the scalar RTA.
+//
+// overUtilized is the necessary side of the same pairing: a processor
+// whose utilization would pass 1 is refused before any test runs.
 package partition
 
 import (
@@ -26,6 +29,12 @@ import (
 // cPrefilterHits counts admissions decided by the closed-form density test
 // alone, with the exact RTA probe skipped entirely.
 var cPrefilterHits = obs.NewCounter("partition.prefilter.hits")
+
+// cUtilSkips counts whole placements a batch partitioner refused by
+// utilization alone (overUtilized), with no prefilter, exact probe or
+// threshold test run; a splitting partitioner then goes straight to
+// MaxSplit.
+var cUtilSkips = obs.NewCounter("partition.util_skips")
 
 // prefilterEps keeps the float comparison strictly inside the hyperbolic
 // bound, so rounding can never admit a set the exact bound would not.
@@ -44,4 +53,29 @@ func prefilterAdmit(ps *rta.ProcState, prio int, c, d task.Time) bool {
 		cPrefilterHits.Inc()
 	}
 	return true
+}
+
+// overUtilized reports whether a processor of raw utilization uq takes it
+// past 1 when u is added. No schedule of any kind exists there: if the
+// lowest-priority subtask n meets Δ_n ≤ T_n, then R_n = C_n +
+// Σ⌈R_n/T_j⌉C_j ≥ C_n + R_n·U₋ₙ, so U ≤ 1. Exact RTA therefore refuses the
+// candidate, and so do the threshold admissions (HB: Π(1+u) ≥ 1+Σu > 2;
+// LL: Θ(n) ≤ 1; HT: folding only raises each C/h). The utilEps margin lies
+// far above the float error of a sum of a few hundred C/T terms (≈ 1e-14),
+// so the predicate only holds when the true utilization exceeds 1. It
+// ignores any surcharge, which can only raise the load, so it is sound
+// under every surcharge. FuzzBatchUtilRuleSound and FuzzUtilSkipSound
+// check it against the scalar RTA.
+func overUtilized(uq, u float64) bool { return uq+u > 1+utilEps }
+
+// utilRoomBudget caps a split search's budget (remC + s) at the
+// processor's utilization room: by the argument of overUtilized, no
+// portion c with U_q + c/T > 1 can be admitted, so the exact maximum
+// portion is at most ⌊(1 + utilEps − U_q)·T⌋ (+ s for the surcharge the
+// budget carries) and MaxPortion's min(budget, c*) is unchanged.
+func utilRoomBudget(uq float64, remC, t, s task.Time) task.Time {
+	if room := (1 + utilEps - uq) * float64(t); room < float64(remC) {
+		return task.Time(max(room, 0)) + s
+	}
+	return remC + s
 }
