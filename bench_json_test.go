@@ -48,6 +48,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		fn   func(*testing.B)
 	}{
 		{"E2AcceptanceGeneral", BenchmarkE2AcceptanceGeneral},
+		{"E3AcceptanceLight", BenchmarkE3AcceptanceLight},
 		{"E6Breakdown", BenchmarkE6Breakdown},
 		{"E12GlobalCompare", BenchmarkE12GlobalCompare},
 		{"E15FPvsEDF", BenchmarkE15FPvsEDF},

@@ -5,7 +5,9 @@
 # atomics), a one-iteration bench smoke so
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
-# checker, the task-set parser, the warm-state removal invalidation, the
+# checker, RM-TS against its RM-TS/light twin on light sets, the cached
+# per-processor utilization against a fresh in-order sum, the task-set
+# parser, the warm-state removal invalidation, the
 # admission prefilter's soundness and that of the utilization refusal in
 # the online engine and the batch partitioners, the admission service's
 # rejection evidence and verdict JSON (each against its oracle) and its
@@ -61,8 +63,10 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search and EDF check interval vs their former implementations) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search and EDF check interval vs their former implementations) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzBatchUtilRuleSound -fuzztime 5s repro/internal/partition

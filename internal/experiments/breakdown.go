@@ -60,10 +60,12 @@ func Breakdown(cfg Config) ([]Table, error) {
 				errs[s] = err
 				return
 			}
+			// λ ≤ 1 never raises a C, so a light shape stays light at every
+			// probe and RM-TS walks RM-TS/light's bisection step for step.
 			row := make([]float64, len(algos))
-			for i, a := range algos {
-				row[i] = breakdownOf(ws, a.alg, shape, m)
-			}
+			eachAlgo(algos, shape, func(i int) {
+				row[i] = breakdownOf(ws, algos[i].alg, shape, m)
+			}, func(i, j int) { row[i] = row[j] })
 			perSet[s] = row
 		})
 		if parErr != nil {
@@ -89,10 +91,15 @@ func Breakdown(cfg Config) ([]Table, error) {
 }
 
 // breakdownOf bisects the largest scale λ ∈ (0, 1] at which alg accepts the
-// scaled shape (C_i ← max(1, round(λ·C_i))) and returns the achieved U_M.
-// Acceptance is not perfectly monotone in λ because of integer rounding and
-// packing heuristics, so the bisection brackets the last accepted scale and
-// the achieved utilization is recomputed from the accepted integer set.
+// scaled shape (C_i ← max(1, round(λ·C_i)), capped at the task's deadline;
+// T and D are kept) and returns the achieved U_M. Acceptance is not
+// perfectly monotone in λ because of integer rounding and packing
+// heuristics, so the bisection brackets the last accepted scale and the
+// achieved utilization is recomputed from the accepted integer set.
+//
+// A probe whose scaled U_M exceeds 1 is refused without partitioning: a
+// guaranteed partition keeps every processor at U_q ≤ 1, so no algorithm
+// accepts it (the 1e-9 margin absorbs float summation order).
 //
 // Cross-scale reuse: integer rounding makes nearby λ probes collide on the
 // exact same scaled C-vector, and the partitioners are deterministic
@@ -104,19 +111,25 @@ func breakdownOf(ws *Workspace, alg partition.Algorithm, shape task.Set, m int) 
 	n := len(shape)
 	scaled := make(task.Set, n)
 	ws.memoC = ws.memoC[:0]
-	ws.memoEnt = ws.memoEnt[:0]
+	ws.memoOK = ws.memoOK[:0]
 	accepts := func(lambda float64) (bool, float64) {
 		for i, tk := range shape {
 			c := task.Time(float64(tk.C)*lambda + 0.5)
 			if c < 1 {
 				c = 1
 			}
-			if c > tk.T {
-				c = tk.T
+			if d := tk.Deadline(); c > d {
+				c = d
 			}
-			scaled[i] = task.Task{Name: tk.Name, C: c, T: tk.T}
+			tk.C = c
+			scaled[i] = tk
 		}
-		for e := range ws.memoEnt {
+		u := scaled.NormalizedUtilization(m)
+		if u > 1+1e-9 {
+			cBreakdownOverCapacity.Inc()
+			return false, u
+		}
+		for e := range ws.memoOK {
 			key := ws.memoC[e*n : (e+1)*n]
 			hit := true
 			for i := range key {
@@ -129,15 +142,15 @@ func breakdownOf(ws *Workspace, alg partition.Algorithm, shape task.Set, m int) 
 				if obs.On() {
 					cCrossScaleMemoHits.Inc()
 				}
-				return ws.memoEnt[e].ok, ws.memoEnt[e].u
+				return ws.memoOK[e], u
 			}
 		}
 		res := ws.Partition(alg, scaled, m)
-		ok, u := res.OK && res.Guaranteed, scaled.NormalizedUtilization(m)
+		ok := res.OK && res.Guaranteed
 		for i := range scaled {
 			ws.memoC = append(ws.memoC, scaled[i].C)
 		}
-		ws.memoEnt = append(ws.memoEnt, memoEntry{ok: ok, u: u})
+		ws.memoOK = append(ws.memoOK, ok)
 		return ok, u
 	}
 	lo, hi := 0.0, 1.0

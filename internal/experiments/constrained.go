@@ -67,10 +67,10 @@ func ConstrainedDeadlines(cfg Config) ([]Table, error) {
 				}
 			}
 			row := make([]bool, len(algos))
-			for i, a := range algos {
-				res := ws.Partition(a.alg, ts, m)
+			eachAlgo(algos, ts, func(i int) {
+				res := ws.Partition(algos[i].alg, ts, m)
 				row[i] = res.OK && res.Guaranteed
-			}
+			}, func(i, j int) { row[i] = row[j] })
 			perSet[s] = row
 		})
 		if parErr != nil {

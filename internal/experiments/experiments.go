@@ -147,6 +147,15 @@ var (
 	cCrossScaleCarries  = obs.NewCounter("experiments.crossscale.carries")
 )
 
+// cLightTwinReuses counts RM-TS verdicts (or whole breakdown bisections)
+// copied from RM-TS/light on a light set instead of recomputed (eachAlgo);
+// cBreakdownOverCapacity counts breakdownOf probes refused because the
+// scaled set exceeds M processors' capacity.
+var (
+	cLightTwinReuses       = obs.NewCounter("experiments.light_twin_reuses")
+	cBreakdownOverCapacity = obs.NewCounter("experiments.breakdown.over_capacity")
+)
+
 func (c Config) context() context.Context {
 	if c.ctx == nil {
 		return context.Background()
@@ -531,6 +540,45 @@ func lightAlgos() []algoSpec {
 	}
 }
 
+// eachAlgo evaluates every algorithm of algos on ts through eval(i), except
+// that an RM-TS whose light twin (partition.RMTS.LightTwin) is also in
+// algos, at index j, gets reuse(i, j) instead: on a light set the two
+// produce identical results, so the twin's verdict is copied. RM-TS
+// entries run in a second pass, after every twin; callers address results
+// by index, so the order does not show in the output.
+func eachAlgo(algos []algoSpec, ts task.Set, eval func(i int), reuse func(i, j int)) {
+	for _, second := range [2]bool{false, true} {
+		for i, a := range algos {
+			rm, isRM := a.alg.(*partition.RMTS)
+			if isRM != second {
+				continue
+			}
+			if isRM {
+				if j := twinIndex(algos, rm, ts); j >= 0 {
+					cLightTwinReuses.Inc()
+					reuse(i, j)
+					continue
+				}
+			}
+			eval(i)
+		}
+	}
+}
+
+// twinIndex returns the index of rm's light twin on ts in algos, or -1.
+func twinIndex(algos []algoSpec, rm *partition.RMTS, ts task.Set) int {
+	twin, ok := rm.LightTwin(ts)
+	if !ok {
+		return -1
+	}
+	for j, a := range algos {
+		if a.alg == partition.Algorithm(twin) {
+			return j
+		}
+	}
+	return -1
+}
+
 // acceptance runs one sweep point: nSets random sets from genSet (set s
 // drawn from its own index-derived generator into the worker's scratch,
 // evaluated across the configured workers), each offered to every
@@ -551,13 +599,22 @@ func (c Config) acceptance(base int64, nSets, m int, genSet func(s int, r *rand.
 			return
 		}
 		row := results[s*len(algos) : (s+1)*len(algos)]
-		for i, a := range algos {
-			res := ws.Partition(a.alg, ts, m)
-			row[i] = res.OK && res.Guaranteed
-			if causes != nil {
-				causes[s*len(algos)+i] = res.RejectionCause()
-			}
+		var cause []partition.Cause
+		if causes != nil {
+			cause = causes[s*len(algos) : (s+1)*len(algos)]
 		}
+		eachAlgo(algos, ts, func(i int) {
+			res := ws.Partition(algos[i].alg, ts, m)
+			row[i] = res.OK && res.Guaranteed
+			if cause != nil {
+				cause[i] = res.RejectionCause()
+			}
+		}, func(i, j int) {
+			row[i] = row[j]
+			if cause != nil {
+				cause[i] = cause[j]
+			}
+		})
 	}); err != nil {
 		return nil, err
 	}

@@ -37,17 +37,10 @@ type Workspace struct {
 	// 14-probe bisection reuses one pair instead of allocating per probe.
 	uniTS   task.Set
 	uniList []task.Subtask
-	// memoC/memoEnt memoize breakdownOf acceptance verdicts on the exact
+	// memoC/memoOK memoize breakdownOf acceptance verdicts on the exact
 	// scaled C-vector (memoC holds the keys flattened n-at-a-time).
-	memoC   []task.Time
-	memoEnt []memoEntry
-}
-
-// memoEntry is one breakdownOf memo hit target: the verdict and achieved
-// utilization of the scaled set whose C-vector is memoC[i*n : (i+1)*n].
-type memoEntry struct {
-	ok bool
-	u  float64
+	memoC  []task.Time
+	memoOK []bool
 }
 
 // Gen returns the workspace's generator scratch. Every generator draws

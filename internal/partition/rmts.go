@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/obs"
+	"repro/internal/rta"
 	"repro/internal/task"
 )
 
@@ -57,23 +58,12 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	}
 	// Increasing priority order: lowest priority (largest index) first.
 	for i := len(sorted) - 1; i >= 0; i-- {
-		f := wholeFragment(i, sorted[i])
-		for {
-			q := minUtilProcessor(asg, nil, full)
-			if q < 0 {
-				failWith(res, CauseMaxSplitExhausted, i,
-					"all processors full while assigning τ"+strconv.Itoa(i))
-				traceFail(tr, i, res.Reason)
-				return res
-			}
-			placed, rem, becameFull := assignOrSplit(asg, &states[q], q, f, sorted, tr)
-			if becameFull {
-				full[q] = true
-			}
-			if placed {
-				break
-			}
-			f = rem
+		f, placed := packWorstFit(asg, states, nil, full, wholeFragment(i, sorted[i]), sorted, tr)
+		if !placed {
+			failWith(res, CauseMaxSplitExhausted, i,
+				"all processors full while assigning τ"+strconv.Itoa(i))
+			traceFail(tr, i, res.Reason)
+			return res
 		}
 		if f.part > 1 {
 			res.NumSplit++
@@ -83,6 +73,29 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	res.Guaranteed = true
 	traceDone(tr, res)
 	return res
+}
+
+// packWorstFit is the packing loop RM-TS/light and RM-TS phase 2 share: it
+// places fragment f on the eligible processor (nil: every processor) with
+// the least assigned utilization, splitting on overflow (assignOrSplit)
+// and marking processors full, until f is placed or every eligible
+// processor is full. It returns the last fragment handled — placed, or the
+// remainder to carry on when placed is false.
+func packWorstFit(asg *task.Assignment, states []rta.ProcState, eligible, full []bool, f fragment, sorted task.Set, tr *obs.Trace) (last fragment, placed bool) {
+	for {
+		q := minUtilProcessor(asg, eligible, full)
+		if q < 0 {
+			return f, false
+		}
+		placed, rem, becameFull := assignOrSplit(asg, &states[q], q, f, sorted, tr)
+		if becameFull {
+			full[q] = true
+		}
+		if placed {
+			return f, true
+		}
+		f = rem
+	}
 }
 
 // traceFail records a terminal failure event (no-op for nil traces).
@@ -143,6 +156,23 @@ func (a *RMTS) Lambda(ts task.Set) float64 {
 		p = bounds.LiuLayland{}
 	}
 	return bounds.EffectiveRMTS(p, ts)
+}
+
+// LightTwin reports whether RM-TS partitions ts exactly as RM-TS/light
+// does, and returns that twin. It holds when every task is light
+// (U_i ≤ Θ/(1+Θ), the float test phase 1 applies first): phase 1 then
+// pre-assigns nothing, phase 2 is RM-TS/light's packing loop over every
+// processor, and phase 3 has no processors, so a failure is
+// MaxSplitExhausted. Every Result field and the assignment are the twin's.
+// The PUB does not matter: Λ only enters condition (8), for heavy tasks.
+func (a *RMTS) LightTwin(ts task.Set) (RMTSLight, bool) {
+	thr := bounds.LightThresholdFor(len(ts))
+	for _, t := range ts {
+		if !(t.Utilization() <= thr) {
+			return RMTSLight{}, false
+		}
+	}
+	return RMTSLight{Surcharge: a.Surcharge, Trace: a.Trace}, true
 }
 
 // Partition implements Algorithm.
@@ -271,26 +301,10 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		if pre[i] {
 			continue
 		}
-		f := wholeFragment(i, sorted[i])
-		carried := false
-		for {
-			q := minUtilProcessor(asg, normal, full)
-			if q < 0 {
-				carried = true
-				break
-			}
-			placed, rem, becameFull := assignOrSplit(asg, &states[q], q, f, sorted, tr)
-			if becameFull {
-				full[q] = true
-			}
-			if placed {
-				break
-			}
-			f = rem
-		}
+		f, placed := packWorstFit(asg, states, normal, full, wholeFragment(i, sorted[i]), sorted, tr)
 		// Phase 3: pre-assigned processors, first-fit from the processor
 		// hosting the lowest-priority pre-assigned task (largest index).
-		if carried {
+		if !placed {
 			if tr != nil {
 				// Format only when tracing: this line is on the hot partition
 				// path and the argument would otherwise be built per call.

@@ -19,9 +19,11 @@ type Assignment struct {
 	// PreAssigned records, per processor, the task index pre-assigned to it
 	// by RM-TS phase 1, or -1 for normal processors.
 	PreAssigned []int
-	// util[q] caches processor q's utilization: the in-order sum of its
-	// subtasks' C/T, recomputed whole on every Add, never adjusted.
-	util []float64
+	// terms[q][k] caches Procs[q][k].Utilization(), and util[q] caches
+	// processor q's utilization: the in-order sum of terms[q]. Add keeps
+	// util[q] bit-identical to a fresh in-order sum (see Add).
+	terms [][]float64
+	util  []float64
 }
 
 // NewAssignment returns an empty assignment for set ts on m processors.
@@ -59,6 +61,16 @@ func (a *Assignment) Reset(ts Set, m int) {
 	for i := range a.PreAssigned {
 		a.PreAssigned[i] = -1
 	}
+	if cap(a.terms) < m {
+		grown := make([][]float64, m)
+		copy(grown, a.terms[:cap(a.terms)])
+		a.terms = grown
+	} else {
+		a.terms = a.terms[:m]
+	}
+	for q := range a.terms {
+		a.terms[q] = a.terms[q][:0]
+	}
 	if cap(a.util) < m {
 		a.util = make([]float64, m)
 	} else {
@@ -71,20 +83,38 @@ func (a *Assignment) Reset(ts Set, m int) {
 func (a *Assignment) M() int { return len(a.Procs) }
 
 // Add places subtask s on processor q, maintaining priority order.
+//
+// The cached utilization stays bit-identical to summing the list in order,
+// so no worst-fit tie can flip. At the tail the in-order sum's last step is
+// exactly util[q] + u; anywhere else the cached terms are re-summed in
+// order, the same additions on the same operands, with no division.
 func (a *Assignment) Add(q int, s Subtask) {
-	list := a.Procs[q]
-	pos := sort.Search(len(list), func(i int) bool {
-		return list[i].TaskIndex > s.TaskIndex
-	})
+	list, terms := a.Procs[q], a.terms[q]
+	u := s.Utilization()
+	pos := len(list)
+	if pos == 0 || list[pos-1].TaskIndex <= s.TaskIndex {
+		a.Procs[q], a.terms[q] = append(list, s), append(terms, u)
+		a.util[q] += u
+		return
+	}
+	// Partitioners that do not add at the tail add at the head
+	// (increasing priority order): test it before scanning back.
+	if list[0].TaskIndex > s.TaskIndex {
+		pos = 0
+	}
+	for pos > 0 && list[pos-1].TaskIndex > s.TaskIndex {
+		pos--
+	}
 	list = append(list, Subtask{})
 	copy(list[pos+1:], list[pos:])
 	list[pos] = s
-	a.Procs[q] = list
-	// A fresh in-order sum, not an increment: the cached value is then
-	// bit-identical to summing the list, so no worst-fit tie can flip.
+	terms = append(terms, 0)
+	copy(terms[pos+1:], terms[pos:])
+	terms[pos] = u
+	a.Procs[q], a.terms[q] = list, terms
 	sum := 0.0
-	for _, s := range list {
-		sum += s.Utilization()
+	for _, t := range terms {
+		sum += t
 	}
 	a.util[q] = sum
 }

@@ -3,6 +3,7 @@ package task
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -51,6 +52,25 @@ func TestUtilizationSums(t *testing.T) {
 	}
 }
 
+// requireFreshUtil fails unless every Utilization(q) equals a fresh
+// in-order sum of Procs[q]'s Subtask.Utilization(), bit for bit, and every
+// list is in priority order.
+func requireFreshUtil(t *testing.T, a *Assignment, step string) {
+	t.Helper()
+	for q, list := range a.Procs {
+		sum := 0.0
+		for k, s := range list {
+			if k > 0 && list[k-1].TaskIndex > s.TaskIndex {
+				t.Fatalf("%s: processor %d out of priority order: %v", step, q, list)
+			}
+			sum += s.Utilization()
+		}
+		if got := a.Utilization(q); math.Float64bits(got) != math.Float64bits(sum) {
+			t.Fatalf("%s: Utilization(%d) = %v, fresh sum %v", step, q, got, sum)
+		}
+	}
+}
+
 // TestUtilizationNeverStale drives one Assignment through random Add and
 // Reset sequences (growing and shrinking m over recycled capacity) and
 // requires every Utilization(q) to equal a fresh in-order sum of
@@ -58,18 +78,6 @@ func TestUtilizationSums(t *testing.T) {
 func TestUtilizationNeverStale(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	a := &Assignment{}
-	check := func(step string) {
-		t.Helper()
-		for q, list := range a.Procs {
-			sum := 0.0
-			for _, s := range list {
-				sum += s.Utilization()
-			}
-			if got := a.Utilization(q); math.Float64bits(got) != math.Float64bits(sum) {
-				t.Fatalf("%s: Utilization(%d) = %v, fresh sum %v", step, q, got, sum)
-			}
-		}
-	}
 	for round := 0; round < 200; round++ {
 		m := 1 + r.Intn(6)
 		n := 1 + r.Intn(12)
@@ -79,12 +87,41 @@ func TestUtilizationNeverStale(t *testing.T) {
 			set[i] = Task{C: 1 + Time(r.Int63n(int64(tt))), T: tt}
 		}
 		a.Reset(set, m)
-		check("Reset")
+		requireFreshUtil(t, a, "Reset")
 		for _, i := range r.Perm(n) {
 			a.Add(r.Intn(m), Whole(i, set[i]))
-			check("Add")
+			requireFreshUtil(t, a, "Add")
 		}
 	}
+}
+
+// FuzzAssignmentUtil drives Add at the head, middle and tail of several
+// processors' lists, across Reset reuse, and requires the cached
+// utilization to match a fresh in-order sum bit for bit after every step.
+// Each 4-byte op either resets (first byte ≥ 250; m from the second) or
+// adds a subtask: processor, task index (its list position), C and T.
+func FuzzAssignmentUtil(f *testing.F) {
+	f.Add([]byte{0, 5, 3, 7, 0, 9, 200, 3, 0, 1, 13, 40, 0, 7, 1, 255})
+	f.Add([]byte{1, 200, 9, 1, 1, 100, 17, 99, 1, 0, 250, 30, 250, 3, 0, 0, 2, 50, 7, 7, 0, 50, 8, 8})
+	f.Add([]byte{3, 40, 255, 1, 3, 30, 254, 2, 3, 20, 253, 3, 3, 10, 252, 4, 251, 1, 0, 0, 0, 10, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4*64 {
+			data = data[:4*64]
+		}
+		a := NewAssignment(nil, 4)
+		for step := 0; len(data) >= 4; data = data[4:] {
+			if data[0] >= 250 {
+				a.Reset(nil, 1+int(data[1]%6))
+				requireFreshUtil(t, a, "Reset")
+				continue
+			}
+			c := 1 + Time(data[2])
+			a.Add(int(data[0])%a.M(), Subtask{TaskIndex: int(data[1]), Part: 1,
+				C: c, T: c + 1 + 13*Time(data[3]), Tail: true})
+			step++
+			requireFreshUtil(t, a, "Add "+strconv.Itoa(step))
+		}
+	})
 }
 
 func TestSubtasksAndSplitTasks(t *testing.T) {
