@@ -52,6 +52,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		{"E6Breakdown", BenchmarkE6Breakdown},
 		{"E12GlobalCompare", BenchmarkE12GlobalCompare},
 		{"E15FPvsEDF", BenchmarkE15FPvsEDF},
+		{"E16ConstrainedDeadlines", BenchmarkE16ConstrainedDeadlines},
 		{"RTAProcessor", BenchmarkRTAProcessor},
 		{"BatchRTAKernel", BenchmarkBatchRTAKernel},
 		{"MaxSplitTestingPoint", BenchmarkMaxSplitTestingPoint},

@@ -12,8 +12,10 @@
 # the online engine and the batch partitioners, the admission service's
 # rejection evidence and verdict JSON (each against its oracle) and its
 # rejection memo (FuzzClusterMemo, against an unmemoized twin), the
-# global-RM simulator, the EDF-TS budget search and the EDF check interval
-# (each against the implementation it replaced, kept in its tests), a
+# global-RM simulator, the EDF-TS budget search, the EDF check interval and
+# the EDF-TS window split (each against the implementation it replaced,
+# kept in its tests), EDF-TS and EDF-FF termination on periods up to
+# math.MaxInt64, a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the v2 rejection-cause breakdown), an explain-replay golden (a fixed
@@ -63,7 +65,7 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search and EDF check interval vs their former implementations) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
@@ -80,6 +82,8 @@ go test -run '^$' -fuzz FuzzClusterMemo -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzGlobalSimVsReference -fuzztime 5s repro/internal/global
 go test -run '^$' -fuzz FuzzMaxAdditionalDemand -fuzztime 5s repro/internal/edfa
 go test -run '^$' -fuzz FuzzSchedulableInterval -fuzztime 5s repro/internal/edfa
+go test -run '^$' -fuzz FuzzEDFTSSplitVsReference -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzEDFTSTerminates -fuzztime 5s repro/internal/partition
 
 echo "== paranoid quick table (full invariant re-validation of every partitioning) =="
 go run ./cmd/experiments -run acceptance-general -quick -sets 50 -paranoid -q > /dev/null

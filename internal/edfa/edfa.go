@@ -20,6 +20,9 @@
 package edfa
 
 import (
+	"math/big"
+	"math/bits"
+
 	"repro/internal/mathx"
 	"repro/internal/task"
 )
@@ -82,7 +85,11 @@ func BusyPeriod(sources []Demand, limit task.Time) task.Time {
 // analysisLimit caps the busy period the analysis is willing to examine.
 // A longer busy period (utilization extremely close to 1) is rejected
 // conservatively; with this repository's tick granularities that never
-// triggers below ≈99.99% utilization.
+// triggers below ≈99.99% utilization. A constrained set whose float
+// utilization passes the U ≤ 1 + utilEps test while its exact ΣC/T
+// exceeds 1 would reach the same rejection, but only after a busy-period
+// iteration that can crawl toward the limit a few ticks per step; qpa
+// refuses it up front instead (overOne).
 const analysisLimit = 1 << 34
 
 // lastDeadlineBefore returns the largest absolute deadline point
@@ -150,6 +157,9 @@ func qpa(sources []Demand) (bool, task.Time) {
 		// Implicit deadlines: EDF is schedulable iff U ≤ 1.
 		return true, 0
 	}
+	if u >= 1-utilEps && overOne(sources) {
+		return false, 0 // the busy period is unbounded; see analysisLimit
+	}
 	l := checkEnd(sources, u)
 	if l >= analysisLimit {
 		return false, 0 // cannot bound the check interval; reject conservatively
@@ -179,6 +189,53 @@ func qpa(sources []Demand) (bool, task.Time) {
 		}
 	}
 	return true, 0
+}
+
+// overOne reports whether ΣC_i/T_i > 1 exactly. It runs only when the
+// float sum is within utilEps of 1, where rounding can hide the answer.
+// The sum is kept as num/den over den = lcm(T_i) in 128-bit integers, so
+// the check does not allocate; a step that would overflow hands the sum to
+// overOneBig.
+func overOne(sources []Demand) bool {
+	var nHi, nLo, dHi uint64
+	dLo := uint64(1)
+	for _, s := range sources {
+		t, c := uint64(s.T), uint64(s.C)
+		// num/den + c/t = (num·(t/g) + c·(den/g)) / ((den/g)·t), g = gcd(den, t)
+		g := uint64(mathx.GCD(s.T, int64(bits.Rem64(dHi, dLo, t))))
+		qHi, r := dHi/g, dHi%g
+		qLo, _ := bits.Div64(r, dLo, g)
+		ah, al, ok1 := mul128(nHi, nLo, t/g)
+		bh, bl, ok2 := mul128(qHi, qLo, c)
+		lo, carry := bits.Add64(al, bl, 0)
+		hi, over := bits.Add64(ah, bh, carry)
+		dh, dl, ok3 := mul128(qHi, qLo, t)
+		if !ok1 || !ok2 || !ok3 || over != 0 {
+			return overOneBig(sources)
+		}
+		nHi, nLo, dHi, dLo = hi, lo, dh, dl
+	}
+	return nHi > dHi || (nHi == dHi && nLo > dLo)
+}
+
+// mul128 returns (hi, lo)·y and whether it fits in 128 bits.
+func mul128(hi, lo, y uint64) (uint64, uint64, bool) {
+	h1, l1 := bits.Mul64(lo, y)
+	h2, l2 := bits.Mul64(hi, y)
+	rh, carry := bits.Add64(h1, l2, 0)
+	return rh, l1, h2 == 0 && carry == 0
+}
+
+// overOneBig is overOne in arbitrary precision.
+func overOneBig(sources []Demand) bool {
+	num, den := new(big.Int), big.NewInt(1)
+	var c, t big.Int
+	for _, s := range sources {
+		t.SetInt64(s.T)
+		num.Add(num.Mul(num, &t), c.Mul(c.SetInt64(s.C), den))
+		den.Mul(den, &t)
+	}
+	return num.Cmp(den) > 0
 }
 
 // checkEnd returns the end of the QPA check interval for valid,
@@ -218,38 +275,17 @@ func MaxAdditionalDemand(sources []Demand, t, d, cap task.Time) task.Time {
 //
 // Schedulable is monotone in c, and a point t with dbf(t) > t refutes
 // every larger c as well, so the search descends by witness instead of
-// bisecting: it starts from the largest c that passes the utilization
-// test and fits the new source's first deadline (dbf_S(d) + c ≤ d), and
-// while QPA refutes the current c at a point t, lowers it to
+// bisecting: it starts from WindowCap (the largest c that passes the
+// utilization test and fits the new source's first deadline), and while
+// QPA refutes the current c at a point t, lowers it to
 // ⌊(t − dbf_S(t)) / n(t)⌋, where n(t) counts the new source's jobs due by
 // t. The first c QPA accepts is the maximum a bisection over [0, cap]
 // finds. Only a refusal without a demand point (the conservative
 // busy-period rejection) falls back to bisection below the current c.
 func MaxAdditionalDemandScratch(sources []Demand, t, d, cap task.Time, buf []Demand) (task.Time, []Demand) {
-	if cap > d {
-		cap = d
-	}
-	if cap <= 0 {
+	hi := WindowCap(sources, t, d, cap)
+	if hi == 0 {
 		return 0, buf
-	}
-	implicit := d == t
-	for _, s := range sources {
-		if !s.valid() {
-			return 0, buf // Schedulable refuses every c
-		}
-		implicit = implicit && s.D == s.T
-	}
-	if d > t {
-		return 0, buf
-	}
-	hi := utilizationCap(Utilization(sources), t, cap)
-	if hi > 0 && !implicit {
-		// dbf(d) = dbf_S(d) + c must stay ≤ d. (An all-implicit set is
-		// judged by the float utilization test alone, which this integer
-		// cap could undercut.)
-		if room := d - DBF(sources, d); room < hi {
-			hi = max(room, 0)
-		}
 	}
 	n := len(sources)
 	buf = append(append(buf[:0], sources...), Demand{T: t, D: d})
@@ -284,6 +320,41 @@ func MaxAdditionalDemandScratch(sources []Demand, t, d, cap task.Time, buf []Dem
 		}
 	}
 	return lo, buf
+}
+
+// WindowCap returns the budget MaxAdditionalDemand's descent starts from:
+// cap clamped to d, 0 for an invalid source or d > t, then lowered to the
+// largest c that passes the utilization test and, unless every source is
+// implicit, fits the new source's first deadline (dbf_S(d) + c ≤ d). It
+// is an upper bound on MaxAdditionalDemand(sources, t, d, cap) that costs
+// one DBF and no QPA walk.
+func WindowCap(sources []Demand, t, d, cap task.Time) task.Time {
+	if cap > d {
+		cap = d
+	}
+	if cap <= 0 {
+		return 0
+	}
+	implicit := d == t
+	for _, s := range sources {
+		if !s.valid() {
+			return 0 // Schedulable refuses every c
+		}
+		implicit = implicit && s.D == s.T
+	}
+	if d > t {
+		return 0
+	}
+	hi := utilizationCap(Utilization(sources), t, cap)
+	if hi > 0 && !implicit {
+		// dbf(d) = dbf_S(d) + c must stay ≤ d. (An all-implicit set is
+		// judged by the float utilization test alone, which this integer
+		// cap could undercut.)
+		if room := d - DBF(sources, d); room < hi {
+			hi = max(room, 0)
+		}
+	}
+	return hi
 }
 
 // utilizationCap returns the largest c ≤ hi whose source c/t passes

@@ -1,6 +1,7 @@
 package edfa
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -218,5 +219,46 @@ func TestMaxAdditionalDemandAgainstLinearScan(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: binary %d vs linear %d (src=%v T=%d D=%d)", trial, got, want, src, T, D)
 		}
+	}
+}
+
+// TestOverOneMatchesBig checks the 128-bit exact utilization test against
+// its arbitrary-precision form on sets whose exact sum lies within one unit
+// of the last period's resolution of 1 — below, at and above it — with
+// periods from a few ticks (the 128-bit path) to 2^62 (the overflow path).
+func TestOverOneMatchesBig(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	paths, verdicts := map[bool]int{}, map[bool]int{}
+	for trial := 0; trial < 3000; trial++ {
+		bitsT := 3 + r.Intn(60)
+		n := 1 + r.Intn(8)
+		src := make([]Demand, n)
+		sum := new(big.Rat)
+		for i := range src {
+			T := 1 + r.Int63n(int64(1)<<bitsT)
+			C := 1 + r.Int63n(max(T/int64(2*n), 1))
+			src[i] = Demand{C: C, T: T, D: T}
+			if i < n-1 {
+				sum.Add(sum, big.NewRat(C, T))
+			}
+		}
+		// Choose the last C so the exact sum lands next to 1.
+		last := &src[n-1]
+		room := new(big.Rat).Sub(big.NewRat(1, 1), sum)
+		room.Mul(room, big.NewRat(last.T, 1))
+		c := new(big.Int).Quo(room.Num(), room.Denom()).Int64() + int64(r.Intn(3)) - 1
+		if c < 1 || c > last.T {
+			continue
+		}
+		last.C = c
+		want := overOneBig(src)
+		if got := overOne(src); got != want {
+			t.Fatalf("trial %d: overOne = %v, exact %v for %v", trial, got, want, src)
+		}
+		paths[bitsT < 20]++
+		verdicts[want]++
+	}
+	if paths[true] == 0 || paths[false] == 0 || verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("draws must cover both period ranges (%v) and both verdicts (%v)", paths, verdicts)
 	}
 }

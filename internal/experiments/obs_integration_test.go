@@ -113,3 +113,27 @@ func TestRunWithMetricsAttachesSnapshot(t *testing.T) {
 		t.Fatalf("Render output:\n%s", buf.String())
 	}
 }
+
+// TestEDFWindowCounters checks that EDF-TS's window levels are observable:
+// a quick E15 run (EDF-TS at the capacity edge) both computes exact window
+// budgets and refuses levels by their bounds alone, while E2, which runs no
+// EDF-TS, ticks neither counter.
+func TestEDFWindowCounters(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	counts := func(key string) (probes, skips int64) {
+		e, _ := Find(key)
+		_, rm, err := RunWithMetrics(e, Config{Seed: 7, SetsPerPoint: 20, Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		snap := obs.Snapshot{Counters: rm.Counters}
+		return snap.Get("partition.edf_budget_probes"), snap.Get("partition.edf_window_bound_skips")
+	}
+	if probes, skips := counts("fp-vs-edf"); probes == 0 || skips == 0 {
+		t.Errorf("fp-vs-edf: edf_budget_probes = %d, edf_window_bound_skips = %d, want both > 0", probes, skips)
+	}
+	if probes, skips := counts("acceptance-general"); probes != 0 || skips != 0 {
+		t.Errorf("acceptance-general: edf_budget_probes = %d, edf_window_bound_skips = %d, want 0", probes, skips)
+	}
+}

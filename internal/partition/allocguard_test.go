@@ -33,14 +33,30 @@ func TestAllocGuardPartitionArena(t *testing.T) {
 	for _, a := range algos {
 		a := a
 		t.Run(a.name, func(t *testing.T) {
-			ar := &Arena{}
-			a.alg.PartitionArena(ts, m, ar) // warm every buffer
-			allocs := testing.AllocsPerRun(100, func() {
-				a.alg.PartitionArena(ts, m, ar)
-			})
-			if allocs != 0 {
-				t.Errorf("%s PartitionArena on warm arena: %v allocs/run, want 0", a.name, allocs)
-			}
+			checkWarmArenaAllocs(t, a.alg, ts, m)
 		})
+	}
+	// EDF-TS places this set only by splitting one task into constrained
+	// windows, so the run reaches splitByWindows and its budget searches.
+	t.Run("EDF-TS", func(t *testing.T) {
+		split := task.Set{{C: 5, T: 10, D: 8}, {C: 6, T: 10}, {C: 11, T: 20, D: 18}, {C: 2, T: 14, D: 9}}
+		if res := (EDFTS{}).Partition(split, 2); !res.OK || res.NumSplit == 0 {
+			t.Fatalf("EDF-TS: OK=%v splits=%d, want a successful split", res.OK, res.NumSplit)
+		}
+		checkWarmArenaAllocs(t, EDFTS{}, split, 2)
+	})
+}
+
+// checkWarmArenaAllocs fails t unless repartitioning ts on an arena warmed
+// by the same call allocates nothing.
+func checkWarmArenaAllocs(t *testing.T, alg ArenaPartitioner, ts task.Set, m int) {
+	t.Helper()
+	ar := &Arena{}
+	alg.PartitionArena(ts, m, ar) // warm every buffer
+	allocs := testing.AllocsPerRun(100, func() {
+		alg.PartitionArena(ts, m, ar)
+	})
+	if allocs != 0 {
+		t.Errorf("%s PartitionArena on warm arena: %v allocs/run, want 0", alg.Name(), allocs)
 	}
 }

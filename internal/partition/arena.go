@@ -213,10 +213,18 @@ func (ar *Arena) demandsBuf(m int) [][]edfa.Demand {
 
 // edfCap is one processor's spare window capacity during an EDF-TS window
 // split (lifted out of splitByWindows so the candidate list can live in
-// the arena).
+// the arena): the exact budget when exact is set, otherwise an upper
+// bound on it.
 type edfCap struct {
-	q int
-	c task.Time
+	q     int
+	c     task.Time
+	exact bool
+}
+
+// before orders candidates by capacity, descending, then by processor
+// index.
+func (x edfCap) before(y edfCap) bool {
+	return x.c > y.c || (x.c == y.c && x.q < y.q)
 }
 
 // budgetBuf returns the per-processor EDF-TS window budgets, m entries

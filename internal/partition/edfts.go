@@ -110,14 +110,19 @@ func edfAdd(asg *task.Assignment, demands [][]edfa.Demand, q int, s task.Subtask
 
 // splitByWindows attempts the EDF-WM style split of task i; it returns
 // whether fragments covering the full demand were assigned. Committed
-// fragments update both the assignment and the demand mirror. The candidate
-// list lives in the arena and is ordered by (capacity desc, index asc) — a
-// total order, so the sort is deterministic.
+// fragments update both the assignment and the demand mirror. The fragments
+// go to the processors with the largest budgets for the window, in
+// (budget desc, index asc) order — a total order, so the choice is
+// deterministic.
 //
 // Windows shrink as k grows, and a shorter deadline only adds demand, so
-// processor q's budget for window w_k caps its budget for w_{k+1}: the
-// search starts from the previous budget, and a processor whose budget
-// reached 0 is not probed again.
+// processor q's budget for window w_k caps its budget for w_{k+1}, and a
+// processor whose budget reached 0 is not probed again. An exact budget
+// costs QPA walks, so each level first bounds every budget with
+// edfa.WindowCap and computes exact ones only where they can change the
+// split (selectWindows); a bound left in budget[q] is still a valid cap
+// for the next window (DESIGN.md, "EDF-TS window levels by lazy
+// selection").
 func splitByWindows(ar *Arena, asg *task.Assignment, demands [][]edfa.Demand, i int, t task.Task, m int, tr *obs.Trace) bool {
 	d := t.Deadline()
 	base := t.T - d
@@ -132,28 +137,27 @@ func splitByWindows(ar *Arena, asg *task.Assignment, demands [][]edfa.Demand, i 
 			if budget[q] == 0 {
 				continue
 			}
-			budget[q], ar.scratch = edfa.MaxAdditionalDemandScratch(demands[q], t.T, w, budget[q], ar.scratch)
+			budget[q] = edfa.WindowCap(demands[q], t.T, w, budget[q])
 			if budget[q] > 0 {
-				caps = append(caps, edfCap{q, budget[q]})
+				caps = append(caps, edfCap{q: q, c: budget[q]})
 			}
 		}
 		ar.caps = caps
 		for a := 1; a < len(caps); a++ {
 			x := caps[a]
 			b := a - 1
-			for b >= 0 && (x.c > caps[b].c || (x.c == caps[b].c && x.q < caps[b].q)) {
+			for b >= 0 && x.before(caps[b]) {
 				caps[b+1] = caps[b]
 				b--
 			}
 			caps[b+1] = x
 		}
-		var total task.Time
-		use := 0
-		for use < len(caps) && use < int(k) && total < t.C {
-			total += caps[use].c
-			use++
+		if reach(caps, 0, int(k)) < t.C {
+			cEDFBoundSkips.Inc()
+			continue // even the bounds cannot cover the demand; widen the split
 		}
-		if total < t.C {
+		var use int
+		if caps, use = selectWindows(ar, caps, demands, budget, t, w, int(k)); use == 0 {
 			continue // k windows cannot cover the demand; widen the split
 		}
 		// Assign fragments: part i gets window [(i−1)w, i·w].
@@ -184,4 +188,58 @@ func splitByWindows(ar *Arena, asg *task.Assignment, demands [][]edfa.Demand, i 
 		return true
 	}
 	return false
+}
+
+// selectWindows takes the fragments' processors for window w from caps,
+// which holds one entry per live processor keyed by an upper bound on its
+// budget and is sorted by edfCap.before. It repeatedly looks at the first
+// entry not yet taken: a bound is replaced by the exact budget (one
+// MaxAdditionalDemandScratch call, also stored in budget) and moved back
+// into order, and an exact budget is taken. Every other entry's exact
+// budget is at most its key, so a taken entry is the next one of the
+// (budget desc, index asc) order over exact budgets. It returns caps
+// (processors whose exact budget is 0 removed) and the number of entries
+// taken, or 0 when at most k of them cannot cover t.C.
+func selectWindows(ar *Arena, caps []edfCap, demands [][]edfa.Demand, budget []task.Time, t task.Task, w task.Time, k int) ([]edfCap, int) {
+	var total task.Time
+	use := 0
+	for use < len(caps) && use < k && total < t.C {
+		x := caps[use]
+		if x.exact {
+			total += x.c
+			use++
+			continue
+		}
+		if reach(caps, use, k-use)+total < t.C {
+			return caps, 0
+		}
+		x.c, ar.scratch = edfa.MaxAdditionalDemandScratch(demands[x.q], t.T, w, x.c, ar.scratch)
+		x.exact = true
+		budget[x.q] = x.c
+		cEDFBudgetProbes.Inc()
+		if x.c == 0 {
+			caps = append(caps[:use], caps[use+1:]...)
+			continue
+		}
+		b := use
+		for b+1 < len(caps) && caps[b+1].before(x) {
+			caps[b] = caps[b+1]
+			b++
+		}
+		caps[b] = x
+	}
+	if total < t.C {
+		return caps, 0
+	}
+	return caps, use
+}
+
+// reach returns the sum of the first n keys of caps from index from on:
+// the most the next n fragments can carry.
+func reach(caps []edfCap, from, n int) task.Time {
+	var sum task.Time
+	for _, x := range caps[from:min(from+n, len(caps))] {
+		sum += x.c
+	}
+	return sum
 }

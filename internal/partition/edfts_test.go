@@ -1,8 +1,12 @@
 package partition
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/sim"
@@ -160,4 +164,108 @@ func TestEDFTSOverloadFails(t *testing.T) {
 	if res.FailedTask < 0 || res.Reason == "" {
 		t.Error("missing diagnostics")
 	}
+}
+
+// edftsHangSets are EDF-TS inputs whose busy-period iteration used to crawl
+// toward the analysis limit a few ticks per step: each fills a processor to
+// exact U = 1, so a constrained source with c/T below the float slack
+// passed the utilization test at exact U > 1. In the first two a window
+// fragment did it (1.6 s, and no return); the window split now refuses
+// their levels by the WindowCap bound before any QPA walk. In the third the
+// whole-placement test does it, so only the exact over-1 refusal keeps it
+// from crawling.
+var edftsHangSets = []struct {
+	m  int
+	ts task.Set
+}{
+	{2, task.Set{
+		{C: 17179869191, T: 17179869191},
+		{C: 6547409571358627613, T: 6547409571358627613},
+		{C: 4227882688418201017, T: 4227882688418201017},
+		{C: 1000, T: 1000},
+	}},
+	{4, task.Set{
+		{C: 1732377101462956489, T: 3846324958432925769, D: 3615896683307174327},
+		{C: 3, T: 3},
+		{C: 6618793481939527316, T: 6618793481939527316},
+		{C: 287580259762, T: 1099511627776},
+		{C: 4089057000607663052, T: 4611686018427400249},
+		{C: 3164520923021908721, T: 6329041846043817441},
+	}},
+	{2, task.Set{{C: 1, T: 1}, {C: 1, T: 1}, {C: 1, T: 434041037028460038, D: 1}}},
+}
+
+// returnsWithin fails t unless f returns within limit. A call that does not
+// return is left running; the test still fails.
+func returnsWithin(t *testing.T, limit time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("%s did not return within %v", what, limit)
+	}
+}
+
+func TestEDFTSTerminatesNearFullProcessors(t *testing.T) {
+	for n, c := range edftsHangSets {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			returnsWithin(t, time.Second, "EDF-TS", func() {
+				if res := (EDFTS{}).Partition(c.ts, c.m); res.OK {
+					if err := VerifyEDF(res); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// FuzzEDFTSTerminates requires EDF-TS and EDF-FF to return, within a
+// deadline, on sets whose periods and execution times reach math.MaxInt64.
+// The first byte picks m (2–9); each following 25-byte group is one task:
+// 8 bytes each of period, execution time and deadline (each read as a
+// 63-bit value and folded into range: C ∈ [1, T], D ∈ [C, T]), and a right
+// shift that scales the period down, so small and huge periods mix.
+func FuzzEDFTSTerminates(f *testing.F) {
+	enc := func(m int, ts task.Set) []byte {
+		b := []byte{byte(m - 2)}
+		for _, tk := range ts {
+			b = binary.LittleEndian.AppendUint64(b, uint64(tk.T)<<1)
+			b = binary.LittleEndian.AppendUint64(b, uint64(tk.C-1)<<1)
+			b = binary.LittleEndian.AppendUint64(b, uint64(tk.Deadline()-tk.C)<<1)
+			b = append(b, 0)
+		}
+		return b
+	}
+	for _, c := range edftsHangSets {
+		f.Add(enc(c.m, c.ts))
+	}
+	f.Add(enc(3, task.Set{{C: 300, T: 1000, D: 700}, {C: math.MaxInt64, T: math.MaxInt64}, {C: 1 << 40, T: math.MaxInt64 >> 3, D: 1 << 50}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		m := 2 + int(data[0])%8
+		var ts task.Set
+		for data = data[1:]; len(data) >= 25 && len(ts) < 12; data = data[25:] {
+			word := func(i int) task.Time { return task.Time(binary.LittleEndian.Uint64(data[8*i:]) >> 1) }
+			T := max(word(0)>>(data[24]%63), 1)
+			C := 1 + word(1)%T
+			ts = append(ts, task.Task{C: C, T: T, D: C + word(2)%(T-C+1)})
+		}
+		for _, alg := range []Algorithm{EDFTS{}, EDFFirstFit{}} {
+			returnsWithin(t, 2*time.Second, fmt.Sprintf("%s on m=%d %v", alg.Name(), m, ts), func() {
+				if res := alg.Partition(ts, m); res.OK {
+					if err := VerifyEDF(res); err != nil {
+						t.Errorf("%s: %v", alg.Name(), err)
+					}
+				}
+			})
+		}
+	})
 }

@@ -32,6 +32,10 @@ var (
 	cProcFull       = obs.NewCounter("partition.proc_full")
 	cPreAssign      = obs.NewCounter("partition.preassign")
 	cWindowSplits   = obs.NewCounter("partition.edf.window_splits")
+	// EDF-TS window levels: exact budget searches, and levels refused
+	// because even the WindowCap bounds cannot cover the demand.
+	cEDFBudgetProbes = obs.NewCounter("partition.edf_budget_probes")
+	cEDFBoundSkips   = obs.NewCounter("partition.edf_window_bound_skips")
 )
 
 // traceIters samples the global RTA iteration total for decision traces;
