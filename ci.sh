@@ -4,7 +4,8 @@
 # experiment harness fans out over workers; the obs counters are shared
 # atomics), a one-iteration bench smoke so
 # every benchmark keeps compiling and running, a fault-injection pass over
-# the hardened pipeline (DESIGN.md §9), short fuzz smokes for the invariant
+# the hardened pipeline (injected sample panics and RTA aborts, plus
+# mid-sweep cancellation; DESIGN.md §9), short fuzz smokes for the invariant
 # checker, RM-TS against its RM-TS/light twin on light sets, the cached
 # per-processor utilization against a fresh in-order sum, the task-set
 # parser, the warm-state removal invalidation, the
@@ -18,7 +19,7 @@
 # math.MaxInt64, a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
-# the v2 rejection-cause breakdown), an explain-replay golden (a fixed
+# the rejection-cause breakdown), an explain-replay golden (a fixed
 # recipe must render a byte-identical why-report), a CLI vocabulary smoke
 # (every command resolves algorithm names through one registry), an
 # admitd smoke that boots the admission service and drives the
@@ -63,7 +64,7 @@ go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/p
 
 echo "== fault injection (every injected fault must surface as a seed-reproducible SampleError) =="
 go test repro/internal/faultinject
-go test -count=1 -run 'TestInjected|TestCheckpointWriteFailure|TestKillAndResume|TestMidSweepCancellation' repro/internal/experiments
+go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
 echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition

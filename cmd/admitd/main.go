@@ -30,7 +30,7 @@
 //	POST   /v1/clusters/{name}/remove remove a resident task by handle
 //	GET    /v1/canon                  canonical registry state (hex)
 //	GET    /debug/requests            recent slow/errored requests (ring)
-//	GET    /metrics /progress /healthz /readyz /debug/pprof/  (obs routes)
+//	GET    /metrics /healthz /readyz /debug/pprof/  (obs routes)
 //
 // Observability (DESIGN.md §15): every request gets an X-Request-Id
 // (accepted inbound or generated) echoed on every response and stamped into

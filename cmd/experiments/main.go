@@ -8,27 +8,23 @@
 //	experiments -run acceptance-general [-sets 500] [-seed 1] [-quick] [-csv]
 //	experiments -all [-sets 200]
 //
-// Observability flags: -progress decorates the per-point progress lines on
-// stderr with counts, elapsed time and an ETA; -metrics prints a
+// Each completed sweep point prints one "<label>: <point> done" line on
+// stderr (-q silences them). Observability flags: -metrics prints a
 // per-experiment counter snapshot (RTA iterations, splits, ...) to stderr
 // after the tables (stdout carries only tables/CSV, so machine parsing is
 // never disturbed); -metrics-json writes the same snapshots as a
 // schema-versioned JSON document; -events appends a JSONL flight-recorder
 // stream (run/experiment/point lifecycle, per-point counter deltas, sample
-// errors with repro seeds, checkpoint writes); -listen serves live
-// /metrics, /progress and /debug/pprof endpoints while the run executes;
-// -cpuprofile/-memprofile write pprof profiles. None of them alter the
-// table output — it stays bit-for-bit identical for a given seed
-// (DESIGN.md §10).
+// errors with repro seeds); -cpuprofile/-memprofile write pprof profiles.
+// None of them alter the table output — it stays bit-for-bit identical for
+// a given seed (DESIGN.md §10).
 //
 // Robustness flags (DESIGN.md §9): -timeout bounds the whole run; SIGINT or
 // SIGTERM cancels it gracefully — in both cases workers drain, completed
-// sweep rows are still printed, and the exit status is non-zero.
-// -checkpoint persists each completed sweep point atomically; -resume
-// restores them, making an interrupted+resumed run render byte-identical
-// output to an uninterrupted one. -paranoid re-validates every successful
-// partitioning against the full invariant set; a violation aborts only that
-// sample and is reported with a deterministic replay recipe.
+// sweep rows are still printed, and the exit status is 1. -paranoid
+// re-validates every successful partitioning against the full invariant
+// set; a violation aborts only that sample and is reported with a
+// deterministic replay recipe.
 package main
 
 import (
@@ -79,16 +75,12 @@ func run() int {
 		csv        = flag.Bool("csv", false, "CSV output instead of aligned tables")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		workers    = flag.Int("workers", 0, "concurrent workers for set evaluation (0 = GOMAXPROCS; results are identical at any count)")
-		progress   = flag.Bool("progress", false, "decorate progress lines with point counts, elapsed time and an ETA (stderr)")
 		metrics    = flag.Bool("metrics", false, "print per-experiment analysis-cost counters to stderr after the tables")
 		metricsOut = flag.String("metrics-json", "", "write per-experiment metric snapshots (schema-versioned JSON) to this file")
-		events     = flag.String("events", "", "write a JSONL run-event stream (experiment/point lifecycle, sample errors, checkpoints) to this file")
-		listen     = flag.String("listen", "", "serve live status at this address (host:port): /metrics, /progress, /debug/pprof/")
+		events     = flag.String("events", "", "write a JSONL run-event stream (experiment/point lifecycle, sample errors) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock deadline for the run (0 = none); on expiry workers drain and completed sweep rows are still printed")
-		checkpoint = flag.String("checkpoint", "", "write completed sweep points to this file (atomic temp+rename after every point)")
-		resume     = flag.Bool("resume", false, "restore completed points from the -checkpoint file before running; restored output is byte-identical to an uninterrupted run")
 		paranoid   = flag.Bool("paranoid", false, "re-validate every successful partitioning against the full invariant set (slower); a violation aborts that sample with a seed-reproducible report")
 	)
 	flag.Parse()
@@ -112,14 +104,8 @@ func run() int {
 	if *run != "" && *all {
 		fail("-run and -all are mutually exclusive")
 	}
-	if *progress && *quiet {
-		fail("-progress and -q are mutually exclusive")
-	}
 	if *timeout < 0 {
 		fail("-timeout must be non-negative (got %v)", *timeout)
-	}
-	if *resume && *checkpoint == "" {
-		fail("-resume requires -checkpoint <file>")
 	}
 
 	if *cpuprofile != "" {
@@ -135,7 +121,7 @@ func run() int {
 	}
 
 	cfg := experiments.Config{Seed: *seed, SetsPerPoint: *sets, Quick: *quick,
-		Workers: *workers, ProgressETA: *progress, Paranoid: *paranoid}
+		Workers: *workers, Paranoid: *paranoid}
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
@@ -152,22 +138,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg = cfg.WithContext(ctx)
-
-	if *checkpoint != "" {
-		if *resume {
-			cp, err := experiments.ResumeCheckpoint(*checkpoint, cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				return 1
-			}
-			if !*quiet && cp.Points() > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: resuming %d completed points from %s\n", cp.Points(), *checkpoint)
-			}
-			cfg.Checkpoint = cp
-		} else {
-			cfg.Checkpoint = experiments.NewCheckpoint(*checkpoint, cfg)
-		}
-	}
 
 	var toRun []experiments.Experiment
 	switch {
@@ -191,7 +161,7 @@ func run() int {
 
 	// Any export surface needs the counters collected; enabling them never
 	// alters experiment output (the golden tests pin this).
-	if *metrics || *metricsOut != "" || *events != "" || *listen != "" {
+	if *metrics || *metricsOut != "" || *events != "" {
 		obs.SetEnabled(true)
 	}
 
@@ -215,17 +185,6 @@ func run() int {
 		}
 		metricsFile = f
 	}
-	if *listen != "" {
-		srv, err := obs.Serve(*listen, obs.Default)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer srv.Close()
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "experiments: status on http://%s (/metrics /progress /debug/pprof/)\n", srv.Addr())
-		}
-	}
-
 	exit := 0
 	var metricRuns []runMetricsEntry
 	for _, e := range toRun {

@@ -81,7 +81,7 @@ func (s *Service) Handler() http.Handler {
 
 // Routes lists the service's endpoints (Go 1.22 method+path patterns) as
 // obs routes, so cmd/admitd can mount them beside the status routes with
-// obs.ServeWith and the "/" index names them. Every route is wrapped in the
+// obs.ServeOpts and the "/" index names them. Every route is wrapped in the
 // tracing layer (trace.go), with the tracer *outside* the gate on the
 // admission routes — a 429 shed must still echo the request ID and count in
 // the route's RED metrics.

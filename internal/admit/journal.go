@@ -21,8 +21,8 @@ import (
 // create/delete, accepted admission, removal — is appended to a per-shard
 // write-ahead journal (JSONL, schema-versioned like obs.RunEvent) before it
 // is acknowledged, and each shard periodically folds its journal into an
-// atomic snapshot (the temp+fsync+rename pattern proven by the batch
-// checkpointer, experiments.Checkpoint). Startup recovery loads the
+// atomic snapshot (temp file + fsync + rename + directory fsync, see
+// writeFileAtomic). Startup recovery loads the
 // snapshot, replays the journal tail through the real engine, and tolerates
 // exactly one torn record at the tail (a crash mid-append); anything else
 // malformed refuses to start rather than serve silently wrong state.
@@ -574,8 +574,8 @@ func (j *Journal) snapshotShard(sh *shardJournal) error {
 	return nil
 }
 
-// writeFileAtomic persists v as JSON via the checkpointer's temp + fsync +
-// rename + directory-fsync pattern, with the SnapshotRename fault injected
+// writeFileAtomic persists v as JSON via a temp + fsync + rename +
+// directory-fsync sequence, with the SnapshotRename fault injected
 // between the write and the rename.
 func writeFileAtomic(path string, v any) error {
 	data, err := json.Marshal(v)

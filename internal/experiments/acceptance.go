@@ -104,7 +104,6 @@ func AcceptanceGeneral(cfg Config) ([]Table, error) {
 	m, points := generalParams(cfg.Quick)
 	algos := defaultAlgos()
 	bases := pointBases(r, len(points))
-	mt := cfg.meter("acceptance-general", len(points))
 	ratios, err := cfg.sweepRows("acceptance-general", len(points), func(pc Config, i int) ([]float64, error) {
 		target := points[i] * float64(m)
 		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -113,7 +112,7 @@ func AcceptanceGeneral(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mt.Tick("U_M=%.3f", points[i])
+		cfg.progressf("acceptance-general: U_M=%.3f done", points[i])
 		return row, nil
 	})
 	tbl := sweepTable("acceptance-general", fmt.Sprintf("M=%d, U_i∈[0.05,0.95], periods log-uniform [100,10000], %d sets/point", m, cfg.setsPerPoint()),
@@ -134,7 +133,6 @@ func AcceptanceLight(cfg Config) ([]Table, error) {
 	m, points := lightParams(cfg.Quick)
 	algos := lightAlgos()
 	bases := pointBases(r, len(points))
-	mt := cfg.meter("acceptance-light", len(points))
 	ratios, err := cfg.sweepRows("acceptance-light", len(points), func(pc Config, i int) ([]float64, error) {
 		target := points[i] * float64(m)
 		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -143,7 +141,7 @@ func AcceptanceLight(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mt.Tick("U_M=%.3f", points[i])
+		cfg.progressf("acceptance-light: U_M=%.3f done", points[i])
 		return row, nil
 	})
 	tbl := sweepTable("acceptance-light", fmt.Sprintf("M=%d, U_i∈[0.05,0.40] (light), %d sets/point", m, cfg.setsPerPoint()),
@@ -166,7 +164,6 @@ func AcceptanceHarmonic(cfg Config) ([]Table, error) {
 	m, points := harmonicParams(cfg.Quick)
 	algos := lightAlgos()
 	bases := pointBases(r, len(points))
-	mt := cfg.meter("acceptance-harmonic", len(points))
 	ratios, err := cfg.sweepRows("acceptance-harmonic", len(points), func(pc Config, i int) ([]float64, error) {
 		target := points[i] * float64(m)
 		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -175,7 +172,7 @@ func AcceptanceHarmonic(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mt.Tick("U_M=%.3f", points[i])
+		cfg.progressf("acceptance-harmonic: U_M=%.3f done", points[i])
 		return row, nil
 	})
 	tbl := sweepTable("acceptance-harmonic", fmt.Sprintf("M=%d, harmonic single chain (base 256), light tasks, %d sets/point", m, cfg.setsPerPoint()),
@@ -210,16 +207,13 @@ func AcceptanceKChains(cfg Config) ([]Table, error) {
 		}
 		id := fmt.Sprintf("acceptance-kchains/K=%d", k)
 		bases := pointBases(r, len(points))
-		mt := cfg.meter(fmt.Sprintf("acceptance-kchains K=%d", k), len(points))
-		// Each checkpointed row carries the point's effective bound as a
-		// trailing extra column, so the table footnote survives a resume in
-		// which every point was restored and no generator ran.
-		rows, err := cfg.sweepRows(id, len(points), func(pc Config, i int) ([]float64, error) {
+		// The note is the bound of the last completed point's last sample in
+		// sample order. Only that sample writes lastBound, and it is read
+		// after the fan-out has joined, so the note does not depend on which
+		// worker finishes last.
+		var boundVal float64
+		ratios, err := cfg.sweepRows(id, len(points), func(pc Config, i int) ([]float64, error) {
 			target := points[i] * float64(m)
-			// The note is the bound of the point's last sample in sample
-			// order. Only that sample writes lastBound, and it is read after
-			// the fan-out has joined, so the note does not depend on which
-			// worker finishes last.
 			n := cfg.setsPerPoint()
 			var lastBound float64
 			row, err := pc.acceptance(bases[i], n, m, func(s int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -237,15 +231,10 @@ func AcceptanceKChains(cfg Config) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mt.Tick("U_M=%.3f", points[i])
-			return append(row, lastBound), nil
+			boundVal = lastBound
+			cfg.progressf("acceptance-kchains K=%d: U_M=%.3f done", k, points[i])
+			return row, nil
 		})
-		ratios := make([][]float64, len(rows))
-		var boundVal float64
-		for i, row := range rows {
-			ratios[i] = row[:len(row)-1]
-			boundVal = row[len(row)-1]
-		}
 		tables = append(tables, sweepTable(
 			id,
 			fmt.Sprintf("M=%d, %d harmonic chains, light tasks, %d sets/point", m, k, cfg.setsPerPoint()),
@@ -279,7 +268,6 @@ func ProcsSweep(cfg Config) ([]Table, error) {
 		Notes:  []string{"expected: RM-TS improves with M; SPA2 pinned at 0 (0.93 > Θ); P-RM-FF trails RM-TS"},
 	}
 	bases := pointBases(r, len(ms))
-	mt := cfg.meter("procs-sweep", len(ms))
 	rows, err := cfg.sweepRows("procs-sweep", len(ms), func(pc Config, i int) ([]float64, error) {
 		m := ms[i]
 		row, err := pc.acceptance(bases[i], cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -288,7 +276,7 @@ func ProcsSweep(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mt.Tick("M=%d", m)
+		cfg.progressf("procs-sweep: M=%d done", m)
 		return row, nil
 	})
 	for i, row := range rows {
@@ -329,7 +317,6 @@ func HeavySweep(cfg Config) ([]Table, error) {
 		Notes:  []string{"expected: RM-TS robust across shares; pre-assignment count grows with the share"},
 	}
 	bases := pointBases(r, len(shares))
-	mt := cfg.meter("heavy-sweep", len(shares))
 	rows, err := cfg.sweepRows("heavy-sweep", len(shares), func(pc Config, p int) ([]float64, error) {
 		share := shares[p]
 		n := cfg.setsPerPoint()
@@ -378,7 +365,7 @@ func HeavySweep(cfg Config) ([]Table, error) {
 			row = append(row, float64(k)/float64(n))
 		}
 		row = append(row, float64(preSum)/float64(n))
-		mt.Tick("share=%.1f", share)
+		cfg.progressf("heavy-sweep: share=%.1f done", share)
 		return row, nil
 	})
 	for i, row := range rows {
@@ -414,7 +401,6 @@ func UtilizationTail(cfg Config) ([]Table, error) {
 		Notes:  []string{"expected: SPA2 = 0 everywhere (its guarantee caps at Θ); RM-TS > 0 well past Θ"},
 	}
 	bases := pointBases(r, len(ums))
-	mt := cfg.meter("utilization-tail", len(ums))
 	rows, err := cfg.sweepRows("utilization-tail", len(ums), func(pc Config, p int) ([]float64, error) {
 		um := ums[p]
 		n := cfg.setsPerPoint()
@@ -450,7 +436,7 @@ func UtilizationTail(cfg Config) ([]Table, error) {
 				}
 			}
 		}
-		mt.Tick("U_M=%.2f", um)
+		cfg.progressf("utilization-tail: U_M=%.2f done", um)
 		return row, nil
 	})
 	for i, row := range rows {

@@ -46,7 +46,6 @@ func Breakdown(cfg Config) ([]Table, error) {
 			"expected: RM-TS ≫ Θ≈0.70 (uniprocessor analogy: ≈88%); SPA2 pinned at ≈Θ",
 		},
 	}
-	mt := cfg.meter("breakdown", len(ms))
 	for _, m := range ms {
 		m := m
 		perSet := make([][]float64, sets)
@@ -85,7 +84,7 @@ func Breakdown(cfg Config) ([]Table, error) {
 				fmt.Sprintf("%d", m), a.name, meanAndRange(samples),
 			})
 		}
-		mt.Tick("M=%d", m)
+		cfg.progressf("breakdown: M=%d done", m)
 	}
 	return []Table{t}, nil
 }

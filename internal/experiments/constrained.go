@@ -44,7 +44,6 @@ func ConstrainedDeadlines(cfg Config) ([]Table, error) {
 			"expected: acceptance monotone in f; splitting (RM-TS) ≥ strict partitioning at every tightness",
 		},
 	}
-	mt := cfg.meter("constrained-deadlines", len(fracs))
 	for _, f := range fracs {
 		f := f
 		n := cfg.setsPerPoint()
@@ -96,7 +95,7 @@ func ConstrainedDeadlines(cfg Config) ([]Table, error) {
 			row = append(row, fmt.Sprintf("%.3f", float64(k)/float64(n)))
 		}
 		t.Rows = append(t.Rows, row)
-		mt.Tick("f=%s", label)
+		cfg.progressf("constrained-deadlines: f=%s done", label)
 	}
 	return []Table{t}, nil
 }

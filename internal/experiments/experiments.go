@@ -55,17 +55,6 @@ type Config struct {
 	Workers int
 	// Progress, when non-nil, receives one-line progress notes.
 	Progress io.Writer
-	// ProgressETA decorates sweep progress lines with point counts, elapsed
-	// time and an ETA estimate. Progress output is wall-clock-dependent and
-	// only ever goes to the Progress writer, never into tables, so the
-	// determinism contract is unaffected.
-	ProgressETA bool
-	// Checkpoint, when non-nil, persists each completed sweep point and
-	// restores already-completed points on resume. Restored rows are
-	// byte-identical to recomputed ones, and the per-point RNG bases are
-	// drawn up front, so a resumed run renders exactly the table an
-	// uninterrupted run would have.
-	Checkpoint *Checkpoint
 	// Paranoid re-validates every successful partitioning result against
 	// the full invariant set (partition.ValidateFor) before it is counted.
 	// A violation panics in the worker and surfaces as a seed-reproducible
@@ -73,11 +62,11 @@ type Config struct {
 	Paranoid bool
 	// Events, when non-nil, receives the structured run-event stream
 	// (obs.RunEvent JSONL): experiment and sweep-point lifecycle, per-point
-	// counter deltas, checkpoint writes, and sample errors with their repro
-	// seeds. Events are emitted by the sweep-driving goroutine only — never
-	// from inside the per-sample fan-out — and apart from the wall-clock ms
-	// stamp the stream is deterministic for a fixed seed at any worker
-	// count. A nil recorder costs nothing.
+	// counter deltas, and sample errors with their repro seeds. Events are
+	// emitted by the sweep-driving goroutine only — never from inside the
+	// per-sample fan-out — and apart from the wall-clock ms stamp the stream
+	// is deterministic for a fixed seed at any worker count. A nil recorder
+	// costs nothing.
 	Events *obs.Recorder
 
 	// ctx carries the cancellation signal (set via WithContext); nil means
@@ -86,7 +75,7 @@ type Config struct {
 	// context error.
 	ctx context.Context
 	// expKey is the registry key of the running experiment, stamped by
-	// Run/RunWithMetrics so SampleErrors and checkpoint keys can name it.
+	// Run/RunWithMetrics so SampleErrors can name it.
 	expKey string
 	// point1 is the 1-based sweep point index the current parEach fan-out
 	// belongs to (0 = not inside a point sweep); sweepRows maintains it.
@@ -273,12 +262,6 @@ func (c Config) progressf(format string, args ...interface{}) {
 	if c.Progress != nil {
 		fmt.Fprintf(c.Progress, format+"\n", args...)
 	}
-}
-
-// meter returns a per-point progress meter for a sweep with total points.
-// With a nil Progress writer the meter is inert.
-func (c Config) meter(label string, total int) *obs.Meter {
-	return obs.NewMeter(c.Progress, label, total, c.ProgressETA)
 }
 
 // Table is a rendered experiment artifact.
@@ -639,31 +622,19 @@ func (c Config) acceptance(base int64, nSets, m int, genSet func(s int, r *rand.
 }
 
 // sweepRows drives a point sweep robustly: it checks cancellation before
-// every point, restores completed points from the configured checkpoint,
-// computes the rest via compute (run under a Config whose point1 marks the
-// point for SampleError attribution), and checkpoints each freshly
-// completed row. On cancellation or a sample failure it returns the rows
-// completed so far together with the error, so callers can still render a
-// partial table.
+// every point and computes each via compute (run under a Config whose
+// point1 marks the point for SampleError attribution). On cancellation or
+// a sample failure it returns the rows completed so far together with the
+// error, so callers can still render a partial table.
 //
 // compute receives the per-point Config pc and must thread it into parEach
 // (not the captured outer cfg) or point attribution and cancellation are
-// lost. Checkpoint keys embed id and the point index; resume correctness
-// additionally requires callers to draw all per-point RNG bases before the
-// sweep, so the generator stream is identical whether a point is restored
-// or recomputed.
+// lost.
 func (c Config) sweepRows(id string, n int, compute func(pc Config, i int) ([]float64, error)) ([][]float64, error) {
 	rows := make([][]float64, 0, n)
 	for i := 0; i < n; i++ {
 		if err := c.context().Err(); err != nil {
 			return rows, err
-		}
-		key := id + "/" + strconv.Itoa(i)
-		if row, ok := c.Checkpoint.lookup(key); ok {
-			rows = append(rows, row)
-			c.Events.Emit(obs.RunEvent{Kind: obs.EvPointRestored,
-				Experiment: c.expKey, Label: id, Point: i + 1, Points: n})
-			continue
 		}
 		pc := c
 		pc.point1 = i + 1
@@ -688,19 +659,14 @@ func (c Config) sweepRows(id string, n int, compute func(pc Config, i int) ([]fl
 				Rejections: pc.causes.rejections})
 		}
 		rows = append(rows, row)
-		if c.Checkpoint.store(c, key, row) {
-			c.Events.Emit(obs.RunEvent{Kind: obs.EvCheckpoint,
-				Experiment: c.expKey, Label: id, Points: c.Checkpoint.Points()})
-		}
 	}
 	return rows, nil
 }
 
-// pointBases pre-draws one parEach base seed per sweep point from r. Sweeps
-// that checkpoint must draw every base up front: the draws advance r, and a
-// resumed run skips computing restored points, so drawing lazily inside the
-// sweep would shift the generator stream of every later point and break the
-// byte-identical-resume contract.
+// pointBases pre-draws one parEach base seed per sweep point from r: point
+// i's base is the i-th draw, fixed before any point runs. The golden tables
+// and the replay recipes (replay.go re-derives a base the same way) depend
+// on exactly this stream, so the draws stay up front, outside the sweep.
 func pointBases(r *rand.Rand, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {

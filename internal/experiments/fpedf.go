@@ -35,7 +35,6 @@ func FPvsEDF(cfg Config) ([]Table, error) {
 		{"EDF-TS", partition.EDFTS{}},
 	}
 	ratios := make([][]float64, len(points))
-	mt := cfg.meter("fp-vs-edf", len(points))
 	for i, um := range points {
 		target := um * float64(m)
 		row, err := cfg.acceptance(r.Int63(), cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -45,7 +44,7 @@ func FPvsEDF(cfg Config) ([]Table, error) {
 			return nil, fmt.Errorf("fp-vs-edf: %w", err)
 		}
 		ratios[i] = row
-		mt.Tick("U_M=%.3f", um)
+		cfg.progressf("fp-vs-edf: U_M=%.3f done", um)
 	}
 	return []Table{sweepTable("fp-vs-edf",
 		fmt.Sprintf("M=%d, U_i∈[0.05,0.7], %d sets/point — splitting vs the best strict partitioner", m, cfg.setsPerPoint()),

@@ -75,7 +75,6 @@ func GlobalCompare(cfg Config) ([]Table, error) {
 	}
 	menu := gen.ChoicePeriods{Values: []task.Time{20, 40, 50, 80, 100, 200, 400}}
 	rmts := partition.NewRMTS(nil) // stateless across calls; shareable between workers
-	mt := cfg.meter("global-compare", len(points))
 	for _, um := range points {
 		um := um
 		n := cfg.setsPerPoint()
@@ -128,7 +127,7 @@ func GlobalCompare(cfg Config) ([]Table, error) {
 			fmt.Sprintf("%.3f", float64(usBound)/float64(n)),
 			fmt.Sprintf("%.3f", float64(rmtsOK)/float64(n)),
 		})
-		mt.Tick("U_M=%.2f", um)
+		cfg.progressf("global-compare: U_M=%.2f done", um)
 	}
 	return []Table{t1, t2}, nil
 }

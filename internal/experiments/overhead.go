@@ -51,7 +51,6 @@ func OverheadSensitivity(cfg Config) ([]Table, error) {
 			"overhead-aware = per-fragment 3×ov surcharge inside the admission RTA (partition/overhead.go); its miss count must be 0",
 		},
 	}
-	mt := cfg.meter("overhead-sensitivity", len(overheads))
 	for _, ov := range overheads {
 		ov := ov
 		aware := &partition.RMTS{Surcharge: 3 * ov}
@@ -140,7 +139,7 @@ func OverheadSensitivity(cfg Config) ([]Table, error) {
 			fmt.Sprintf("%d/%d / %d", inflAccepted, sets, inflMissSets),
 			fmt.Sprintf("%d/%d / %d", awareAccepted, sets, awareMissSets),
 		})
-		mt.Tick("overhead=%d", ov)
+		cfg.progressf("overhead-sensitivity: overhead=%d done", ov)
 	}
 	return []Table{t}, nil
 }
@@ -207,7 +206,6 @@ func AdmissionAblation(cfg Config) ([]Table, error) {
 		{"RM-TS (RTA+split)", partition.NewRMTS(nil)},
 	}
 	ratios := make([][]float64, len(points))
-	mt := cfg.meter("admission-ablation", len(points))
 	for i, um := range points {
 		target := um * float64(m)
 		row, err := cfg.acceptance(r.Int63(), cfg.setsPerPoint(), m, func(_ int, r *rand.Rand, sc *gen.Scratch) (task.Set, error) {
@@ -217,7 +215,7 @@ func AdmissionAblation(cfg Config) ([]Table, error) {
 			return nil, fmt.Errorf("admission-ablation: %w", err)
 		}
 		ratios[i] = row
-		mt.Tick("U_M=%.2f", um)
+		cfg.progressf("admission-ablation: U_M=%.2f done", um)
 	}
 	return []Table{sweepTable("admission-ablation",
 		fmt.Sprintf("M=%d, U_i∈[0.05,0.6], %d sets/point — what exactness and splitting each contribute", m, cfg.setsPerPoint()),

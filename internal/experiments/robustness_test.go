@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,8 +14,9 @@ import (
 )
 
 // cancelAfterWriter cancels a context on its nth Write. Hooked up as the
-// Progress writer it cancels deterministically between sweep points: the
-// meter's Tick emits exactly one write per completed point.
+// Progress writer it cancels deterministically between sweep points: each
+// completed point emits exactly one progress write
+// (TestProgressOneLinePerPoint pins this).
 type cancelAfterWriter struct {
 	cancel context.CancelFunc
 	after  int
@@ -105,76 +104,32 @@ func TestCancelledBeforeStartComputesNothing(t *testing.T) {
 	}
 }
 
-// TestKillAndResumeByteIdentical is the in-package half of the
-// kill-and-resume contract: interrupt a checkpointed sweep mid-run, resume
-// it under a fresh Config, and require the rendered output to be
-// byte-identical to an uninterrupted run. (cmd/experiments has the
-// process-level SIGINT version.)
-func TestKillAndResumeByteIdentical(t *testing.T) {
-	e, ok := Find("acceptance-general")
-	if !ok {
-		t.Fatal("acceptance-general missing")
-	}
-	base := Config{Seed: 11, SetsPerPoint: 25, Quick: true, Workers: 3}
-	want := render(mustRun(t, e, base))
+// writeRecorder keeps every Write it receives as a separate string.
+type writeRecorder struct{ writes []string }
 
-	path := filepath.Join(t.TempDir(), "cp.json")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	interrupted := base
-	interrupted.Progress = &cancelAfterWriter{cancel: cancel, after: 1}
-	interrupted.Checkpoint = NewCheckpoint(path, interrupted)
-	interrupted = interrupted.WithContext(ctx)
-	if _, err := Run(e, interrupted); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
-	}
-	if interrupted.Checkpoint.Points() == 0 {
-		t.Fatal("interrupted run checkpointed no points")
-	}
-
-	resumed := base
-	cp, err := ResumeCheckpoint(path, resumed)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if cp.Points() == 0 {
-		t.Fatal("checkpoint file restored no points")
-	}
-	resumed.Checkpoint = cp
-	got := render(mustRun(t, e, resumed))
-	if got != want {
-		t.Fatalf("resumed output differs from uninterrupted run\n--- want\n%s--- got\n%s", want, got)
-	}
-	if cp.Hits() == 0 {
-		t.Fatal("resume recomputed every point instead of restoring")
-	}
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
 }
 
-func TestResumeRejectsMismatchedConfig(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
-	cp := NewCheckpoint(path, Config{Seed: 1, SetsPerPoint: 10})
-	cp.store(Config{}, "x/0", []float64{1, 2})
-	if cp.Points() != 1 {
-		t.Fatal("store failed")
-	}
-	if _, err := ResumeCheckpoint(path, Config{Seed: 2, SetsPerPoint: 10}); err == nil {
-		t.Error("resume under a different seed was accepted")
-	}
-	if _, err := ResumeCheckpoint(path, Config{Seed: 1, SetsPerPoint: 20}); err == nil {
-		t.Error("resume under a different scale was accepted")
-	}
-	if _, err := ResumeCheckpoint(path, Config{Seed: 1, SetsPerPoint: 10, Quick: true}); err == nil {
-		t.Error("resume under a different sweep shape was accepted")
-	}
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+// TestProgressOneLinePerPoint pins the per-point progress contract: a sweep
+// writes exactly one "<label>: <point> done" line per completed point, each
+// in its own Write, in sweep order.
+func TestProgressOneLinePerPoint(t *testing.T) {
+	var w writeRecorder
+	cfg := Config{Seed: 7, SetsPerPoint: 10, Quick: true, Workers: 2, Progress: &w}
+	if _, err := AcceptanceGeneral(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeCheckpoint(path, Config{Seed: 1, SetsPerPoint: 10}); err == nil {
-		t.Error("corrupt checkpoint was accepted")
+	_, points := generalParams(true)
+	if len(w.writes) != len(points) {
+		t.Fatalf("%d progress writes for %d points: %q", len(w.writes), len(points), w.writes)
 	}
-	// A missing file is a fresh start, not an error.
-	if cp, err := ResumeCheckpoint(filepath.Join(t.TempDir(), "absent.json"), Config{Seed: 1, SetsPerPoint: 10}); err != nil || cp.Points() != 0 {
-		t.Errorf("missing checkpoint: cp=%v err=%v", cp, err)
+	for i, p := range points {
+		want := fmt.Sprintf("acceptance-general: U_M=%.3f done\n", p)
+		if w.writes[i] != want {
+			t.Errorf("write %d = %q, want %q", i, w.writes[i], want)
+		}
 	}
 }
 
@@ -245,38 +200,6 @@ func TestInjectedRTAAbortNeverCrashes(t *testing.T) {
 	}
 	if faultinject.Fired(faultinject.RTAAbort) == 0 {
 		t.Fatal("no rta aborts fired — the injection site is dead")
-	}
-}
-
-func TestCheckpointWriteFailureDegradesGracefully(t *testing.T) {
-	defer faultinject.Disarm()
-	e, ok := Find("acceptance-general")
-	if !ok {
-		t.Fatal("acceptance-general missing")
-	}
-	base := Config{Seed: 11, SetsPerPoint: 25, Quick: true, Workers: 2}
-	want := render(mustRun(t, e, base))
-
-	faultinject.Arm(faultinject.Plan{CheckpointWriteEvery: 1})
-	var progress bytes.Buffer
-	cfg := base
-	cfg.Progress = &progress
-	path := filepath.Join(t.TempDir(), "cp.json")
-	cfg.Checkpoint = NewCheckpoint(path, cfg)
-	got := render(mustRun(t, e, cfg))
-	if got != want {
-		t.Fatal("checkpoint write failure altered the table output")
-	}
-	if !strings.Contains(progress.String(), "checkpoint write failed") {
-		t.Fatalf("no degradation warning on the progress stream:\n%s", progress.String())
-	}
-	// The first failure disables checkpointing; the site is not consulted
-	// again.
-	if fired := faultinject.Fired(faultinject.CheckpointWrite); fired != 1 {
-		t.Errorf("checkpointing not disabled after the first failure: fired %d times", fired)
-	}
-	if _, err := os.Stat(path); err == nil {
-		t.Error("a checkpoint file appeared despite every write failing")
 	}
 }
 

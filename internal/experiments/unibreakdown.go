@@ -37,7 +37,6 @@ func UniprocessorBreakdown(cfg Config) ([]Table, error) {
 			"paper §I (citing [24]): \"the average breakdown utilization of RMS is around 88%\"",
 		},
 	}
-	mt := cfg.meter("uni-breakdown", len(ns))
 	for _, n := range ns {
 		n := n
 		samples := make([]float64, sets)
@@ -59,7 +58,7 @@ func UniprocessorBreakdown(cfg Config) ([]Table, error) {
 			fmt.Sprintf("%.4f", stats.Quantile(samples, 0.95)),
 			fmt.Sprintf("%.4f", stats.Max(samples)),
 		})
-		mt.Tick("n=%d", n)
+		cfg.progressf("uni-breakdown: n=%d done", n)
 	}
 	return []Table{t}, nil
 }

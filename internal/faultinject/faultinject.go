@@ -6,7 +6,7 @@
 // the zero-allocation guarantees of the analysis hot paths hold with the
 // harness compiled in.
 //
-// Three sites cover the failure modes the batch robustness layer must
+// Two sites cover the failure modes the batch robustness layer must
 // survive (see DESIGN.md §9):
 //
 //   - RTAAbort: the response-time iteration reports an iteration-cap abort
@@ -15,8 +15,6 @@
 //     it (e.g. the MaxSplit/AdmitAt agreement panic).
 //   - SamplePanic: a panic out of an experiment sample, exercising the
 //     per-sample recover() isolation in experiments.parEach.
-//   - CheckpointWrite: a write failure in the sweep checkpointer,
-//     exercising its keep-going-without-checkpoints degradation.
 //
 // Five more cover the serving path's durability and overload machinery
 // (DESIGN.md §14):
@@ -58,8 +56,9 @@ const (
 	RTAAbort Site = iota
 	// SamplePanic panics out of an experiment sample.
 	SamplePanic
-	// CheckpointWrite fails checkpoint file writes.
-	CheckpointWrite
+	// The value 2 is retired: site values feed the firing hash, so
+	// renumbering would move every later site's seeded firing pattern.
+	_
 	// JournalAppend fails admission-journal appends.
 	JournalAppend
 	// JournalFsync fails admission-journal fsyncs.
@@ -79,8 +78,6 @@ func (s Site) String() string {
 		return "rta-abort"
 	case SamplePanic:
 		return "sample-panic"
-	case CheckpointWrite:
-		return "checkpoint-write"
 	case JournalAppend:
 		return "journal-append"
 	case JournalFsync:
@@ -108,9 +105,6 @@ type Plan struct {
 	RTAAbortEvery int64
 	// SamplePanicEvery is the firing denominator of the SamplePanic site.
 	SamplePanicEvery int64
-	// CheckpointWriteEvery is the firing denominator of the CheckpointWrite
-	// site.
-	CheckpointWriteEvery int64
 	// JournalAppendEvery is the firing denominator of the JournalAppend site.
 	JournalAppendEvery int64
 	// JournalFsyncEvery is the firing denominator of the JournalFsync site.
@@ -198,19 +192,6 @@ func MaybePanic() {
 	if armed.Load() && should(SamplePanic, plan.SamplePanicEvery) {
 		panic(PanicValue)
 	}
-}
-
-// ErrCheckpointWrite is the error injected checkpoint-write failures
-// surface.
-var ErrCheckpointWrite = errors.New("faultinject: injected checkpoint write failure")
-
-// CheckpointWriteErr returns ErrCheckpointWrite when the CheckpointWrite
-// site fires, nil otherwise. Idle cost: one atomic load.
-func CheckpointWriteErr() error {
-	if armed.Load() && should(CheckpointWrite, plan.CheckpointWriteEvery) {
-		return ErrCheckpointWrite
-	}
-	return nil
 }
 
 // Injected serving-path errors, distinguishable by errors.Is in tests and

@@ -20,24 +20,24 @@ import (
 // deliberate despite the field being additive: v2 validators enforce the
 // rejections vocabulary, and consumers keying analytics off the breakdown
 // must not silently read v1 logs that predate cause attribution.
-const EventSchemaVersion = 2
+//
+// v3: the point-restored and checkpoint kinds are gone with the sweep
+// checkpointer; a v3 validator rejects them.
+const EventSchemaVersion = 3
 
 // Run-event vocabulary. One run (a cmd/experiments invocation) brackets the
 // stream with run-start/run-end; each experiment brackets its points with
-// experiment-start/experiment-end; point-done and point-restored record
-// sweep-point lifecycle (restored = replayed from a checkpoint instead of
-// computed); sample-error carries the repro seeds of an isolated sample
-// failure; checkpoint records a completed atomic checkpoint write; error is
-// a non-sample run failure (generator misconfiguration, cancellation).
+// experiment-start/experiment-end; point-done records a completed sweep
+// point; sample-error carries the repro seeds of an isolated sample
+// failure; error is a non-sample run failure (generator misconfiguration,
+// cancellation).
 const (
 	EvRunStart        = "run-start"
 	EvRunEnd          = "run-end"
 	EvExperimentStart = "experiment-start"
 	EvExperimentEnd   = "experiment-end"
 	EvPointDone       = "point-done"
-	EvPointRestored   = "point-restored"
 	EvSampleError     = "sample-error"
-	EvCheckpoint      = "checkpoint"
 	EvError           = "error"
 )
 
@@ -45,8 +45,7 @@ const (
 var knownEventKinds = map[string]bool{
 	EvRunStart: true, EvRunEnd: true,
 	EvExperimentStart: true, EvExperimentEnd: true,
-	EvPointDone: true, EvPointRestored: true,
-	EvSampleError: true, EvCheckpoint: true, EvError: true,
+	EvPointDone: true, EvSampleError: true, EvError: true,
 }
 
 // RunEvent is one flight-recorder record. Seq is the 0-based position in
@@ -72,9 +71,7 @@ type RunEvent struct {
 	// differ for multi-table experiments such as acceptance-kchains).
 	Experiment string `json:"experiment,omitempty"`
 	Label      string `json:"label,omitempty"`
-	// Point is the 1-based sweep point; Points the sweep length (on point
-	// events) or the checkpoint's completed-point count (on checkpoint
-	// events).
+	// Point is the 1-based sweep point; Points the sweep length.
 	Point  int `json:"point,omitempty"`
 	Points int `json:"points,omitempty"`
 	// Tables is the number of tables an experiment produced.

@@ -24,9 +24,6 @@ func record(t *testing.T) []byte {
 			{Algo: "SPA2", Cause: "threshold-exhausted", N: 9},
 			{Algo: "RM-TS", Cause: "maxsplit-exhausted", N: 2},
 		}})
-	rec.Emit(RunEvent{Kind: EvPointRestored, Experiment: "acceptance-general",
-		Label: "acceptance-general", Point: 2, Points: 4})
-	rec.Emit(RunEvent{Kind: EvCheckpoint, Experiment: "acceptance-general", Points: 2})
 	rec.Emit(RunEvent{Kind: EvSampleError, Experiment: "acceptance-general", Point: 3,
 		Sample: 5, BaseSeed: 99, SampleSeed: 99 + 4*0x9E3779B9, Panic: "boom"})
 	rec.Emit(RunEvent{Kind: EvExperimentEnd, Experiment: "acceptance-general", Tables: 1})
@@ -46,8 +43,8 @@ func TestEventLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("validate: %v\n%s", err, data)
 	}
-	if n != 8 {
-		t.Fatalf("validated %d events, want 8", n)
+	if n != 6 {
+		t.Fatalf("validated %d events, want 6", n)
 	}
 
 	// Golden key sets: a new field on an event kind must be added here
@@ -56,8 +53,6 @@ func TestEventLogRoundTrip(t *testing.T) {
 		"seq ms kind schema go seed sets quick workers",
 		"seq ms kind experiment",
 		"seq ms kind experiment label point points counters rejections",
-		"seq ms kind experiment label point points",
-		"seq ms kind experiment points",
 		"seq ms kind experiment point sample base_seed sample_seed panic",
 		"seq ms kind experiment tables",
 		"seq ms kind",
@@ -134,7 +129,10 @@ func TestValidateEventLogRejections(t *testing.T) {
 		"seq regression": strings.Replace(good, `"seq":3`, `"seq":7`, 1),
 
 		"rejections off point-done": start +
-			`{"seq":1,"ms":0,"kind":"checkpoint","rejections":[{"algo":"A","cause":"c","n":1}]}` + "\n",
+			`{"seq":1,"ms":0,"kind":"experiment-end","rejections":[{"algo":"A","cause":"c","n":1}]}` + "\n",
+		// v3 retired the checkpointer's kinds.
+		"retired checkpoint":     start + `{"seq":1,"ms":0,"kind":"checkpoint","points":2}` + "\n",
+		"retired point-restored": start + `{"seq":1,"ms":0,"kind":"point-restored","point":2}` + "\n",
 		"rejection no algo": start +
 			`{"seq":1,"ms":0,"kind":"point-done","rejections":[{"algo":"","cause":"c","n":1}]}` + "\n",
 		"rejection no cause": start +

@@ -11,8 +11,8 @@
 //     them back — so enabling or disabling instrumentation can never change
 //     experiment output, and because the instrumented work itself is
 //     deterministic, counter totals are identical at any worker count.
-//     Wall-clock data (spans, meter ETAs) is kept strictly separate from
-//     counter data so deterministic snapshots stay comparable.
+//     Wall-clock data (spans) is kept strictly separate from counter data
+//     so deterministic snapshots stay comparable.
 //
 // The Default registry collects every metric created via NewCounter /
 // NewHistogram; Default.Snapshot() returns a name-sorted, render-ready view

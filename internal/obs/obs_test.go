@@ -170,30 +170,3 @@ func TestSpan(t *testing.T) {
 		t.Fatal("Reset kept completed spans")
 	}
 }
-
-func TestMeterNilWriterIsInert(t *testing.T) {
-	var m *Meter
-	m.Tick("dead %d", 1) // nil receiver
-	NewMeter(nil, "x", 3, true).Tick("point %d", 1)
-}
-
-func TestMeterClassicFormat(t *testing.T) {
-	var buf bytes.Buffer
-	m := NewMeter(&buf, "sweep", 2, false)
-	m.Tick("U_M=%.2f", 0.75)
-	if got := buf.String(); got != "sweep: U_M=0.75 done\n" {
-		t.Fatalf("classic line = %q", got)
-	}
-}
-
-func TestMeterETAFormat(t *testing.T) {
-	var buf bytes.Buffer
-	m := NewMeter(&buf, "sweep", 4, true)
-	m.Tick("p1")
-	line := buf.String()
-	for _, want := range []string{"sweep: p1 done (1/4 25%", "elapsed ", "eta "} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("ETA line %q missing %q", line, want)
-		}
-	}
-}

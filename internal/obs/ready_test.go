@@ -13,7 +13,7 @@ import (
 // journal replay without the process looking dead.
 func TestReadyzFollowsReadiness(t *testing.T) {
 	defer SetReadiness(ReadyServing)
-	srv := httptest.NewServer(StatusHandler(NewRegistry()))
+	srv := httptest.NewServer(StatusHandlerWith(NewRegistry()))
 	defer srv.Close()
 
 	cases := []struct {

@@ -15,17 +15,15 @@ import (
 	"time"
 )
 
-// StatusServer is the read-only live view of a running harness: current
-// metrics, sweep progress, and the stdlib pprof handlers. It never mutates
-// observability state — every endpoint renders a mutex-guarded snapshot —
-// so serving cannot perturb experiment output (wall-clock perturbation from
-// profiling aside, which is exactly what pprof is for).
+// StatusServer is the read-only live view of a running process: current
+// metrics, health and readiness, and the stdlib pprof handlers. It never
+// mutates observability state — every endpoint renders a mutex-guarded
+// snapshot — so serving cannot perturb analysis output (wall-clock
+// perturbation from profiling aside, which is exactly what pprof is for).
 //
 //	GET /metrics   — registry snapshot; JSON (schema-versioned
 //	                 SnapshotExport) when the Accept header prefers
 //	                 application/json, aligned text otherwise
-//	GET /progress  — per-sweep point completion and ETA as JSON
-//	                 (text with ?format=text)
 //	GET /healthz   — liveness probe: 200 with the build identity (go
 //	                 version, GOMAXPROCS, git revision) under the same
 //	                 field names the perfdiff bench records carry, so a
@@ -35,25 +33,8 @@ import (
 //	                 (shutdown), so balancers stop routing at both edges
 //	GET /debug/pprof/ — net/http/pprof index, profiles, symbolization
 type StatusServer struct {
-	reg     *Registry
-	lis     net.Listener
-	srv     *http.Server
-	handler http.Handler
-}
-
-// Serve listens on addr (host:port; :0 picks a free port) and starts the
-// status server over reg in a background goroutine. The returned server
-// reports its bound address via Addr and is shut down with Close.
-func Serve(addr string, reg *Registry) (*StatusServer, error) {
-	return ServeWith(addr, reg)
-}
-
-// ServeWith is Serve with extra routes mounted beside the status routes —
-// cmd/admitd uses it to serve the admission API and the observability
-// surface from one listener. Extra routes appear on the "/" index alongside
-// the built-in ones.
-func ServeWith(addr string, reg *Registry, extra ...Route) (*StatusServer, error) {
-	return ServeOpts(addr, reg, ServeOptions{}, extra...)
+	lis net.Listener
+	srv *http.Server
 }
 
 // ServeOptions carries the HTTP server's slow-client protections. The
@@ -83,15 +64,20 @@ func timeoutOr(v, def time.Duration) time.Duration {
 	return v
 }
 
-// ServeOpts is ServeWith with explicit server timeout options.
+// ServeOpts listens on addr (host:port; :0 picks a free port) and starts
+// the status server over reg in a background goroutine, with extra routes
+// mounted beside the status routes — cmd/admitd uses it to serve the
+// admission API and the observability surface from one listener. Extra
+// routes appear on the "/" index alongside the built-in ones. The returned
+// server reports its bound address via Addr and is shut down with Close.
 func ServeOpts(addr string, reg *Registry, opts ServeOptions, extra ...Route) (*StatusServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &StatusServer{reg: reg, lis: lis, handler: StatusHandlerWith(reg, extra...)}
+	s := &StatusServer{lis: lis}
 	s.srv = &http.Server{
-		Handler:           s.handler,
+		Handler:           StatusHandlerWith(reg, extra...),
 		ReadHeaderTimeout: timeoutOr(opts.ReadHeaderTimeout, 5*time.Second),
 		ReadTimeout:       timeoutOr(opts.ReadTimeout, 30*time.Second),
 		WriteTimeout:      timeoutOr(opts.WriteTimeout, 0),
@@ -123,12 +109,6 @@ func (s *StatusServer) Close() error {
 	return nil
 }
 
-// Handler returns the server's routes as a plain http.Handler, so tests can
-// drive them through httptest without opening a socket.
-func (s *StatusServer) Handler() http.Handler {
-	return s.handler
-}
-
 // Route is one mountable endpoint. Pattern is a net/http mux pattern and
 // may carry a Go 1.22 method prefix ("POST /v1/clusters"); the "/" index
 // lists the path of every registered route.
@@ -137,15 +117,10 @@ type Route struct {
 	Handler http.Handler
 }
 
-// StatusHandler builds the read-only status mux over reg (nil means the
-// Default registry).
-func StatusHandler(reg *Registry) http.Handler {
-	return StatusHandlerWith(reg)
-}
-
-// StatusHandlerWith builds the status mux with extra routes mounted beside
-// the built-in ones. The "/" index is generated from the full route list,
-// so it stays truthful no matter what is mounted.
+// StatusHandlerWith builds the read-only status mux over reg (nil means the
+// Default registry) with extra routes mounted beside the built-in ones. The
+// "/" index is generated from the full route list, so it stays truthful no
+// matter what is mounted.
 func StatusHandlerWith(reg *Registry, extra ...Route) http.Handler {
 	routes := append(statusRoutes(reg), extra...)
 	mux := http.NewServeMux()
@@ -202,30 +177,6 @@ func statusRoutes(reg *Registry) []Route {
 			snap.WriteText(w)
 		}
 	}
-	progress := func(w http.ResponseWriter, r *http.Request) {
-		states := ProgressStates()
-		if r.URL.Query().Get("format") == "text" {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			for _, st := range states {
-				fmt.Fprintf(w, "%-24s %d/%d %3d%%", st.Label, st.Done, st.Total, st.Percent)
-				if st.LastPoint != "" {
-					fmt.Fprintf(w, "  last %s", st.LastPoint)
-				}
-				if st.EtaSeconds > 0 {
-					fmt.Fprintf(w, "  eta %s", roundDuration(time.Duration(st.EtaSeconds*float64(time.Second))))
-				}
-				fmt.Fprintln(w)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Schema int          `json:"schema"`
-			Sweeps []MeterState `json:"sweeps"`
-		}{Schema: SnapshotSchemaVersion, Sweeps: states})
-	}
 	healthz := func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -234,7 +185,6 @@ func statusRoutes(reg *Registry) []Route {
 	}
 	return []Route{
 		{"/metrics", http.HandlerFunc(metrics)},
-		{"/progress", http.HandlerFunc(progress)},
 		{"/healthz", http.HandlerFunc(healthz)},
 		{"/readyz", http.HandlerFunc(readyzHandler)},
 		{"/debug/pprof/", http.HandlerFunc(pprof.Index)},

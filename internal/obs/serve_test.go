@@ -30,22 +30,17 @@ func get(t *testing.T, srv *httptest.Server, path, accept string) (int, string) 
 	return resp.StatusCode, string(body)
 }
 
-// TestStatusHandlerEndpoints drives /metrics (both content types),
-// /progress and the pprof index through httptest against a registry with
-// live data and a ticking meter.
+// TestStatusHandlerEndpoints drives /metrics (every content type), the
+// pprof index and /healthz through httptest against a registry with live
+// data.
 func TestStatusHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	SetEnabled(true)
 	reg.Counter("rta.calls").Add(11)
 	reg.Histogram("rta.iters", 1, 2, 4).Observe(3)
 	SetEnabled(false)
-	ResetProgress()
-	defer ResetProgress()
-	mt := NewMeter(nil, "acceptance-general", 4, false)
-	mt.Tick("U_M=%.3f", 0.65)
-	mt.Tick("U_M=%.3f", 0.75)
 
-	srv := httptest.NewServer(StatusHandler(reg))
+	srv := httptest.NewServer(StatusHandlerWith(reg))
 	defer srv.Close()
 
 	code, text := get(t, srv, "/metrics", "")
@@ -89,34 +84,6 @@ func TestStatusHandlerEndpoints(t *testing.T) {
 		t.Errorf("?format=prometheus differs from Accept negotiation: %q vs %q", prom2, prom)
 	}
 
-	code, body = get(t, srv, "/progress", "")
-	if code != 200 {
-		t.Fatalf("/progress: code %d", code)
-	}
-	var prog struct {
-		Schema int          `json:"schema"`
-		Sweeps []MeterState `json:"sweeps"`
-	}
-	if err := json.Unmarshal([]byte(body), &prog); err != nil {
-		t.Fatalf("/progress: %v\n%s", err, body)
-	}
-	if len(prog.Sweeps) != 1 {
-		t.Fatalf("/progress sweeps: %s", body)
-	}
-	st := prog.Sweeps[0]
-	if st.Label != "acceptance-general" || st.Done != 2 || st.Total != 4 ||
-		st.Percent != 50 || st.LastPoint != "U_M=0.750" {
-		t.Errorf("/progress state wrong: %+v", st)
-	}
-	if st.EtaSeconds <= 0 || st.ElapsedSeconds < 0 {
-		t.Errorf("/progress timing wrong: %+v", st)
-	}
-
-	code, body = get(t, srv, "/progress?format=text", "")
-	if code != 200 || !strings.Contains(body, "acceptance-general") || !strings.Contains(body, "2/4") {
-		t.Errorf("/progress text: code %d body %q", code, body)
-	}
-
 	code, body = get(t, srv, "/debug/pprof/", "")
 	if code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/: code %d", code)
@@ -141,16 +108,18 @@ func TestStatusHandlerEndpoints(t *testing.T) {
 		}
 	}
 
-	if code, _ = get(t, srv, "/nope", ""); code != 404 {
-		t.Errorf("unknown path: code %d, want 404", code)
+	for _, path := range []string{"/nope", "/progress"} {
+		if code, _ = get(t, srv, path, ""); code != 404 {
+			t.Errorf("%s: code %d, want 404", path, code)
+		}
 	}
 }
 
-// TestServeBindsAndCloses covers the socket path: Serve on :0, hit the
+// TestServeBindsAndCloses covers the socket path: ServeOpts on :0, hit the
 // bound address, Close tears it down.
 func TestServeBindsAndCloses(t *testing.T) {
 	reg := NewRegistry()
-	s, err := Serve("127.0.0.1:0", reg)
+	s, err := ServeOpts("127.0.0.1:0", reg, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +182,7 @@ func TestCloseWaitsForInflightResponse(t *testing.T) {
 		<-release
 		io.WriteString(w, "tail")
 	})}
-	s, err := ServeWith("127.0.0.1:0", reg, slow)
+	s, err := ServeOpts("127.0.0.1:0", reg, ServeOptions{}, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,24 +220,5 @@ func TestCloseWaitsForInflightResponse(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + s.Addr() + "/slow"); err == nil {
 		t.Error("server still reachable after Close")
-	}
-}
-
-// TestMeterTracksWithNilWriter pins the -listen-without--progress path: an
-// inert meter (nil writer) still publishes tracker state, and
-// re-registering a label restarts its entry.
-func TestMeterTracksWithNilWriter(t *testing.T) {
-	ResetProgress()
-	defer ResetProgress()
-	mt := NewMeter(nil, "sweep", 3, true)
-	mt.Tick("p%d", 1)
-	states := ProgressStates()
-	if len(states) != 1 || states[0].Done != 1 || states[0].Total != 3 {
-		t.Fatalf("states: %+v", states)
-	}
-	NewMeter(nil, "sweep", 5, false)
-	states = ProgressStates()
-	if len(states) != 1 || states[0].Done != 0 || states[0].Total != 5 {
-		t.Fatalf("re-registered states: %+v", states)
 	}
 }
