@@ -8,8 +8,10 @@
 # mid-sweep cancellation; DESIGN.md §9), short fuzz smokes for the invariant
 # checker, RM-TS against its RM-TS/light twin on light sets, the cached
 # per-processor utilization against a fresh in-order sum, the task-set
-# parser, the warm-state removal invalidation, the
-# admission prefilter's soundness and that of the utilization refusal in
+# parser, the warm-state removal invalidation, every RTA kernel and the
+# scalar list API against the array-of-structs reference analysis, every
+# utilization bound's scratch evaluation against its slice-based
+# reference, the admission prefilter's soundness and that of the utilization refusal in
 # the online engine and the batch partitioners, the admission service's
 # rejection evidence and verdict JSON (each against its oracle) and its
 # rejection memo (FuzzClusterMemo, against an unmemoized twin), the
@@ -66,7 +68,7 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, batch-vs-scalar RTA, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
@@ -76,6 +78,7 @@ go test -run '^$' -fuzz FuzzBatchUtilRuleSound -fuzztime 5s repro/internal/parti
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
+go test -run '^$' -fuzz FuzzBoundValueScratch -fuzztime 5s repro/internal/bounds
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit

@@ -144,12 +144,15 @@ func guardCluster(tb testing.TB, m int, policy string) *Cluster {
 	return c
 }
 
+// onlinePolicies lists the three partition.Online placement policies.
+var onlinePolicies = []string{partition.OnlineRTAFirstFit, partition.OnlineRTAWorstFit, partition.OnlineThreshold}
+
 // TestClusterCacheEquivalence drives identical random churn through a
 // cached cluster and a twin with the cache disabled (cap 0), checking every
 // Result is identical modulo the CacheHit marker — the soundness contract
 // of the rejection memo.
 func TestClusterCacheEquivalence(t *testing.T) {
-	for _, policy := range partition.OnlinePolicies() {
+	for _, policy := range onlinePolicies {
 		t.Run(policy, func(t *testing.T) {
 			s := NewService(1)
 			cached, err := s.Create(context.Background(), "cached-"+policy, 2, policy, 1)

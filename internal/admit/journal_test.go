@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/partition"
 	"repro/internal/task"
 )
 
@@ -51,7 +50,7 @@ func (ch *churner) step(op int) {
 	name := ch.names[r.Intn(len(ch.names))]
 	switch k := r.Intn(12); {
 	case k == 0: // create
-		pols := partition.OnlinePolicies()
+		pols := onlinePolicies
 		m, pol, sur := 1+r.Intn(3), pols[r.Intn(len(pols))], task.Time(r.Intn(2))
 		_, derr := ch.durable.Create(context.Background(), name, m, pol, sur)
 		if errors.Is(derr, ErrDurability) {

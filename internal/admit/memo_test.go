@@ -150,7 +150,7 @@ func FuzzClusterMemo(f *testing.F) {
 	f.Add(uint8(2), uint8(1), []byte{4, 7, 4, 7, 4, 7, 4, 7, 4, 7, 0, 3, 4, 7, 0x84, 0x57, 0x84, 0x57})
 	f.Add(uint8(3), uint8(6), []byte{4, 5, 4, 5, 4, 5, 0x40, 5, 0x40, 5, 0, 1, 4, 5, 4, 0})
 	f.Fuzz(func(t *testing.T, m, conf uint8, ops []byte) {
-		policies := partition.OnlinePolicies()
+		policies := onlinePolicies
 		cached, err := NewService(1).Create(context.Background(), "cached",
 			1+int(m%4), policies[int(conf)%len(policies)], task.Time(conf>>2&1))
 		if err != nil {

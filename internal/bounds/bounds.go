@@ -10,6 +10,9 @@
 //   - the T-bound and R-bound of Lauzac, Melhem & Mossé [23] based on
 //     scaled periods.
 //
+// Every bound evaluates through one path, ValueScratch with caller-owned
+// working storage (scratch.go); Value is ValueScratch with a fresh Scratch.
+//
 // Every bound here is *deflatable* (a D-PUB, Lemma 1): its value depends
 // only on task periods and count, never on execution times, so decreasing
 // execution times cannot invalidate it. Deflatable returns that statically.
@@ -92,7 +95,7 @@ type LiuLayland struct{}
 func (LiuLayland) Name() string { return "L&L" }
 
 // Value implements PUB.
-func (LiuLayland) Value(ts task.Set) float64 { return LL(len(ts)) }
+func (l LiuLayland) Value(ts task.Set) float64 { return l.ValueScratch(ts, nil) }
 
 // Deflatable implements PUB.
 func (LiuLayland) Deflatable() bool { return true }
@@ -116,16 +119,7 @@ func (h HarmonicChain) Name() string {
 }
 
 // Value implements PUB.
-func (h HarmonicChain) Value(ts task.Set) float64 {
-	periods := Periods(ts)
-	var k int
-	if h.Minimal {
-		k = HarmonicChainsMin(periods)
-	} else {
-		k = HarmonicChainsGreedy(periods)
-	}
-	return LL(k) // K(2^{1/K}−1) is the L&L expression evaluated at K
-}
+func (h HarmonicChain) Value(ts task.Set) float64 { return h.ValueScratch(ts, new(Scratch)) }
 
 // Deflatable implements PUB.
 func (HarmonicChain) Deflatable() bool { return true }
@@ -143,29 +137,18 @@ func Periods(ts task.Set) []task.Time {
 //
 //	Λ(τ) = Σ_{i=1}^{N−1} T'_{i+1}/T'_i + 2·T'_1/T'_N − N
 //
-// over the scaled periods T' (ScaledPeriods), sorted ascending.
+// over the scaled periods T', sorted ascending: each period T_i becomes
+// T_i·2^{k_i} with the unique k_i ≥ 0 that puts it in (T_max/2, T_max],
+// where T_max is the largest period. This is the ScaleTaskSet
+// transformation of [23]; it preserves RM schedulability analysis
+// structure while exposing how "close to harmonic" the set is.
 type TBound struct{}
 
 // Name implements PUB.
 func (TBound) Name() string { return "T-bound" }
 
 // Value implements PUB.
-func (TBound) Value(ts task.Set) float64 {
-	sp := ScaledPeriods(Periods(ts))
-	n := len(sp)
-	if n == 0 {
-		return 1
-	}
-	if n == 1 {
-		return 1
-	}
-	sum := 0.0
-	for i := 0; i+1 < n; i++ {
-		sum += sp[i+1] / sp[i]
-	}
-	sum += 2*sp[0]/sp[n-1] - float64(n)
-	return sum
-}
+func (b TBound) Value(ts task.Set) float64 { return b.ValueScratch(ts, new(Scratch)) }
 
 // Deflatable implements PUB.
 func (TBound) Deflatable() bool { return true }
@@ -183,45 +166,10 @@ type RBound struct{}
 func (RBound) Name() string { return "R-bound" }
 
 // Value implements PUB.
-func (RBound) Value(ts task.Set) float64 {
-	sp := ScaledPeriods(Periods(ts))
-	n := len(sp)
-	if n <= 1 {
-		return 1
-	}
-	r := sp[n-1] / sp[0]
-	return float64(n-1)*(math.Pow(r, 1/float64(n-1))-1) + 2/r - 1
-}
+func (b RBound) Value(ts task.Set) float64 { return b.ValueScratch(ts, new(Scratch)) }
 
 // Deflatable implements PUB.
 func (RBound) Deflatable() bool { return true }
-
-// ScaledPeriods maps each period T_i to T_i·2^{k_i} with the unique
-// k_i ≥ 0 such that the result lies in (T_max/2, T_max], where T_max is the
-// largest period. The returned slice is sorted ascending. This is the
-// ScaleTaskSet transformation of [23]; it preserves RM schedulability
-// analysis structure while exposing how "close to harmonic" the set is.
-func ScaledPeriods(periods []task.Time) []float64 {
-	if len(periods) == 0 {
-		return nil
-	}
-	tmax := periods[0]
-	for _, p := range periods {
-		if p > tmax {
-			tmax = p
-		}
-	}
-	out := make([]float64, len(periods))
-	for i, p := range periods {
-		v := float64(p)
-		for v*2 <= float64(tmax) {
-			v *= 2
-		}
-		out[i] = v
-	}
-	sortFloats(out)
-	return out
-}
 
 func sortFloats(v []float64) {
 	// Insertion sort: period vectors are small and this avoids pulling in
@@ -239,13 +187,7 @@ func sortFloats(v []float64) {
 
 // EffectiveRMTS returns the utilization bound RM-TS guarantees for the set
 // when instantiated with PUB p: min(Λ(τ), 2Θ/(1+Θ)) (§V).
-func EffectiveRMTS(p PUB, ts task.Set) float64 {
-	v := p.Value(ts)
-	if limit := RMTSCapFor(len(ts)); v > limit {
-		return limit
-	}
-	return v
-}
+func EffectiveRMTS(p PUB, ts task.Set) float64 { return EffectiveRMTSScratch(p, ts, nil) }
 
 // Min is a PUB combinator taking the pointwise minimum of its children —
 // useful to instantiate RM-TS with "the best bound known for this set,
@@ -267,18 +209,7 @@ func (m Min) Name() string {
 }
 
 // Value implements PUB.
-func (m Min) Value(ts task.Set) float64 {
-	if len(m.Bounds) == 0 {
-		return 1
-	}
-	v := m.Bounds[0].Value(ts)
-	for _, b := range m.Bounds[1:] {
-		if w := b.Value(ts); w < v {
-			v = w
-		}
-	}
-	return v
-}
+func (m Min) Value(ts task.Set) float64 { return m.ValueScratch(ts, new(Scratch)) }
 
 // Deflatable implements PUB.
 func (m Min) Deflatable() bool {
@@ -310,15 +241,7 @@ func (m Max) Name() string {
 }
 
 // Value implements PUB.
-func (m Max) Value(ts task.Set) float64 {
-	v := 0.0
-	for _, b := range m.Bounds {
-		if w := b.Value(ts); w > v {
-			v = w
-		}
-	}
-	return v
-}
+func (m Max) Value(ts task.Set) float64 { return m.ValueScratch(ts, new(Scratch)) }
 
 // Deflatable implements PUB.
 func (m Max) Deflatable() bool {

@@ -6,32 +6,6 @@ import (
 	"repro/internal/task"
 )
 
-// HarmonicChainsGreedy computes the number of harmonic chains covering the
-// period multiset using the classic greedy grouping: scan periods in
-// ascending order and append each to the first existing chain whose largest
-// element divides it, opening a new chain otherwise. This mirrors the chain
-// construction of Kuo & Mok [21]; it is a valid (but not always minimal)
-// chain cover. Returns 0 for an empty input.
-func HarmonicChainsGreedy(periods []task.Time) int {
-	ps := append([]task.Time(nil), periods...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	var tails []task.Time // largest element per chain
-	for _, p := range ps {
-		placed := false
-		for i, tail := range tails {
-			if p%tail == 0 {
-				tails[i] = p
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			tails = append(tails, p)
-		}
-	}
-	return len(tails)
-}
-
 // HarmonicChainsMin computes the minimum number of harmonic chains needed
 // to cover the period multiset. Two periods can share a chain iff one
 // divides the other; since divisibility is transitive, this is a minimum
@@ -40,23 +14,9 @@ func HarmonicChainsGreedy(periods []task.Time) int {
 // cover reduction on a transitively closed DAG). Returns 0 for an empty
 // input.
 func HarmonicChainsMin(periods []task.Time) int {
-	n := len(periods)
-	if n == 0 {
-		return 0
-	}
 	ps := append([]task.Time(nil), periods...)
 	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	// adj[i] lists j > i with ps[i] | ps[j]. Index order breaks ties between
-	// equal periods, keeping the relation antisymmetric.
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if ps[j]%ps[i] == 0 {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	return n - maxBipartiteMatching(n, adj)
+	return new(Scratch).chainsMin(ps)
 }
 
 // HarmonicChainCover returns an explicit minimum chain cover of the period
@@ -116,36 +76,4 @@ func HarmonicChainCover(periods []task.Time) (chains [][]int, sorted []task.Time
 		chains = append(chains, chain)
 	}
 	return chains, ps
-}
-
-// maxBipartiteMatching runs Kuhn's augmenting-path algorithm on the
-// successor graph (left and right node sets are both 0..n-1) and returns
-// the matching size. O(V·E), which is ample for task-set sizes.
-func maxBipartiteMatching(n int, adj [][]int) int {
-	matchR := make([]int, n)
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	var try func(i int, seen []bool) bool
-	try = func(i int, seen []bool) bool {
-		for _, j := range adj[i] {
-			if seen[j] {
-				continue
-			}
-			seen[j] = true
-			if matchR[j] == -1 || try(matchR[j], seen) {
-				matchR[j] = i
-				return true
-			}
-		}
-		return false
-	}
-	size := 0
-	for i := 0; i < n; i++ {
-		seen := make([]bool, n)
-		if try(i, seen) {
-			size++
-		}
-	}
-	return size
 }

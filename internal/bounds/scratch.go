@@ -1,18 +1,17 @@
-// Scratch-threaded PUB evaluation. RM-TS evaluates its parametric bound
-// Λ(τ) once per partitioning call, which on the acceptance-sweep hot path
-// means once per generated sample: the slice-based implementations in
-// bounds.go and chains.go (period copies, sort.Slice's reflection swapper,
-// one visited-set per matching round) dominate the partitioner's allocation
-// profile once the analysis itself runs arena-backed. ScratchValuer is the
-// allocation-free counterpart: all working storage comes from a
-// caller-owned Scratch that grows to the working-set size and is then
-// reused forever.
+// Scratch-threaded PUB evaluation, the one implementation of every bound.
+// RM-TS evaluates its parametric bound Λ(τ) once per partitioning call,
+// which on the acceptance-sweep hot path means once per generated sample,
+// so the evaluation draws all working storage (sorted periods, scaled
+// periods, matching state, chain tails) from a caller-owned Scratch that
+// grows to the working-set size and is then reused forever. Each Value
+// method is ValueScratch with a fresh Scratch.
 //
-// Equivalence: every ValueScratch returns exactly the float64 its Value
-// counterpart returns (same sort permutations — the insertion sorts are
-// stable, and the sort keys here are total orders anyway — and the same
-// matching, since candidate successors are scanned in the same ascending
-// order). The bounds property tests pin this.
+// FuzzBoundValueScratch pins every bound, on fresh and on reused scratch,
+// against the slice-based reference kept in reference_test.go (period
+// copies, sort.Slice, an explicit adjacency list for the matching): same
+// sort permutations — the insertion sorts here are stable, and the sort
+// keys are total orders anyway — and the same matching, since candidate
+// successors are scanned in the same ascending order.
 package bounds
 
 import (
@@ -63,7 +62,7 @@ func EffectiveRMTSScratch(p PUB, ts task.Set, sc *Scratch) float64 {
 }
 
 // ValueScratch implements ScratchValuer (LL depends only on the count).
-func (l LiuLayland) ValueScratch(ts task.Set, _ *Scratch) float64 { return l.Value(ts) }
+func (LiuLayland) ValueScratch(ts task.Set, _ *Scratch) float64 { return LL(len(ts)) }
 
 // ValueScratch implements ScratchValuer.
 func (h HarmonicChain) ValueScratch(ts task.Set, sc *Scratch) float64 {
@@ -74,7 +73,7 @@ func (h HarmonicChain) ValueScratch(ts task.Set, sc *Scratch) float64 {
 	} else {
 		k = sc.chainsGreedy(ps)
 	}
-	return LL(k)
+	return LL(k) // K(2^{1/K}−1) is the L&L expression evaluated at K
 }
 
 // ValueScratch implements ScratchValuer.
@@ -117,9 +116,7 @@ func (m Max) ValueScratch(ts task.Set, sc *Scratch) float64 {
 }
 
 // sortedPeriods fills the scratch period buffer with the set's periods in
-// ascending order (insertion sort: identical permutation of values to the
-// sort.Slice in chains.go, whose comparison key is a total preorder on
-// values, so equal elements are interchangeable).
+// ascending order (insertion sort; equal periods are interchangeable).
 func (sc *Scratch) sortedPeriods(ts task.Set) []task.Time {
 	ps := sc.periods[:0]
 	for _, t := range ts {
@@ -138,13 +135,14 @@ func (sc *Scratch) sortedPeriods(ts task.Set) []task.Time {
 	return ps
 }
 
-// scaledPeriods computes ScaledPeriods into the scratch float buffer,
-// memoized on the full period vector: TBound and RBound both consume it, so
-// under a Max/Min combinator the second child reuses the first child's
-// scale+sort. The memo key is compared element for element — an O(n) check
-// against the O(n log n + n·log(Tmax/Tmin)) recompute — so a caller mutating
-// the set between evaluations (arena reuse across samples) can never see a
-// stale vector.
+// scaledPeriods computes the sorted scaled periods of the T-bound (see
+// TBound) into the scratch float buffer, memoized on the full period
+// vector: TBound and RBound both consume it, so under a Max/Min combinator
+// the second child reuses the first child's scale+sort. The memo key is
+// compared element for element — an O(n) check against the
+// O(n log n + n·log(Tmax/Tmin)) recompute — so a caller mutating the set
+// between evaluations (arena reuse across samples) can never see a stale
+// vector.
 func (sc *Scratch) scaledPeriods(ts task.Set) []float64 {
 	if len(ts) == 0 {
 		return nil
@@ -185,8 +183,11 @@ func (sc *Scratch) scaledPeriods(ts task.Set) []float64 {
 	return out
 }
 
-// chainsGreedy is HarmonicChainsGreedy on an already-sorted period vector,
-// with the chain-tail list drawn from scratch.
+// chainsGreedy counts the harmonic chains of the classic greedy grouping
+// of Kuo & Mok [21] on an already-sorted period vector: each period joins
+// the first chain whose largest element divides it, opening a new chain
+// otherwise. A valid, not always minimal, chain cover; the chain-tail list
+// is drawn from scratch.
 func (sc *Scratch) chainsGreedy(ps []task.Time) int {
 	tails := sc.tails[:0]
 	for _, p := range ps {
@@ -207,10 +208,10 @@ func (sc *Scratch) chainsGreedy(ps []task.Time) int {
 }
 
 // chainsMin is HarmonicChainsMin on an already-sorted period vector: n
-// minus a maximum matching of the successor graph, computed by Kuhn's
-// algorithm with scratch-backed matching state and no materialised
-// adjacency — adj[i] in chains.go lists exactly the j > i with ps[i] |
-// ps[j] in ascending order, which tryAugment re-derives on the fly.
+// minus a maximum matching of the successor graph (i → j for j > i with
+// ps[i] | ps[j]), computed by Kuhn's algorithm with scratch-backed matching
+// state and no materialised adjacency — tryAugment re-derives each node's
+// successors in ascending order on the fly.
 func (sc *Scratch) chainsMin(ps []task.Time) int {
 	n := len(ps)
 	if n == 0 {

@@ -8,7 +8,7 @@
 // The Explanation is derived from three sources: the partition.Result (the
 // verdict, cause tag and assignment), the obs.Trace decision events (the
 // final fragment's exact shape when the failure happened mid-split), and
-// fresh analysis probes (rta.ResponseTimeExtraVerdict, split.MaxPortionAt,
+// fresh analysis probes (rta.ResponseTimeVerdict, split.MaxPortionAt,
 // the bounds package) that recompute the rejected admission on each
 // processor so the report can show not just *that* the test said no but
 // *what it measured*. Everything is recomputed from the inputs — nothing
@@ -142,8 +142,8 @@ type ProcEvidence struct {
 	OwnResponse int64  `json:"ownResponse,omitempty"`
 	OwnVerdict  string `json:"ownVerdict,omitempty"`
 	// Blocked is the highest-priority resident whose own deadline breaks
-	// when the fragment is forced on (rta.ResponseTimeExtraVerdict); nil
-	// when no resident breaks.
+	// when the fragment is forced on (rta.ResponseTimeVerdict with the
+	// fragment among its interferers); nil when no resident breaks.
 	Blocked *BlockedResident `json:"blocked,omitempty"`
 	// MaxPortion is the largest admissible prefix MaxSplit would take
 	// (splitting algorithms only; 0 means the processor is full for this
@@ -410,27 +410,22 @@ func ProbeUtilization(u float64) *ProcEvidence {
 // (rta.ProcState.ProbeAt); this scalar form is that probe's test oracle.
 func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion bool) *ProcEvidence {
 	ev := &ProcEvidence{}
-	// Position the load at its priority among the residents; hp is every
-	// resident that outranks it.
+	// Position the load at its priority among the residents and mirror
+	// the post-insert view: the load's interferers are the pos residents
+	// that outrank it, and resident i ≥ pos sits at i+1 below the load.
 	pos := 0
 	for pos < len(list) && list[pos].TaskIndex <= prio {
 		pos++
 	}
-	hp := make([]rta.Interference, pos)
-	for j := 0; j < pos; j++ {
-		hp[j] = rta.Interference{C: list[j].C, T: list[j].T}
-	}
-	r, v := rta.ResponseTimeVerdict(c, hp, d)
+	post := append(append(append([]task.Subtask(nil), list[:pos]...), task.Subtask{C: c, T: t}), list[pos:]...)
+	cs, ts := rta.Mirror(post, new([]task.Time))
+	r, v := rta.ResponseTimeVerdict(c, cs[:pos], ts[:pos], d)
 	ev.OwnResponse = r
 	ev.OwnVerdict = v.String()
 	// First resident below the load whose deadline breaks once it
 	// interferes.
 	for i := pos; i < len(list); i++ {
-		ihp := make([]rta.Interference, i)
-		for j := 0; j < i; j++ {
-			ihp[j] = rta.Interference{C: list[j].C, T: list[j].T}
-		}
-		rr, rv := rta.ResponseTimeExtraVerdict(list[i].C, ihp, c, t, list[i].Deadline)
+		rr, rv := rta.ResponseTimeVerdict(list[i].C, cs[:i+1], ts[:i+1], list[i].Deadline)
 		if rv != rta.VerdictFits {
 			ev.Blocked = &BlockedResident{
 				Task: list[i].TaskIndex, Part: list[i].Part,

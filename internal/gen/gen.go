@@ -163,14 +163,10 @@ func TaskSetInto(r *rand.Rand, c Config, sc *Scratch) (task.Set, error) {
 	return MaterializeInto(r, us, pg, sc)
 }
 
-// Materialize converts a utilization vector into an integer task set using
-// the period generator: T drawn per task, C = clamp(round(U·T), 1, T).
-func Materialize(r *rand.Rand, us []float64, pg PeriodGen) (task.Set, error) {
-	return MaterializeInto(r, us, pg, nil)
-}
-
-// MaterializeInto is Materialize drawing into sc's set buffer (see
-// TaskSetInto for the aliasing contract; nil sc allocates fresh).
+// MaterializeInto converts a utilization vector into an integer task set
+// using the period generator: T drawn per task, C = clamp(round(U·T), 1, T).
+// The set is drawn into sc's set buffer (see TaskSetInto for the aliasing
+// contract; nil sc allocates fresh).
 func MaterializeInto(r *rand.Rand, us []float64, pg PeriodGen, sc *Scratch) (task.Set, error) {
 	ts := sc.setBuf(len(us))
 	for i, u := range us {
@@ -241,27 +237,4 @@ func UUniFast(r *rand.Rand, n int, targetU float64) []float64 {
 	}
 	us[n-1] = sum
 	return us
-}
-
-// UUniFastDiscard repeats UUniFast until every utilization lies in
-// (0, maxU], the standard "discard" variant for multiprocessor targets
-// (targetU may exceed 1). It gives up after 10000 attempts.
-func UUniFastDiscard(r *rand.Rand, n int, targetU, maxU float64) ([]float64, error) {
-	if targetU > float64(n)*maxU {
-		return nil, fmt.Errorf("gen: target %g infeasible for %d tasks capped at %g", targetU, n, maxU)
-	}
-	for attempt := 0; attempt < 10000; attempt++ {
-		us := UUniFast(r, n, targetU)
-		ok := true
-		for _, u := range us {
-			if u <= 0 || u > maxU {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return us, nil
-		}
-	}
-	return nil, fmt.Errorf("gen: UUniFast-discard failed for n=%d target=%g maxU=%g", n, targetU, maxU)
 }

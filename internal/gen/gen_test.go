@@ -126,27 +126,6 @@ func TestUUniFast(t *testing.T) {
 	}
 }
 
-func TestUUniFastDiscard(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	us, err := UUniFastDiscard(r, 20, 6.0, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for _, u := range us {
-		if u <= 0 || u > 0.8 {
-			t.Fatalf("utilization %g out of (0, 0.8]", u)
-		}
-		sum += u
-	}
-	if math.Abs(sum-6.0) > 1e-9 {
-		t.Fatalf("sum %.6f ≠ 6.0", sum)
-	}
-	if _, err := UUniFastDiscard(r, 4, 5.0, 1.0); err == nil {
-		t.Error("infeasible target accepted")
-	}
-}
-
 func TestHarmonicSetSingleChain(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
@@ -278,13 +257,13 @@ func TestGeneratorsDeterministic(t *testing.T) {
 
 func TestMaterializeValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
-	if _, err := Materialize(r, []float64{0.5, 1.5}, UniformPeriods{Min: 10, Max: 20}); err == nil {
+	if _, err := MaterializeInto(r, []float64{0.5, 1.5}, UniformPeriods{Min: 10, Max: 20}, nil); err == nil {
 		t.Error("utilization > 1 accepted")
 	}
-	if _, err := Materialize(r, []float64{0.5, 0}, UniformPeriods{Min: 10, Max: 20}); err == nil {
+	if _, err := MaterializeInto(r, []float64{0.5, 0}, UniformPeriods{Min: 10, Max: 20}, nil); err == nil {
 		t.Error("zero utilization accepted")
 	}
-	ts, err := Materialize(r, []float64{0.001}, UniformPeriods{Min: 10, Max: 20})
+	ts, err := MaterializeInto(r, []float64{0.001}, UniformPeriods{Min: 10, Max: 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

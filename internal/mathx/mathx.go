@@ -75,19 +75,6 @@ func LCM(a, b int64) int64 {
 	return a * absInt64(b)
 }
 
-// LCMAll folds LCM over the values, saturating at math.MaxInt64.
-// LCMAll() is 1 (the identity of LCM on positive integers).
-func LCMAll(vs ...int64) int64 {
-	acc := int64(1)
-	for _, v := range vs {
-		acc = LCM(acc, v)
-		if acc == math.MaxInt64 {
-			return acc
-		}
-	}
-	return acc
-}
-
 func absInt64(v int64) int64 {
 	if v < 0 {
 		return -v
@@ -148,14 +135,6 @@ func MulChecked(a, b int64) (int64, bool) {
 		return math.MaxInt64, false
 	}
 	return a * b, true
-}
-
-// MinInt64 returns the smaller of a and b.
-func MinInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // MaxInt64 returns the larger of a and b.

@@ -122,18 +122,6 @@ func TestLCM(t *testing.T) {
 	}
 }
 
-func TestLCMAll(t *testing.T) {
-	if got := LCMAll(); got != 1 {
-		t.Errorf("LCMAll() = %d, want 1", got)
-	}
-	if got := LCMAll(4, 6, 10); got != 60 {
-		t.Errorf("LCMAll(4,6,10) = %d, want 60", got)
-	}
-	if got := LCMAll(math.MaxInt64-1, math.MaxInt64-2); got != math.MaxInt64 {
-		t.Errorf("LCMAll with huge coprimes = %d, want saturation", got)
-	}
-}
-
 func TestGCDPropertyDividesBoth(t *testing.T) {
 	f := func(a, b int32) bool {
 		g := GCD(int64(a), int64(b))
@@ -247,9 +235,6 @@ func TestCheckedMatchesSat(t *testing.T) {
 }
 
 func TestMinMaxInt64(t *testing.T) {
-	if MinInt64(2, 3) != 2 || MinInt64(3, 2) != 2 {
-		t.Error("MinInt64 wrong")
-	}
 	if MaxInt64(2, 3) != 3 || MaxInt64(3, 2) != 3 {
 		t.Error("MaxInt64 wrong")
 	}

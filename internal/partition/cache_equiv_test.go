@@ -90,19 +90,9 @@ func TestMaxPortionStateMatchesMaxPortionAt(t *testing.T) {
 			}
 			// Real probes never share a TaskIndex with a resident of the
 			// same processor (a split's remainder moves to a different
-			// processor), and MaxPortionAt and PosFor break the never-
-			// occurring tie differently — so draw a non-colliding priority.
+			// processor), but the draw may: both searches then place the
+			// candidate below the tied resident.
 			prio := r.Intn(len(res.Assignment.Set) + 1)
-			for taken := true; taken; {
-				taken = false
-				for _, sub := range procs {
-					if sub.TaskIndex == prio {
-						prio = r.Intn(len(res.Assignment.Set) + 1)
-						taken = true
-						break
-					}
-				}
-			}
 			T := task.Time(10 + r.Intn(1000))
 			budget := task.Time(1 + r.Intn(200))
 			d := task.Time(1 + r.Intn(int(T)))

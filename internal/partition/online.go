@@ -53,11 +53,6 @@ const (
 	OnlineThreshold   = "threshold" // L&L utilization threshold, first fit
 )
 
-// OnlinePolicies lists the valid Online placement policies.
-func OnlinePolicies() []string {
-	return []string{OnlineRTAFirstFit, OnlineRTAWorstFit, OnlineThreshold}
-}
-
 // cOnlineUtilSkips counts processors an RTA admission refused by
 // utilization alone (OverUtilized), with neither the prefilter nor the
 // exact probe run.

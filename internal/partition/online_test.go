@@ -169,11 +169,14 @@ func randomOnlineTask(r *rand.Rand, implicitOnly bool) task.Task {
 	return t
 }
 
+// onlinePolicies lists the three Online placement policies.
+var onlinePolicies = []string{OnlineRTAFirstFit, OnlineRTAWorstFit, OnlineThreshold}
+
 // TestOnlineMatchesFromScratch drives random admit/remove churn through all
 // three policies and checks every decision and the surviving residents'
 // responses against the from-scratch model.
 func TestOnlineMatchesFromScratch(t *testing.T) {
-	for _, policy := range OnlinePolicies() {
+	for _, policy := range onlinePolicies {
 		t.Run(policy, func(t *testing.T) {
 			r := rand.New(rand.NewSource(31))
 			for trial := 0; trial < 60; trial++ {
@@ -357,7 +360,7 @@ func TestNewOnlineValidation(t *testing.T) {
 // and requires identical placements and verdicts, which proves the restored
 // warm-start state is at least sound (a stale cache would flip a verdict).
 func TestOnlineRestoreEquivalence(t *testing.T) {
-	for _, policy := range OnlinePolicies() {
+	for _, policy := range onlinePolicies {
 		t.Run(policy, func(t *testing.T) {
 			live, err := NewOnline(3, policy, 1)
 			if err != nil {

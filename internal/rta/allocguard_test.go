@@ -25,7 +25,7 @@ func guardList(seed int64, n int) []task.Subtask {
 
 func TestAllocGuardProcessorSchedulableScratch(t *testing.T) {
 	list := guardList(2, 12)
-	var buf []Interference
+	var buf []task.Time
 	_, buf = ProcessorSchedulableScratch(list, buf) // warm the buffer
 	allocs := testing.AllocsPerRun(200, func() {
 		_, buf = ProcessorSchedulableScratch(list, buf)

@@ -1,25 +1,28 @@
-// Struct-of-arrays batch RTA kernel (DESIGN.md §13). The AoS Interference
-// mirror of the original ProcState pays a pointer-chasing and checked-math
-// tax in the innermost demand loop — every ⌈R/T⌉·C term runs CeilDiv's
-// divisor validation plus MulChecked/AddChecked branches, per interferer,
-// per iterate, per probe. The batch kernel splits the resident mirror into
-// parallel C/T/deadline/response slices and hoists all safety out of the
-// loop:
+// Struct-of-arrays RTA kernels (DESIGN.md §13). Every interferer set in
+// this package is a pair of parallel slices — execution times cs and
+// periods ts, highest priority first — so position i's higher-priority set
+// is the prefix pair cs[:i], ts[:i]. ProcState keeps its residents in this
+// layout, and the scalar list API (rta.go) carves the same pair from one
+// buffer (Mirror).
 //
-//   - one saturating O(n) overflow precheck per probe (interferenceBound)
-//     proves that NO demand evaluated during the probe can leave int64; the
-//     common case then runs fixpointFast, whose inner loop is branch-free
-//     mathx.CeilDivU plus a multiply-accumulate over two flat slices with
-//     the bounds check eliminated (cs reslice to len(ts));
-//   - the rare unsafe case (deadlines or periods near MaxInt64) falls back
-//     to fixpointChecked, which mirrors iterate() operation for operation,
-//     so verdicts, response values AND iteration counts are identical on
-//     every input — the batch-vs-scalar fuzz test pins this.
+// Each analysis quantity has exactly two kernels:
 //
-// The same precheck structure accelerates the slack/max-own-load testing
-// point scans used by MaxSplit (slackBatch, maxOwnLoadBatch): the per-point
-// demand loses its saturation branches, and the m·T_j point enumeration
-// drops the per-point MulChecked by bounding m ≤ d/T_j up front.
+//   - the fixed point: fixpointFast and fixpointChecked;
+//   - the testing-point slack [22]: slackBatchCapped and slackCheckedBatch;
+//   - the max own load: maxOwnLoadBatch and maxOwnLoadCheckedBatch.
+//
+// The fast kernels hoist all safety out of the innermost demand loop: one
+// saturating O(n) overflow precheck per probe (interferenceBound, batchSafe)
+// proves that no demand evaluated during the probe can leave int64, and the
+// loop then runs branch-free mathx.CeilDivU plus a multiply-accumulate over
+// the two flat slices, with the bounds check eliminated (cs resliced to
+// len(ts)). The checked kernels run per-term checked or saturating
+// arithmetic and are exact on every int64 input; the fast kernels fall back
+// to them whenever the precheck fails, and the scalar list API always runs
+// them. On the shared domain the two kernels of a quantity return the same
+// value (and, for the fixed point, the same verdict and iteration count);
+// FuzzBatchVsScalarRTA pins both against the array-of-structs references
+// kept in reference_test.go.
 package rta
 
 import (
@@ -112,12 +115,12 @@ func batchSafe(own task.Time, cs, ts []task.Time, maxL task.Time) bool {
 	return ok && bound <= uint64(math.MaxInt64)-uint64(own)
 }
 
-// fixpointFast is the unchecked struct-of-arrays fixed-point kernel: the
-// least fixed point of R = own + Σ ⌈R/T_j⌉·C_j from a valid lower-bound
-// start, for inputs proven overflow-free by batchSafe. Control flow —
-// including the order of the limit, fault-injection and MaxIters checks and
-// the monotonicity panic — replicates iterate() exactly, so the two paths
-// return identical (response, verdict, iters) triples on the shared domain.
+// fixpointFast is the unchecked fixed-point kernel: the least fixed point
+// of R = own + Σ ⌈R/T_j⌉·C_j from a valid lower-bound start, for inputs
+// proven overflow-free by batchSafe. Control flow — including the order of
+// the limit, fault-injection and MaxIters checks and the monotonicity panic
+// — replicates fixpointChecked exactly, so the two kernels return identical
+// (response, verdict, iters) triples on the shared domain.
 func fixpointFast(own task.Time, cs, ts []task.Time, limit, start task.Time) (task.Time, Verdict, int64) {
 	if own > limit {
 		return own, VerdictExceedsLimit, 0
@@ -151,16 +154,22 @@ func fixpointFast(own task.Time, cs, ts []task.Time, limit, start task.Time) (ta
 	}
 }
 
-// fixpointChecked is the checked struct-of-arrays twin of fixpointFast for
-// probes whose parameters could overflow int64 — an exact mirror of
-// iterate() with the interferer set as parallel slices instead of
-// []Interference. Kept separate so the fast kernel's loop stays free of the
+// fixpointChecked is the checked fixed-point kernel, exact on every int64
+// input: the least fixed point of R = own + Σ ⌈R/T_j⌉·C_j, starting from
+// start, which MUST be a valid lower bound on the least fixed point (any
+// such start converges to the same fixed point: for every r < lfp the
+// demand function satisfies f(r) > r by Knaster–Tarski, so the iterates
+// increase monotonically towards lfp and never overshoot it). iters counts
+// demand evaluations (0 when own alone already exceeds limit). Kept
+// separate from fixpointFast so the fast loop stays free of the
 // checked-math branches.
 func fixpointChecked(own task.Time, cs, ts []task.Time, limit, start task.Time) (task.Time, Verdict, int64) {
 	if own > limit {
 		return own, VerdictExceedsLimit, 0
 	}
 	if faultinject.ShouldAbortRTA() {
+		// Injected iteration-cap abort: report the current iterate exactly
+		// as the genuine MaxIters path would, without doing the work.
 		return start, VerdictAborted, 0
 	}
 	r := start
@@ -186,8 +195,9 @@ func fixpointChecked(own task.Time, cs, ts []task.Time, limit, start task.Time) 
 		}
 		iters++
 		if !ok {
-			// Demand overflow proves the least fixed point exceeds MaxInt64
-			// ≥ limit — an exact over-limit verdict (see iterate).
+			// The demand at iterate r overflows int64, so the true demand —
+			// and with it the least fixed point — exceeds MaxInt64 ≥ limit:
+			// an exact over-limit verdict, not a silent wrap.
 			return task.Time(math.MaxInt64), VerdictExceedsLimit, iters
 		}
 		if next == r {
@@ -296,74 +306,20 @@ func (b *BatchState) EvaluateList(list []task.Subtask, carry bool) bool {
 	return true
 }
 
-// slackBatch is the struct-of-arrays twin of slackCore: the testing-point
-// slack of a task (c, d) against a period-t interferer over interferers
-// (cs, ts). Identical results, identical point enumeration (and hence
-// identical rta.slack.points totals): the fast path merely replaces the
-// per-point saturating demand with unchecked arithmetic — licensed by the
-// same batchSafe precheck as the fixed-point kernel, since every testing
-// point x ≤ d — and bounds each m·T_j enumeration by m ≤ d/T_j instead of
-// per-point MulChecked.
-func slackBatch(c, d task.Time, cs, ts []task.Time, t task.Time) task.Time {
-	if !batchSafe(c, cs, ts, d) {
-		return slackCheckedBatch(c, d, cs, ts, t)
-	}
-	best := task.Time(-1)
-	cSlackCalls.Inc()
-	points := int64(0)
-	cs = cs[:len(ts)]
-	check := func(x task.Time) {
-		points++
-		demand := c
-		for k, tj := range ts {
-			demand += mathx.CeilDivU(x, tj) * cs[k]
-		}
-		if demand > x {
-			return
-		}
-		jobs := mathx.CeilDivU(x, t)
-		e := (x - demand) / jobs
-		if e > best {
-			best = e
-		}
-	}
-	if d > 0 {
-		check(d)
-	}
-	for _, tj := range ts {
-		x := tj
-		for m := d / tj; m > 0; m-- {
-			check(x)
-			x += tj
-		}
-	}
-	x := t
-	for m := d / t; m > 0; m-- {
-		check(x)
-		x += t
-	}
-	cSlackPoints.Add(points)
-	if best < 0 {
-		return 0
-	}
-	if best == math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return best
-}
-
-// slackBatchCapped is slackBatch with an early exit for min-fold callers
-// (ProcState.SlackAtMost): the slack is a running MAXIMUM over testing
-// points, so as soon as that partial maximum reaches cap the final value is
-// known to be ≥ cap and enumeration stops. Below cap the result is exactly
-// slackBatch's — the point SET is identical (multiples of every T_j and of t
-// up to d, plus d itself, here deduplicated), and a maximum is insensitive
-// to order and duplicates. At or above cap only the ≥-cap fact is
-// meaningful. The overflow fallback ignores the cap (exact is trivially ≥
-// any partial).
+// slackBatchCapped is the fast testing-point slack kernel: the slack of a
+// task (c, d) against a period-t interferer over interferers (cs, ts) (see
+// Slack), with an early exit for min-fold callers (ProcState.SlackAtMost).
+// The slack is a running MAXIMUM over testing points, so as soon as that
+// partial maximum reaches cap the final value is known to be ≥ cap and
+// enumeration stops. Below cap the result is exactly slackCheckedBatch's —
+// the point SET is identical (multiples of every T_j and of t up to d, plus
+// d itself, here deduplicated), and a maximum is insensitive to order and
+// duplicates; a cap of math.MaxInt64 therefore makes it exact. At or above
+// cap only the ≥-cap fact is meaningful. The overflow fallback ignores the
+// cap (exact is trivially ≥ any partial).
 //
-// Unlike slackBatch, which re-derives each point's demand with one CeilDivU
-// per interferer, this scan walks the points in ascending merged order and
+// Rather than re-derive each point's demand with one division per
+// interferer, this scan walks the points in ascending merged order and
 // maintains the demand incrementally: nm[j] is the smallest multiple of
 // source j's period that is ≥ the current point x, so ⌈x/T_j⌉ = nm[j]/T_j,
 // and the running demand sum advances by C_j exactly when the walk passes a
@@ -446,8 +402,9 @@ func slackBatchCapped(c, d task.Time, cs, ts []task.Time, t, cap task.Time, scra
 	return best
 }
 
-// slackCheckedBatch mirrors slackCore operation for operation on parallel
-// slices — the overflow-capable fallback of slackBatch.
+// slackCheckedBatch is the checked testing-point slack kernel (see Slack):
+// per-point saturating demand and checked m·T enumeration, exact on every
+// int64 input — the overflow-capable fallback of slackBatchCapped.
 func slackCheckedBatch(c, d task.Time, cs, ts []task.Time, t task.Time) task.Time {
 	best := task.Time(-1)
 	cSlackCalls.Inc()
@@ -501,15 +458,12 @@ func slackCheckedBatch(c, d task.Time, cs, ts []task.Time, t task.Time) task.Tim
 	return best
 }
 
-// maxOwnLoadBatch is the struct-of-arrays twin of MaxOwnLoad: the largest
-// own execution time admissible at deadline d under interferers (cs, ts),
-// with the same testing-point enumeration and rta.maxload.points totals.
+// maxOwnLoadBatch is the fast max-own-load kernel: the largest own
+// execution time admissible at deadline d under interferers (cs, ts) (see
+// MaxOwnLoad), with the same testing-point enumeration and
+// rta.maxload.points totals as maxOwnLoadCheckedBatch.
 func maxOwnLoadBatch(cs, ts []task.Time, d task.Time) task.Time {
-	if d <= 0 {
-		return 0
-	}
-	bound, ok := interferenceBound(cs, ts, d)
-	if !ok || bound > uint64(math.MaxInt64) {
+	if bound, ok := interferenceBound(cs, ts, d); d <= 0 || !ok || bound > uint64(math.MaxInt64) {
 		return maxOwnLoadCheckedBatch(cs, ts, d)
 	}
 	best := task.Time(0)
@@ -540,9 +494,14 @@ func maxOwnLoadBatch(cs, ts []task.Time, d task.Time) task.Time {
 	return best
 }
 
-// maxOwnLoadCheckedBatch mirrors MaxOwnLoad on parallel slices — the
-// overflow-capable fallback of maxOwnLoadBatch.
+// maxOwnLoadCheckedBatch is the checked max-own-load kernel (see
+// MaxOwnLoad): per-point saturating interference and checked m·T
+// enumeration, exact on every int64 input — the overflow-capable fallback
+// of maxOwnLoadBatch.
 func maxOwnLoadCheckedBatch(cs, ts []task.Time, d task.Time) task.Time {
+	if d <= 0 {
+		return 0
+	}
 	best := task.Time(0)
 	points := int64(0)
 	cs = cs[:len(ts)]

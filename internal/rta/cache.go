@@ -16,8 +16,8 @@
 //     Partitioners only ever ADD load, and the demand function is monotone
 //     in added interference, so an old fixed point is a valid lower bound
 //     on the new one; the fixed-point iteration converges to the same
-//     least fixed point from any lower bound (see iterate), so warm starts
-//     are exact, not approximate;
+//     least fixed point from any lower bound (see fixpointChecked), so
+//     warm starts are exact, not approximate;
 //  3. the affected-range skip — a candidate inserted at priority position
 //     pos adds interference only to residents at positions ≥ pos; the
 //     residents before pos keep the exact response they were admitted
@@ -25,12 +25,15 @@
 //     schedulable when the last admission committed).
 //
 // Equivalence contract: every admission decision, split portion and
-// response value equals the from-scratch scalar analysis of the same
+// response value equals the from-scratch scalar list analysis of the same
 // surcharged view (rta.go), because the least fixed point is unique; only
 // the iteration counts (rta.iterations, rta.iters_per_call) are smaller.
-// The rta fuzz targets pin ProcState and BatchState against the scalar
-// functions, and the partition package's fingerprint digest and the
-// experiments golden test pin the decisions built on them.
+// Both run the kernels of batch.go on the same cs/ts layout — ProcState the
+// fast ones wherever the overflow precheck allows, the list API always the
+// checked ones. The rta fuzz targets pin ProcState, BatchState and the list
+// API against the array-of-structs references in reference_test.go, and
+// the partition package's fingerprint digest and the experiments golden
+// test pin the decisions built on them.
 package rta
 
 import (
@@ -51,7 +54,7 @@ var (
 
 // ProcState is the incremental analysis state of one processor. Create one
 // per processor at the start of a partitioning run, mirror every committed
-// subtask with Insert, and use AdmitAt / SlackAt / MaxOwnLoadAt /
+// subtask with Insert, and use AdmitAt / SlackAtMost / MaxOwnLoadAt /
 // ResponseAt in place of the from-scratch package functions. The zero
 // value is ready to use (empty processor, no surcharge).
 //
@@ -281,8 +284,8 @@ type Probe struct {
 // rejection evidence. Unlike AdmitAt it does not stop at the candidate's
 // own verdict, and it never warm-starts: every fixed point runs from the
 // classic cold-start bound over the spliced view, so each response equals
-// the from-scratch scalar analysis of the same inputs (ResponseTimeVerdict
-// for the candidate, ResponseTimeExtraVerdict for the residents below it),
+// the from-scratch scalar analysis of the same inputs (ResponseTimeVerdict,
+// with the candidate among the interferers of every resident below it),
 // value for value. The probe leaves the response cache and the staged
 // adoption state untouched.
 func (ps *ProcState) ProbeAt(prio int, c, t, d task.Time) Probe {
@@ -319,7 +322,7 @@ func (ps *ProcState) ProbeAt(prio int, c, t, d task.Time) Probe {
 //     converged responses and are kept.
 //   - Residents AT OR BELOW pos lose an interferer. Their cached responses
 //     were converged against the LARGER demand function, so they are upper
-//     bounds on the new fixed points — and iterate() requires a LOWER
+//     bounds on the new fixed points — and the kernels require a LOWER
 //     bound to converge to the least fixed point (starting at or above a
 //     non-least fixed point would either return it, over-reporting the
 //     response, or trip the monotonicity panic). Those entries are
@@ -350,20 +353,16 @@ func (ps *ProcState) Remove(pos int) {
 // TaskAt returns the priority key (task index) of resident pos.
 func (ps *ProcState) TaskAt(pos int) int { return ps.idx[pos] }
 
-// SlackAt returns the testing-point slack of resident i against a new
+// SlackAtMost returns the testing-point slack of resident i against a new
 // period-t interferer (see Slack), evaluated on the mirrored surcharged
-// view with zero allocation via the batch kernel.
-func (ps *ProcState) SlackAt(i int, t task.Time) task.Time {
-	return slackBatch(ps.b.cs[i], ps.b.dls[i], ps.b.cs[:i], ps.b.ts[:i], t)
-}
-
-// SlackAtMost is SlackAt for callers that only consume the slack through
+// view without allocation, for callers that only consume it through
 // min(cap, slack) — the MaxSplit scan over lower-priority residents. It
 // returns the exact slack whenever that is below cap; once the running
 // point maximum reaches cap the enumeration stops and the partial maximum
 // (some value ≥ cap) is returned, which the min-fold discards. The slack is
 // a max over testing points, so any partial maximum is a lower bound and
-// the early exit never misrepresents a slack that matters.
+// the early exit never misrepresents a slack that matters; a cap of
+// math.MaxInt64 gives the exact slack.
 func (ps *ProcState) SlackAtMost(i int, t, cap task.Time) task.Time {
 	return slackBatchCapped(ps.b.cs[i], ps.b.dls[i], ps.b.cs[:i], ps.b.ts[:i], t, cap, &ps.b.nm)
 }

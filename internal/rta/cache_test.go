@@ -1,6 +1,7 @@
 package rta
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -110,23 +111,29 @@ func TestWarmStartConvergesToSameFixedPoint(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 2000; trial++ {
 		nhp := r.Intn(5)
-		hp := make([]Interference, nhp)
-		for i := range hp {
-			T := task.Time(10 + r.Intn(500))
-			hp[i] = Interference{C: task.Time(1 + r.Intn(int(T)/3+1)), T: T}
+		cs := make([]task.Time, nhp)
+		ts := make([]task.Time, nhp)
+		for i := range ts {
+			ts[i] = task.Time(10 + r.Intn(500))
+			cs[i] = task.Time(1 + r.Intn(int(ts[i])/3+1))
 		}
 		c := task.Time(1 + r.Intn(100))
 		limit := task.Time(50 + r.Intn(5000))
-		rCold, vCold, _ := iterate(c, hp, 0, 0, limit, coldStart(c, hp, 0))
+		cold := coldStart(c, cs)
+		rCold, vCold, _ := fixpointChecked(c, cs, ts, limit, cold)
 		if vCold != VerdictFits {
 			continue
 		}
-		// Any start in [coldStart, lfp] must converge to the same value.
-		for _, start := range []task.Time{rCold, rCold - 1, (coldStart(c, hp, 0) + rCold) / 2} {
-			if start < coldStart(c, hp, 0) {
-				start = coldStart(c, hp, 0)
+		// Any start in [coldStart, lfp] must converge to the same value,
+		// on both kernels.
+		for _, start := range []task.Time{rCold, rCold - 1, (cold + rCold) / 2} {
+			if start < cold {
+				start = cold
 			}
-			rWarm, vWarm, _ := iterate(c, hp, 0, 0, limit, start)
+			rWarm, vWarm, _ := fixpointChecked(c, cs, ts, limit, start)
+			if rFast, vFast, _ := fixpointFast(c, cs, ts, limit, start); rFast != rWarm || vFast != vWarm {
+				t.Fatalf("trial %d: fast kernel from %d gave (%d,%v), checked (%d,%v)", trial, start, rFast, vFast, rWarm, vWarm)
+			}
 			if rWarm != rCold || vWarm != VerdictFits {
 				t.Fatalf("trial %d: warm from %d gave (%d,%v), cold gave %d", trial, start, rWarm, vWarm, rCold)
 			}
@@ -139,36 +146,40 @@ func TestVerdictAborted(t *testing.T) {
 	MaxIters = 4
 	defer func() { MaxIters = old }()
 	// Slow convergence: interference climbs by one tick per iteration.
-	hp := []Interference{{C: 1, T: 1}}
-	_, v := ResponseTimeVerdict(1, hp, 1<<40)
+	cs, ts := []task.Time{1}, []task.Time{1}
+	_, v := ResponseTimeVerdict(1, cs, ts, 1<<40)
 	if v != VerdictAborted {
 		t.Fatalf("verdict = %v, want aborted", v)
 	}
 	if v.String() != "aborted" {
 		t.Fatalf("String() = %q", v.String())
 	}
-	// The abort is still treated as unschedulable by the boolean wrapper.
-	if _, ok := ResponseTime(1, hp, 1<<40); ok {
+	// The abort is still treated as unschedulable by the list API.
+	list := subs([3]task.Time{1, 1, 1}, [3]task.Time{1, 1 << 41, 1 << 40})
+	if _, ok := SubtaskResponse(list, 1); ok {
 		t.Fatal("aborted evaluation reported schedulable")
 	}
 }
 
 func TestVerdictExceedsLimitIsExact(t *testing.T) {
 	// C alone over the limit: exceeds-limit without any iteration.
-	if _, v := ResponseTimeVerdict(10, nil, 5); v != VerdictExceedsLimit {
+	if _, v := ResponseTimeVerdict(10, nil, nil, 5); v != VerdictExceedsLimit {
 		t.Fatalf("verdict = %v, want exceeds-limit", v)
 	}
 	// Interference pushes past the limit: still exact.
-	hp := []Interference{{C: 5, T: 10}}
-	if _, v := ResponseTimeVerdict(6, hp, 10); v != VerdictExceedsLimit {
+	cs, ts := []task.Time{5}, []task.Time{10}
+	if _, v := ResponseTimeVerdict(6, cs, ts, 10); v != VerdictExceedsLimit {
 		t.Fatalf("verdict = %v, want exceeds-limit", v)
 	}
-	if _, v := ResponseTimeVerdict(4, hp, 10); v != VerdictFits {
+	if _, v := ResponseTimeVerdict(4, cs, ts, 10); v != VerdictFits {
 		t.Fatalf("verdict = %v, want fits", v)
 	}
 }
 
-func TestSlackAtMatchesSlack(t *testing.T) {
+// TestSlackAtMostUncappedMatchesSlack pins that SlackAtMost with a cap of
+// math.MaxInt64 is the exact slack: the ProcState scan equals the reference
+// testing-point slack on the equivalent list.
+func TestSlackAtMostUncappedMatchesSlack(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 1000; trial++ {
 		n := 1 + r.Intn(6)
@@ -176,8 +187,8 @@ func TestSlackAtMatchesSlack(t *testing.T) {
 		ps := mirror(list, 0)
 		i := r.Intn(n)
 		tt := task.Time(10 + r.Intn(2000))
-		if got, want := ps.SlackAt(i, tt), Slack(list, i, tt); got != want {
-			t.Fatalf("trial %d: SlackAt=%d Slack=%d (i=%d t=%d list=%v)", trial, got, want, i, tt, list)
+		if got, want := ps.SlackAtMost(i, tt, math.MaxInt64), refSlack(list, i, tt); got != want {
+			t.Fatalf("trial %d: SlackAtMost(uncapped)=%d Slack=%d (i=%d t=%d list=%v)", trial, got, want, i, tt, list)
 		}
 	}
 }

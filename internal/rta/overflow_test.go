@@ -15,8 +15,7 @@ import (
 
 func TestResponseTimeHugePeriodNoWrap(t *testing.T) {
 	// r reaches 2 > 1, so the old (r+T-1)/T intermediate wrapped negative.
-	hp := []Interference{{C: 1, T: math.MaxInt64}}
-	r, v := ResponseTimeVerdict(1, hp, math.MaxInt64)
+	r, v := ResponseTimeVerdict(1, []task.Time{1}, []task.Time{math.MaxInt64}, math.MaxInt64)
 	if v != VerdictFits || r != 2 {
 		t.Fatalf("got r=%d v=%v, want r=2 fits", r, v)
 	}
@@ -39,7 +38,8 @@ func TestResponseTimeNearMaxParameters(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r, v := ResponseTimeVerdict(c.c, c.hp, c.limit)
+			cs, ts := columns(c.hp)
+			r, v := ResponseTimeVerdict(c.c, cs, ts, c.limit)
 			if r < 0 {
 				t.Fatalf("negative response %d (silent wrap), verdict %v", r, v)
 			}
@@ -60,8 +60,7 @@ func TestResponseTimeNearMaxParameters(t *testing.T) {
 func TestOverflowingDemandIsExceedsLimit(t *testing.T) {
 	// Demand at any r ≥ 1: c + ⌈r/1⌉·(MaxInt64-1) overflows immediately,
 	// and the limit is MaxInt64, so only the overflow check can reject.
-	hp := []Interference{{C: math.MaxInt64 - 1, T: 1}}
-	r, v := ResponseTimeVerdict(math.MaxInt64-1, hp, math.MaxInt64)
+	r, v := ResponseTimeVerdict(math.MaxInt64-1, []task.Time{math.MaxInt64 - 1}, []task.Time{1}, math.MaxInt64)
 	if v != VerdictExceedsLimit {
 		t.Fatalf("verdict %v (r=%d), want exceeds-limit", v, r)
 	}
@@ -72,21 +71,20 @@ func TestOverflowingDemandIsExceedsLimit(t *testing.T) {
 // multiple m·T never exceeded d and the loop never terminated.
 func TestSlackHugePeriodTerminates(t *testing.T) {
 	list := []task.Subtask{{TaskIndex: 0, Part: 1, C: 10, T: math.MaxInt64, Deadline: math.MaxInt64, Tail: true}}
-	if got := Slack(list, 0, math.MaxInt64/2); got < 0 {
+	if got := listSlack(list, 0, math.MaxInt64/2); got < 0 {
 		t.Fatalf("Slack = %d, want non-negative", got)
 	}
 	list2 := []task.Subtask{
 		{TaskIndex: 0, Part: 1, C: 5, T: math.MaxInt64 / 2, Deadline: math.MaxInt64 / 2, Tail: true},
 		{TaskIndex: 1, Part: 1, C: 10, T: math.MaxInt64, Deadline: math.MaxInt64, Tail: true},
 	}
-	if got := Slack(list2, 1, math.MaxInt64/3); got < 0 {
+	if got := listSlack(list2, 1, math.MaxInt64/3); got < 0 {
 		t.Fatalf("Slack with huge hp = %d, want non-negative", got)
 	}
 }
 
 func TestMaxOwnLoadHugeDeadlineTerminates(t *testing.T) {
-	hp := []Interference{{C: 1, T: math.MaxInt64 / 2}}
-	got := MaxOwnLoad(hp, math.MaxInt64)
+	got := MaxOwnLoad([]task.Time{1}, []task.Time{math.MaxInt64 / 2}, math.MaxInt64)
 	if got <= 0 {
 		t.Fatalf("MaxOwnLoad = %d, want positive", got)
 	}

@@ -19,12 +19,16 @@
 // period, because deferral can only reduce the number of preemptions in any
 // window starting at a synchronous critical instant of the analysed task.
 // The synthetic deadline absorbs the deferral on the analysed task's side.
+//
+// This file is the scalar list API: from-scratch analysis of one
+// priority-sorted subtask list. Each function copies the list's execution
+// times and periods into a cs/ts pair (Mirror) and runs the checked kernels
+// of batch.go, exact on every int64 input. ProcState (cache.go) is the
+// incremental engine the partitioners use; it runs the same kernels on the
+// same layout, taking the fast ones wherever an overflow precheck allows.
 package rta
 
 import (
-	"math"
-
-	"repro/internal/faultinject"
 	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/task"
@@ -97,44 +101,20 @@ func (v Verdict) String() string {
 	}
 }
 
-// Interference is a higher-priority load source: a task releasing jobs of
-// length C every T ticks.
-type Interference struct {
-	C task.Time
-	T task.Time
-}
-
-// ResponseTime computes the least fixed point R of
-// R = c + Σ ⌈R/T_j⌉·C_j over the interference set hp, stopping as soon as R
-// exceeds limit. It returns the response time and true when R ≤ limit, or
-// the first iterate exceeding limit and false otherwise.
+// ResponseTimeVerdict computes the least fixed point R of
+// R = c + Σ_j ⌈R/T_j⌉·C_j over the interferers (cs[j], ts[j]), stopping as
+// soon as R exceeds limit, and reports the three-way outcome: converged
+// within limit, proven over limit, or aborted at the MaxIters cap (see
+// Verdict). Both non-fitting verdicts mean "treat as unschedulable", but
+// only VerdictExceedsLimit is an exact answer.
 //
-// The iteration starts at c plus one job of every interferer, which is a
-// lower bound on the fixed point, and is guaranteed to terminate because
-// each iterate strictly increases until it either stabilizes or passes
-// limit.
-func ResponseTime(c task.Time, hp []Interference, limit task.Time) (task.Time, bool) {
-	r, v := ResponseTimeVerdict(c, hp, limit)
-	return r, v == VerdictFits
-}
-
-// ResponseTimeVerdict is ResponseTime with the three-way outcome exposed:
-// converged within limit, proven over limit, or aborted at the MaxIters cap
-// (see Verdict). Both non-fitting verdicts mean "treat as unschedulable",
-// but only VerdictExceedsLimit is an exact answer.
-func ResponseTimeVerdict(c task.Time, hp []Interference, limit task.Time) (task.Time, Verdict) {
-	r, v, iters := iterate(c, hp, 0, 0, limit, coldStart(c, hp, 0))
-	account(v, iters)
-	return r, v
-}
-
-// ResponseTimeExtraVerdict evaluates the fixed point with one additional
-// interferer (extraC, extraT) on top of hp — the "what if this fragment were
-// forced onto the processor" probe the explain layer uses to show which
-// resident subtask's response time breaks and by how much. A zero extraT
-// disables the extra term, making it ResponseTimeVerdict.
-func ResponseTimeExtraVerdict(c task.Time, hp []Interference, extraC, extraT, limit task.Time) (task.Time, Verdict) {
-	r, v, iters := iterate(c, hp, extraC, extraT, limit, coldStart(c, hp, extraC))
+// The iteration starts at c plus one job of every interferer, a lower bound
+// on the fixed point, and runs the checked kernel (fixpointChecked), so it
+// is exact on every int64 input. The interferers may come in any order:
+// saturating cold starts and checked sums of non-negative terms do not
+// depend on it, so neither do responses, verdicts or iteration counts.
+func ResponseTimeVerdict(c task.Time, cs, ts []task.Time, limit task.Time) (task.Time, Verdict) {
+	r, v, iters := fixpointChecked(c, cs, ts, limit, coldStart(c, cs))
 	account(v, iters)
 	return r, v
 }
@@ -153,131 +133,54 @@ func account(v Verdict, iters int64) {
 
 // coldStart returns the classic lower bound on the least fixed point used
 // when no cached response is available: the task's own demand plus one job
-// of every interferer (including the optional extra one).
-func coldStart(c task.Time, hp []Interference, extraC task.Time) task.Time {
-	r := mathx.AddSat(c, extraC)
-	for _, j := range hp {
-		r = mathx.AddSat(r, j.C)
+// of every interferer.
+func coldStart(c task.Time, cs []task.Time) task.Time {
+	r := c
+	for _, cj := range cs {
+		r = mathx.AddSat(r, cj)
 	}
 	return r
 }
 
-// iterate is the uninstrumented fixed-point core shared by the from-scratch
-// and warm-started paths: it finds the least fixed point of
-//
-//	R = c + Σ_{j ∈ hp} ⌈R/T_j⌉·C_j [+ ⌈R/extraT⌉·extraC]
-//
-// starting from start, which MUST be a valid lower bound on the least fixed
-// point (any such start converges to the same fixed point: for every
-// r < lfp the demand function satisfies f(r) > r by Knaster–Tarski, so the
-// iterates increase monotonically towards lfp and never overshoot it).
-// A zero extraT disables the extra interferer term. iters counts demand
-// evaluations (0 when c alone already exceeds limit or start does).
-func iterate(c task.Time, hp []Interference, extraC, extraT, limit, start task.Time) (task.Time, Verdict, int64) {
-	if c > limit {
-		return c, VerdictExceedsLimit, 0
+// Mirror copies the execution times and periods of a priority-sorted
+// subtask list into parallel slices carved from one buffer, so position i's
+// higher-priority interferers are the prefixes cs[:i], ts[:i] and one
+// mirror serves a whole processor scan. *buf is reallocated only when its
+// capacity is short, and keeps the storage for the next call.
+func Mirror(list []task.Subtask, buf *[]task.Time) (cs, ts []task.Time) {
+	n := len(list)
+	if cap(*buf) < 2*n {
+		*buf = make([]task.Time, 2*n)
 	}
-	if faultinject.ShouldAbortRTA() {
-		// Injected iteration-cap abort: report the current iterate exactly
-		// as the genuine MaxIters path would, without doing the work.
-		return start, VerdictAborted, 0
+	all := (*buf)[:2*n]
+	cs, ts = all[:n:n], all[n:]
+	for i, s := range list {
+		cs[i], ts[i] = s.C, s.T
 	}
-	r := start
-	iters := int64(0)
-	for {
-		if r > limit {
-			return r, VerdictExceedsLimit, iters
-		}
-		if iters >= MaxIters {
-			return r, VerdictAborted, iters
-		}
-		next := c
-		ok := true
-		for _, j := range hp {
-			var contrib task.Time
-			if contrib, ok = mathx.MulChecked(mathx.CeilDiv(r, j.T), j.C); ok {
-				next, ok = mathx.AddChecked(next, contrib)
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok && extraT > 0 {
-			var contrib task.Time
-			if contrib, ok = mathx.MulChecked(mathx.CeilDiv(r, extraT), extraC); ok {
-				next, ok = mathx.AddChecked(next, contrib)
-			}
-		}
-		iters++
-		if !ok {
-			// The demand at iterate r overflows int64, so the true demand —
-			// and with it the least fixed point — exceeds MaxInt64 ≥ limit:
-			// an exact over-limit verdict, not a silent wrap.
-			return task.Time(math.MaxInt64), VerdictExceedsLimit, iters
-		}
-		if next == r {
-			return r, VerdictFits, iters
-		}
-		if next < r {
-			// Only possible if start was not a lower bound on the fixed
-			// point — a broken warm-start invariant, not bad input.
-			panic("rta: response-time iteration decreased")
-		}
-		r = next
-	}
-}
-
-// hpOf returns the interference set for position i in a priority-sorted
-// subtask list (everything before position i).
-func hpOf(list []task.Subtask, i int) []Interference {
-	hp := make([]Interference, i)
-	for j := 0; j < i; j++ {
-		hp[j] = Interference{C: list[j].C, T: list[j].T}
-	}
-	return hp
-}
-
-// MirrorInto rebuilds the interference mirror of a priority-sorted subtask
-// list into buf, growing it in place only when capacity is insufficient.
-// Position i's higher-priority set is the prefix mirror[:i], so one mirror
-// serves a whole processor scan. The result aliases buf; callers keep it
-// for the next call.
-func MirrorInto(list []task.Subtask, buf []Interference) []Interference {
-	buf = buf[:0]
-	for _, s := range list {
-		buf = append(buf, Interference{C: s.C, T: s.T})
-	}
-	return buf
+	return cs, ts
 }
 
 // ProcessorSchedulableScratch is ProcessorSchedulable evaluated against a
-// caller-provided interference scratch: the mirror is built once with
-// MirrorInto and every subtask's higher-priority set is a prefix of it, so
-// the whole check allocates nothing once buf has capacity. The (possibly
-// grown) buffer is returned for reuse.
-func ProcessorSchedulableScratch(list []task.Subtask, buf []Interference) (bool, []Interference) {
-	buf = MirrorInto(list, buf)
-	for i := range list {
-		if _, ok := ResponseTime(list[i].C, buf[:i], list[i].Deadline); !ok {
+// caller-provided mirror buffer (see Mirror), so the whole check allocates
+// nothing once buf has capacity. The (possibly grown) buffer is returned
+// for reuse.
+func ProcessorSchedulableScratch(list []task.Subtask, buf []task.Time) (bool, []task.Time) {
+	cs, ts := Mirror(list, &buf)
+	for i, s := range list {
+		if _, v := ResponseTimeVerdict(s.C, cs[:i], ts[:i], s.Deadline); v != VerdictFits {
 			return false, buf
 		}
 	}
 	return true, buf
 }
 
-// SlackHP is the testing-point slack of a task with execution c and
-// deadline d against a period-t interferer, given its higher-priority
-// interference set — the scratch-friendly form of Slack for callers that
-// hold a shared mirror (see MirrorInto).
-func SlackHP(c, d task.Time, hp []Interference, t task.Time) task.Time {
-	return slackCore(c, d, hp, t)
-}
-
 // SubtaskResponse computes the response time of the subtask at position i of
 // the priority-sorted list (highest priority first), and whether it meets
 // its synthetic deadline.
 func SubtaskResponse(list []task.Subtask, i int) (task.Time, bool) {
-	return ResponseTime(list[i].C, hpOf(list, i), list[i].Deadline)
+	cs, ts := Mirror(list[:i], new([]task.Time))
+	r, v := ResponseTimeVerdict(list[i].C, cs, ts, list[i].Deadline)
+	return r, v == VerdictFits
 }
 
 // ProcessorSchedulable reports whether every subtask in the priority-sorted
@@ -300,9 +203,11 @@ func SchedulableWithExtra(list []task.Subtask, c, t, d task.Time) bool {
 	if c > d {
 		return false
 	}
-	for i := range list {
-		hp := append(hpOf(list, i), Interference{C: c, T: t})
-		if _, ok := ResponseTime(list[i].C, hp, list[i].Deadline); !ok {
+	// The load leads the mirror, so list position i's interferers are the
+	// prefixes of length i+1: the load plus every resident above i.
+	cs, ts := Mirror(append([]task.Subtask{{C: c, T: t}}, list...), new([]task.Time))
+	for i, s := range list {
+		if _, v := ResponseTimeVerdict(s.C, cs[:i+1], ts[:i+1], s.Deadline); v != VerdictFits {
 			return false
 		}
 	}
@@ -332,117 +237,28 @@ func SchedulableWithExtraAt(list []task.Subtask, prio int, c, t, d task.Time) bo
 	return ProcessorSchedulable(merged)
 }
 
-// Slack returns, for the subtask at position i of the priority-sorted list,
-// the largest extra execution budget e such that a new highest-priority
-// interferer (e, t) keeps the subtask schedulable — i.e. the per-task
-// quantity minimized by the efficient MaxSplit. It evaluates the
-// schedulability condition
+// Slack returns, for a task with execution c and deadline d under the
+// higher-priority interferers (cs, ts), the largest extra execution budget
+// e such that a new highest-priority interferer (e, t) keeps the task
+// schedulable — the per-task quantity minimized by the efficient MaxSplit.
+// It evaluates the schedulability condition
 //
-//	∃ x ∈ (0, Δ_i]:  C_i + Σ_{j∈hp} ⌈x/T_j⌉C_j + ⌈x/t⌉·e ≤ x
+//	∃ x ∈ (0, d]:  c + Σ_j ⌈x/T_j⌉C_j + ⌈x/t⌉·e ≤ x
 //
-// over the exact testing set {m·T_j ≤ Δ_i} ∪ {m·t ≤ Δ_i} ∪ {Δ_i} and
-// returns the maximum feasible e (0 if none; math.MaxInt64 if unbounded,
-// which cannot happen for t ≤ Δ_i since ⌈x/t⌉ ≥ 1).
-func Slack(list []task.Subtask, i int, t task.Time) task.Time {
-	return slackCore(list[i].C, list[i].Deadline, hpOf(list, i), t)
+// over the exact testing set {m·T_j ≤ d} ∪ {m·t ≤ d} ∪ {d} and returns the
+// maximum feasible e (0 if none; math.MaxInt64 if unbounded, which cannot
+// happen for t ≤ d since ⌈x/t⌉ ≥ 1). It runs the checked kernel
+// (slackCheckedBatch), exact on every int64 input.
+func Slack(c, d task.Time, cs, ts []task.Time, t task.Time) task.Time {
+	return slackCheckedBatch(c, d, cs, ts, t)
 }
 
-// slackCore evaluates the testing-point slack of a task with execution c,
-// deadline d and higher-priority set hp against a period-t interferer. It
-// is the shared core of Slack (fresh slices) and ProcState.SlackAt (reused
-// buffers).
-func slackCore(c, d task.Time, hp []Interference, t task.Time) task.Time {
-	best := task.Time(-1)
-	cSlackCalls.Inc()
-	points := int64(0)
-	defer func() { cSlackPoints.Add(points) }()
-	check := func(x task.Time) {
-		if x <= 0 || x > d {
-			return
-		}
-		points++
-		demand := c
-		for _, j := range hp {
-			demand = mathx.AddSat(demand, mathx.MulSat(mathx.CeilDiv(x, j.T), j.C))
-		}
-		if demand > x {
-			return
-		}
-		jobs := mathx.CeilDiv(x, t)
-		if jobs == 0 {
-			jobs = 1
-		}
-		e := (x - demand) / jobs
-		if e > best {
-			best = e
-		}
-	}
-	check(d)
-	for _, j := range hp {
-		for m := task.Time(1); ; m++ {
-			// Checked multiply: an overflowing testing point m·T lies past
-			// every deadline, and with MulSat alone the saturated x never
-			// passes a d of MaxInt64, looping forever.
-			x, ok := mathx.MulChecked(m, j.T)
-			if !ok || x > d {
-				break
-			}
-			check(x)
-		}
-	}
-	for m := task.Time(1); ; m++ {
-		x, ok := mathx.MulChecked(m, t)
-		if !ok || x > d {
-			break
-		}
-		check(x)
-	}
-	if best < 0 {
-		return 0
-	}
-	if best == math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return best
-}
-
-// MaxOwnLoad returns the largest execution time c such that a task with
-// interference set hp has a response time at most d, i.e. the largest c
-// with ∃ x ∈ (0, d]: c + Σ_{j∈hp} ⌈x/T_j⌉C_j ≤ x. It evaluates the exact
-// testing set {m·T_j ≤ d} ∪ {d}. Returns 0 when even an infinitesimal task
-// would miss d.
-func MaxOwnLoad(hp []Interference, d task.Time) task.Time {
-	if d <= 0 {
-		return 0
-	}
-	best := task.Time(0)
-	points := int64(0)
-	defer func() { cLoadPoints.Add(points) }()
-	check := func(x task.Time) {
-		if x <= 0 || x > d {
-			return
-		}
-		points++
-		interf := task.Time(0)
-		for _, j := range hp {
-			interf = mathx.AddSat(interf, mathx.MulSat(mathx.CeilDiv(x, j.T), j.C))
-		}
-		if interf >= x {
-			return
-		}
-		if c := x - interf; c > best {
-			best = c
-		}
-	}
-	check(d)
-	for _, j := range hp {
-		for m := task.Time(1); ; m++ {
-			x, ok := mathx.MulChecked(m, j.T)
-			if !ok || x > d {
-				break
-			}
-			check(x)
-		}
-	}
-	return best
+// MaxOwnLoad returns the largest execution time c such that a task under
+// the interferers (cs, ts) has a response time at most d, i.e. the largest
+// c with ∃ x ∈ (0, d]: c + Σ_j ⌈x/T_j⌉C_j ≤ x. It evaluates the exact
+// testing set {m·T_j ≤ d} ∪ {d} with the checked kernel
+// (maxOwnLoadCheckedBatch). Returns 0 when even an infinitesimal task would
+// miss d.
+func MaxOwnLoad(cs, ts []task.Time, d task.Time) task.Time {
+	return maxOwnLoadCheckedBatch(cs, ts, d)
 }

@@ -75,12 +75,11 @@ func TestSyntheticDeadlineRespected(t *testing.T) {
 }
 
 func TestResponseTimeZeroInterference(t *testing.T) {
-	r, ok := ResponseTime(5, nil, 10)
-	if !ok || r != 5 {
-		t.Errorf("R = %d, ok=%v", r, ok)
+	r, v := ResponseTimeVerdict(5, nil, nil, 10)
+	if v != VerdictFits || r != 5 {
+		t.Errorf("R = %d, verdict %v", r, v)
 	}
-	_, ok = ResponseTime(11, nil, 10)
-	if ok {
+	if _, v = ResponseTimeVerdict(11, nil, nil, 10); v == VerdictFits {
 		t.Error("C beyond limit accepted")
 	}
 }
@@ -136,7 +135,7 @@ func TestSlackMatchesBinarySearchOnRandomSets(t *testing.T) {
 		t0 := task.Time(3 + r.Intn(40))
 		for i := range list {
 			want := binarySlack(list, i, t0)
-			got := Slack(list, i, t0)
+			got := listSlack(list, i, t0)
 			if got != want {
 				t.Fatalf("trial %d: Slack(list, %d, t=%d) = %d, want %d; list=%v", trial, i, t0, got, want, list)
 			}
@@ -155,8 +154,9 @@ func binarySlack(list []task.Subtask, i int, t task.Time) task.Time {
 		if e > 0 {
 			hp = append(hp, Interference{C: e, T: t})
 		}
-		_, ok := ResponseTime(list[i].C, hp, list[i].Deadline)
-		return ok
+		cs, ts := columns(hp)
+		_, v := ResponseTimeVerdict(list[i].C, cs, ts, list[i].Deadline)
+		return v == VerdictFits
 	}
 	if !feasible(0) {
 		return 0
@@ -183,14 +183,15 @@ func TestMaxOwnLoadMatchesBinarySearch(t *testing.T) {
 			hp[i] = Interference{C: task.Time(1 + r.Intn(int(T)/2)), T: T}
 		}
 		d := task.Time(1 + r.Intn(120))
-		got := MaxOwnLoad(hp, d)
+		cs, ts := columns(hp)
+		got := MaxOwnLoad(cs, ts, d)
 		// Reference: binary search the largest c with a feasible response.
 		feasible := func(c task.Time) bool {
 			if c == 0 {
 				return true
 			}
-			_, ok := ResponseTime(c, hp, d)
-			return ok
+			_, v := ResponseTimeVerdict(c, cs, ts, d)
+			return v == VerdictFits
 		}
 		lo, hi := task.Time(0), d+1
 		for hi-lo > 1 {
@@ -208,15 +209,15 @@ func TestMaxOwnLoadMatchesBinarySearch(t *testing.T) {
 }
 
 func TestResponseTimeMonotoneInC(t *testing.T) {
-	hp := []Interference{{C: 2, T: 7}, {C: 3, T: 11}}
+	cs, ts := []task.Time{2, 3}, []task.Time{7, 11}
 	f := func(a, b uint8) bool {
 		c1, c2 := task.Time(a%50)+1, task.Time(b%50)+1
 		if c1 > c2 {
 			c1, c2 = c2, c1
 		}
-		r1, ok1 := ResponseTime(c1, hp, 100000)
-		r2, ok2 := ResponseTime(c2, hp, 100000)
-		if !ok1 || !ok2 {
+		r1, v1 := ResponseTimeVerdict(c1, cs, ts, 100000)
+		r2, v2 := ResponseTimeVerdict(c2, cs, ts, 100000)
+		if v1 != VerdictFits || v2 != VerdictFits {
 			return true
 		}
 		return r1 <= r2
@@ -228,11 +229,10 @@ func TestResponseTimeMonotoneInC(t *testing.T) {
 
 func TestResponseTimeMonotoneInInterference(t *testing.T) {
 	f := func(a, b, c uint8) bool {
-		base := []Interference{{C: task.Time(a%5) + 1, T: task.Time(b%20) + 6}}
-		more := append(append([]Interference(nil), base...), Interference{C: task.Time(c%5) + 1, T: 13})
-		r1, ok1 := ResponseTime(4, base, 100000)
-		r2, ok2 := ResponseTime(4, more, 100000)
-		if !ok1 || !ok2 {
+		cs, ts := []task.Time{task.Time(a%5) + 1}, []task.Time{task.Time(b%20) + 6}
+		r1, v1 := ResponseTimeVerdict(4, cs, ts, 100000)
+		r2, v2 := ResponseTimeVerdict(4, append(cs, task.Time(c%5)+1), append(ts, 13), 100000)
+		if v1 != VerdictFits || v2 != VerdictFits {
 			return true
 		}
 		return r1 <= r2

@@ -516,17 +516,3 @@ func (s *state) handleReleases() bool {
 	}
 	return true
 }
-
-// SimulateSet is a convenience wrapper: it builds the trivial one-processor
-// assignment of the RM-sorted set (every task whole on processor 0) and
-// simulates it. Useful for validating uniprocessor RTA and utilization
-// bounds against execution.
-func SimulateSet(ts task.Set, opt Options) (*Report, error) {
-	sorted := ts.Clone()
-	sorted.SortRM()
-	asg := task.NewAssignment(sorted, 1)
-	for i, t := range sorted {
-		asg.Add(0, task.Whole(i, t))
-	}
-	return Simulate(asg, opt)
-}

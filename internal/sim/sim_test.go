@@ -263,17 +263,6 @@ func rtaResponse(a *task.Assignment, idx int) (task.Time, bool) {
 	return 0, false
 }
 
-func TestSimulateSetWrapper(t *testing.T) {
-	ts := task.Set{{Name: "b", C: 2, T: 8}, {Name: "a", C: 1, T: 4}}
-	rep, err := SimulateSet(ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Ok() {
-		t.Fatalf("misses: %v", rep.Misses)
-	}
-}
-
 func TestEDFOptimalityOnUniprocessor(t *testing.T) {
 	// Property: any implicit-deadline set with U ≤ 1 never misses under
 	// EDF on one processor (EDF optimality); above 1 it must miss.

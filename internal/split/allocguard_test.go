@@ -9,7 +9,7 @@ import (
 )
 
 // Alloc guards for the splitting hot path: MaxPortionScratch with a warm
-// interference buffer and MaxPortionState on a warm ProcState must not
+// mirror buffer and MaxPortionState on a warm ProcState must not
 // allocate. Run with `go test -run AllocGuard ./...`.
 
 func TestAllocGuardMaxPortionScratch(t *testing.T) {
@@ -28,7 +28,7 @@ func TestAllocGuardMaxPortionScratch(t *testing.T) {
 		}
 	}
 	period := task.Time(700)
-	var buf []rta.Interference
+	var buf []task.Time
 	_, buf = MaxPortionScratch(list, period, period, period, buf) // warm
 	allocs := testing.AllocsPerRun(200, func() {
 		_, buf = MaxPortionScratch(list, period, period, period, buf)

@@ -5,16 +5,16 @@
 // processor with a bottleneck — and return the remainder for the next
 // assignment step.
 //
-// Two interchangeable implementations are provided:
-//
-//   - MaxPortionBinary: the binary-search reference the paper sketches
-//     ("performing a binary search over [0, C^k]").
-//   - MaxPortion: the efficient testing-point method the paper cites from
-//     [22], which evaluates the RTA slack of each resident subtask at the
-//     points where the interference step functions change.
-//
-// Both are exact on the integer time domain and are cross-checked against
-// each other by property tests.
+// The testing-point method the paper cites from [22] evaluates the RTA
+// slack of each resident subtask at the points where the interference step
+// functions change. It comes in two forms: MaxPortionState on a
+// processor's incremental analysis state (the partitioners' path, fast
+// kernels) and MaxPortion/MaxPortionScratch/MaxPortionAt on a subtask list
+// (from-scratch, checked kernels). MaxPortionBinary is the binary-search
+// method the paper sketches ("performing a binary search over [0, C^k]"),
+// kept because the split-ablation experiment measures it against the
+// testing-point method. All are exact on the integer time domain and are
+// cross-checked against each other by property tests.
 package split
 
 import (
@@ -46,12 +46,11 @@ func MaxPortion(list []task.Subtask, t, budget, d task.Time) task.Time {
 	return portion
 }
 
-// MaxPortionScratch is MaxPortion with a caller-provided interference
-// scratch: the resident mirror is built once (rta.MirrorInto) and each
-// resident's higher-priority set is a prefix of it, so a call allocates
-// nothing once buf has capacity. The (possibly grown) buffer is returned
-// for reuse.
-func MaxPortionScratch(list []task.Subtask, t, budget, d task.Time, buf []rta.Interference) (task.Time, []rta.Interference) {
+// MaxPortionScratch is MaxPortion with a caller-provided mirror buffer: the
+// resident mirror is built once (rta.Mirror) and each resident's
+// higher-priority set is a prefix of it, so a call allocates nothing once
+// buf has capacity. The (possibly grown) buffer is returned for reuse.
+func MaxPortionScratch(list []task.Subtask, t, budget, d task.Time, buf []task.Time) (task.Time, []task.Time) {
 	cTPCalls.Inc()
 	if budget <= 0 {
 		return 0, buf
@@ -63,9 +62,9 @@ func MaxPortionScratch(list []task.Subtask, t, budget, d task.Time, buf []rta.In
 	if best <= 0 {
 		return 0, buf
 	}
-	buf = rta.MirrorInto(list, buf)
+	cs, ts := rta.Mirror(list, &buf)
 	for i := range list {
-		if s := rta.SlackHP(list[i].C, list[i].Deadline, buf[:i], t); s < best {
+		if s := rta.Slack(list[i].C, list[i].Deadline, cs[:i], ts[:i], t); s < best {
 			best = s
 		}
 		if best == 0 {
@@ -77,11 +76,12 @@ func MaxPortionScratch(list []task.Subtask, t, budget, d task.Time, buf []rta.In
 
 // MaxPortionAt generalizes MaxPortion to an arbitrary priority position:
 // the new load (c', t) is inserted with priority index prio into the
-// priority-sorted resident list (so residents with a smaller task index
-// preempt it). It returns the largest c' in [0, budget] such that the new
-// fragment's own response time stays within d and every lower-priority
-// resident stays schedulable. Residents with higher priority are unaffected
-// by construction.
+// priority-sorted resident list, below every resident whose task index is
+// at most prio (the tie rule of task.Assignment.Add, rta.ProcState.PosFor
+// and rta.SchedulableWithExtraAt). It returns the largest c' in
+// [0, budget] such that the new fragment's own response time stays within
+// d and every lower-priority resident stays schedulable. Residents with
+// higher priority are unaffected by construction.
 //
 // The paper's algorithms only insert at the top (assignment in increasing
 // priority order guarantees it, Lemma 2); the general form is needed for
@@ -93,14 +93,11 @@ func MaxPortionAt(list []task.Subtask, prio int, t, budget, d task.Time) task.Ti
 		return 0
 	}
 	pos := 0
-	for pos < len(list) && list[pos].TaskIndex < prio {
+	for pos < len(list) && list[pos].TaskIndex <= prio {
 		pos++
 	}
-	hp := make([]rta.Interference, pos)
-	for i := 0; i < pos; i++ {
-		hp[i] = rta.Interference{C: list[i].C, T: list[i].T}
-	}
-	best := rta.MaxOwnLoad(hp, d)
+	cs, ts := rta.Mirror(list, new([]task.Time))
+	best := rta.MaxOwnLoad(cs[:pos], ts[:pos], d)
 	if budget < best {
 		best = budget
 	}
@@ -108,7 +105,7 @@ func MaxPortionAt(list []task.Subtask, prio int, t, budget, d task.Time) task.Ti
 		return 0
 	}
 	for i := pos; i < len(list); i++ {
-		if s := rta.Slack(list, i, t); s < best {
+		if s := rta.Slack(list[i].C, list[i].Deadline, cs[:i], ts[:i], t); s < best {
 			best = s
 		}
 		if best == 0 {
@@ -154,39 +151,6 @@ func MaxPortionState(ps *rta.ProcState, prio int, t, budget, d task.Time) task.T
 	return best
 }
 
-// MaxPortionAtBinary is the binary-search reference for MaxPortionAt, used
-// to cross-check it in tests.
-func MaxPortionAtBinary(list []task.Subtask, prio int, t, budget, d task.Time) task.Time {
-	cBinCalls.Inc()
-	hi := budget
-	if d < hi {
-		hi = d
-	}
-	if hi <= 0 {
-		return 0
-	}
-	feasible := func(c task.Time) bool {
-		cBinProbes.Inc()
-		if c == 0 {
-			return true
-		}
-		return rta.SchedulableWithExtraAt(list, prio, c, t, d)
-	}
-	if feasible(hi) {
-		return hi
-	}
-	lo := task.Time(0)
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		if feasible(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // MaxPortionBinary is the reference implementation of MaxPortion: it binary
 // searches the largest feasible c' in [0, min(budget, d)], using the full
 // admission check at each probe. Schedulability is monotone in c' (a larger
@@ -220,27 +184,4 @@ func MaxPortionBinary(list []task.Subtask, t, budget, d task.Time) task.Time {
 		}
 	}
 	return lo
-}
-
-// HasBottleneck reports whether the priority-sorted resident list has a
-// bottleneck in the sense of Definition 2: the processor is schedulable,
-// but increasing the execution time of its highest-priority subtask by one
-// tick (the smallest positive amount on the integer time domain) makes some
-// subtask miss its synthetic deadline.
-//
-// An empty processor has no bottleneck.
-func HasBottleneck(list []task.Subtask) bool {
-	if len(list) == 0 {
-		return false
-	}
-	if !rta.ProcessorSchedulable(list) {
-		return false
-	}
-	bumped := make([]task.Subtask, len(list))
-	copy(bumped, list)
-	bumped[0].C++
-	if bumped[0].C > bumped[0].Deadline {
-		return true // the highest-priority subtask itself is the bottleneck
-	}
-	return !rta.ProcessorSchedulable(bumped)
 }

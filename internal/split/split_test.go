@@ -54,15 +54,14 @@ func TestMaxPortionAtAgainstBinary(t *testing.T) {
 		for i := range list {
 			list[i].TaskIndex = i * 2
 		}
+		// Even draws tie with a resident's index: the newcomer then goes
+		// below that resident, in both MaxPortionAt and the reference.
 		prio := r.Intn(len(list)*2 + 2)
-		if prio%2 == 0 {
-			prio++ // avoid collisions with resident indices
-		}
 		T := task.Time(4 + r.Intn(60))
 		budget := task.Time(1 + r.Intn(int(T)))
 		d := T - task.Time(r.Intn(int(T)/2+1))
 		got := MaxPortionAt(list, prio, T, budget, d)
-		want := MaxPortionAtBinary(list, prio, T, budget, d)
+		want := maxPortionAtBinary(list, prio, T, budget, d)
 		if got != want {
 			t.Fatalf("trial %d: MaxPortionAt = %d, binary = %d (prio=%d T=%d budget=%d d=%d list=%v)",
 				trial, got, want, prio, T, budget, d, list)
@@ -130,34 +129,82 @@ func TestMaxPortionHarmonicExact(t *testing.T) {
 	}
 }
 
+// maxPortionAtBinary is the binary-search reference for MaxPortionAt: the
+// largest feasible c' in [0, min(budget, d)], probing each candidate with
+// the full admission check at priority index prio. Schedulability is
+// monotone in c', so the search is exact.
+func maxPortionAtBinary(list []task.Subtask, prio int, t, budget, d task.Time) task.Time {
+	hi := budget
+	if d < hi {
+		hi = d
+	}
+	if hi <= 0 {
+		return 0
+	}
+	feasible := func(c task.Time) bool {
+		return c == 0 || rta.SchedulableWithExtraAt(list, prio, c, t, d)
+	}
+	if feasible(hi) {
+		return hi
+	}
+	lo := task.Time(0)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if feasible(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// hasBottleneck reports whether the priority-sorted resident list has a
+// bottleneck in the sense of Definition 2: the processor is schedulable,
+// but increasing the execution time of its highest-priority subtask by one
+// tick (the smallest positive amount on the integer time domain) makes some
+// subtask miss its synthetic deadline. An empty processor has no
+// bottleneck.
+func hasBottleneck(list []task.Subtask) bool {
+	if len(list) == 0 || !rta.ProcessorSchedulable(list) {
+		return false
+	}
+	bumped := append([]task.Subtask(nil), list...)
+	bumped[0].C++
+	if bumped[0].C > bumped[0].Deadline {
+		return true // the highest-priority subtask itself is the bottleneck
+	}
+	return !rta.ProcessorSchedulable(bumped)
+}
+
 func TestHasBottleneck(t *testing.T) {
 	// Saturated harmonic processor: bumping the top task by 1 breaks it.
 	full := []task.Subtask{
 		{TaskIndex: 0, Part: 1, C: 2, T: 4, Deadline: 4, Tail: true},
 		{TaskIndex: 1, Part: 1, C: 4, T: 8, Deadline: 8, Tail: true},
 	}
-	if !HasBottleneck(full) {
+	if !hasBottleneck(full) {
 		t.Error("saturated processor has no bottleneck")
 	}
 	slack := []task.Subtask{
 		{TaskIndex: 0, Part: 1, C: 1, T: 10, Deadline: 10, Tail: true},
 	}
-	if HasBottleneck(slack) {
+	if hasBottleneck(slack) {
 		t.Error("nearly idle processor has a bottleneck")
 	}
-	if HasBottleneck(nil) {
+	if hasBottleneck(nil) {
 		t.Error("empty processor has a bottleneck")
 	}
 	over := []task.Subtask{
 		{TaskIndex: 0, Part: 1, C: 9, T: 10, Deadline: 10, Tail: true},
 		{TaskIndex: 1, Part: 1, C: 9, T: 10, Deadline: 10, Tail: true},
 	}
-	if HasBottleneck(over) {
+	if hasBottleneck(over) {
 		t.Error("unschedulable processor reported a bottleneck")
 	}
 	// A top task already at C = Δ is its own bottleneck.
 	atLimit := []task.Subtask{{TaskIndex: 0, Part: 1, C: 5, T: 10, Deadline: 5, Offset: 5, Tail: true}}
-	if !HasBottleneck(atLimit) {
+	if !hasBottleneck(atLimit) {
 		t.Error("C=Δ top task not recognized as bottleneck")
 	}
 }
@@ -175,7 +222,7 @@ func TestMaxPortionThenBottleneck(t *testing.T) {
 			continue // nothing assigned, or no split happened
 		}
 		with := append([]task.Subtask{{TaskIndex: 0, Part: 1, C: p, T: T, Deadline: d, Tail: false}}, list...)
-		if !HasBottleneck(with) {
+		if !hasBottleneck(with) {
 			t.Fatalf("trial %d: no bottleneck after maximal split (p=%d, T=%d, list=%v)", trial, p, T, list)
 		}
 	}
