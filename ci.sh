@@ -12,8 +12,10 @@
 # scalar list API against the array-of-structs reference analysis, every
 # utilization bound's scratch evaluation against its slice-based
 # reference, the admission prefilter's soundness and that of the utilization refusal in
-# the online engine and the batch partitioners, the admission service's
-# rejection evidence and verdict JSON (each against its oracle) and its
+# the online engine and the batch partitioners, the online rta-ff/rta-wf
+# policies against the batch P-RM-FF/WF they twin (FuzzOnlineBatchTwin), the
+# uniprocessor simulator against exact RTA (FuzzSimVsRTA), the admission
+# service's rejection evidence and verdict JSON (each against its oracle) and its
 # rejection memo (FuzzClusterMemo, against an unmemoized twin), the
 # global-RM simulator, the EDF-TS budget search, the EDF check interval and
 # the EDF-TS window split (each against the implementation it replaced,
@@ -68,13 +70,15 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzBatchUtilRuleSound -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzOnlineBatchTwin -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzSimVsRTA -fuzztime 5s repro/internal/sim
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta

@@ -494,7 +494,7 @@ func (s *Service) CanonicalState() []byte {
 // rejections; input-shaped causes (invalid input, surcharge infeasibility,
 // model mismatch) get none — no processor was consulted. Each processor's
 // detail names the test that refused it there. A processor the candidate
-// would push past U = 1 (Online.OverUtilized) was refused without RTA, and
+// would push past U = 1 (partition.OverUtilized) was refused without RTA, and
 // its detail is that utilization room (explain.ProbeUtilization). Every
 // other processor gets an RTA probe on the engine's own mirror
 // (Online.ProbeRTA), cold-started so every response equals the scalar
@@ -522,7 +522,7 @@ func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {
 		switch {
 		case cause == partition.CauseThresholdExhausted:
 			*det = *explain.ProbeThreshold(c.eng.SurchargedUtilization(q), bounds.LL(n+1))
-		case c.eng.OverUtilized(q, u):
+		case partition.OverUtilized(c.eng.Utilization(q), u):
 			*det = *explain.ProbeUtilization(c.eng.Utilization(q))
 		default:
 			p := c.eng.ProbeRTA(q, t)

@@ -19,7 +19,7 @@ import (
 // oracle it replaced: explain.ProbeRTA over a surcharged copy of each
 // processor's resident list, and explain.ProbeThreshold over the copy's
 // surcharged utilization. A processor the candidate would push past U = 1
-// (Online.OverUtilized) instead carries exactly the utilization room
+// (partition.OverUtilized) instead carries exactly the utilization room
 // 1 − Utilization(q), and the scalar oracle must confirm the refusal there:
 // the candidate's own verdict is not fits, or a resident is blocked.
 // Residents are decoded from varints, so the fuzzer reaches constrained
@@ -112,7 +112,7 @@ func FuzzEvidenceVsProbeRTA(f *testing.F) {
 				list[i].C += s
 			}
 			want := explain.ProbeRTA(list, int(d), cand.C+s, cand.T, d, false)
-			if eng.OverUtilized(q, cand.Utilization()) {
+			if partition.OverUtilized(eng.Utilization(q), cand.Utilization()) {
 				if want.OwnVerdict == rta.VerdictFits.String() && want.Blocked == nil {
 					t.Fatalf("proc %d refused by utilization (u=%v + %v), but the scalar RTA fits (s=%d cand=%v residents=%v)",
 						q, eng.Utilization(q), cand.Utilization(), s, cand, list)

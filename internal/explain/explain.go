@@ -354,7 +354,8 @@ func finalFragment(tr *obs.Trace, failed int, t task.Task) *FragmentInfo {
 // probe recomputes the rejected admission of the final fragment on one
 // processor, in the vocabulary of the algorithm's own test: RTA fixed
 // points and MaxSplit prefixes for the exact-test algorithms, utilization
-// room for the threshold and EDF tests.
+// room for the threshold and EDF tests and for the processors a strict
+// RTA partitioner refused by utilization without running RTA.
 func probe(alg partition.Algorithm, list []task.Subtask, u float64, prio int, frag *FragmentInfo, scheduler string, n int) *ProcEvidence {
 	if scheduler == "EDF" {
 		return ProbeUtilization(u)
@@ -381,6 +382,11 @@ func probe(alg partition.Algorithm, list []task.Subtask, u float64, prio int, fr
 	}
 	if !rtaBased {
 		return &ProcEvidence{}
+	}
+	if !splitting && partition.OverUtilized(u, float64(frag.RemC)/float64(frag.T)) {
+		// Refused by utilization alone, as in admitd's evidence; a
+		// splitting algorithm still runs MaxSplit here.
+		return ProbeUtilization(u)
 	}
 	return ProbeRTA(list, prio, frag.RemC, frag.T, frag.Deadline, splitting)
 }

@@ -94,6 +94,34 @@ func TestRunSPAThresholdEvidence(t *testing.T) {
 	}
 }
 
+// TestRunStrictUtilizationEvidence: the strict RTA partitioners refuse a
+// processor the failed task would push past U = 1 without running RTA, so
+// the evidence there is the utilization room — the admission service's
+// form — and an RTA probe only where the exact test ran. y (0.8) lands on
+// P0, x (0.6) on P1; z (0.25) overfills P0 and breaks x on P1.
+func TestRunStrictUtilizationEvidence(t *testing.T) {
+	ts := task.Set{
+		{Name: "x", C: 6, T: 10},
+		{Name: "y", C: 8, T: 10},
+		{Name: "z", C: 5, T: 20, D: 8},
+	}
+	for _, alg := range []partition.Algorithm{
+		partition.FirstFitRTA{}, partition.WorstFitRTA{}, partition.FirstFit{Admission: partition.AdmitRTA},
+	} {
+		e := Run(alg, ts, 2)
+		if e.Verdict != "rejected" || e.FailedTask == nil || e.FailedTask.Name != "z" {
+			t.Fatalf("%s: verdict %q, failed %+v; want z rejected", alg.Name(), e.Verdict, e.FailedTask)
+		}
+		p0, p1 := e.Processors[0].Evidence, e.Processors[1].Evidence
+		if !p0.HasUtilization || p0.OwnVerdict != "" || p0.UtilizationRoom > 0.2+1e-9 || p0.UtilizationRoom < 0.2-1e-9 {
+			t.Errorf("%s: P0 evidence %+v, want utilization room 0.2 and no RTA probe", alg.Name(), p0)
+		}
+		if p1.HasUtilization || p1.OwnVerdict != "fits" || p1.Blocked == nil || p1.Blocked.Response != 11 {
+			t.Errorf("%s: P1 evidence %+v, want an RTA probe with x blocked at R=11", alg.Name(), p1)
+		}
+	}
+}
+
 func TestRunGuaranteeViolated(t *testing.T) {
 	heavy := task.Set{{C: 9, T: 10}, {C: 1, T: 100}}
 	e := Run(partition.SPA1{}, heavy, 2)

@@ -62,7 +62,7 @@ func (a FirstFitRTA) Partition(ts task.Set, m int) *Result {
 
 // PartitionArena implements ArenaPartitioner.
 func (a FirstFitRTA) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
-	return fitPartitionAdmit(ts, m, a.Order, pickFirstFit, AdmitRTA, a.Trace, ar)
+	return fitPartitionAdmit(ts, m, a.Order, false, AdmitRTA, a.Trace, ar)
 }
 
 // WorstFitRTA is strict partitioned RM with worst-fit (minimum assigned
@@ -85,29 +85,23 @@ func (a WorstFitRTA) Partition(ts task.Set, m int) *Result {
 
 // PartitionArena implements ArenaPartitioner.
 func (a WorstFitRTA) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
-	return fitPartitionAdmit(ts, m, a.Order, pickWorstFit, AdmitRTA, a.Trace, ar)
+	return fitPartitionAdmit(ts, m, a.Order, true, AdmitRTA, a.Trace, ar)
 }
 
-// pickFirstFit returns candidate processors in index order, in the arena's
-// order buffer.
-func pickFirstFit(ar *Arena, asg *task.Assignment) []int {
-	out := intBuf(&ar.order, asg.M())
+// fitOrder returns the processor probe order of the strict partitioners
+// and the online engine in *buf: index order for first fit; for worst fit,
+// ascending util(q) with ties by index (a stable insertion sort, the same
+// permutation sort.SliceStable gives).
+func fitOrder(buf *[]int, m int, worst bool, util func(int) float64) []int {
+	out := intBuf(buf, m)
 	for q := range out {
 		out[q] = q
 	}
-	return out
-}
-
-// pickWorstFit returns candidate processors sorted by ascending assigned
-// utilization (ties by index), with a stable insertion sort — the same
-// permutation the former sort.SliceStable produced.
-func pickWorstFit(ar *Arena, asg *task.Assignment) []int {
-	out := pickFirstFit(ar, asg)
-	for i := 1; i < len(out); i++ {
+	for i := 1; worst && i < m; i++ {
 		q := out[i]
-		u := asg.Utilization(q)
+		u := util(q)
 		j := i - 1
-		for j >= 0 && asg.Utilization(out[j]) > u {
+		for j >= 0 && util(out[j]) > u {
 			out[j+1] = out[j]
 			j--
 		}
@@ -155,8 +149,7 @@ func (a Admission) String() string {
 
 // admits reports whether task (c, t) fits on the processor under one of
 // the threshold admission tests. AdmitRTA never reaches it:
-// fitPartitionAdmit routes the exact test through the processor's
-// rta.ProcState.
+// fitPartitionAdmit routes the exact test through fitsWhole.
 func (a Admission) admits(list []task.Subtask, c, t task.Time) bool {
 	switch a {
 	case AdmitHyperbolic:
@@ -207,10 +200,10 @@ func (a FirstFit) Partition(ts task.Set, m int) *Result {
 
 // PartitionArena implements ArenaPartitioner.
 func (a FirstFit) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
-	return fitPartitionAdmit(ts, m, a.Order, pickFirstFit, a.Admission, a.Trace, ar)
+	return fitPartitionAdmit(ts, m, a.Order, false, a.Admission, a.Trace, ar)
 }
 
-func fitPartitionAdmit(ts task.Set, m int, order FitOrder, pick func(*Arena, *task.Assignment) []int, admit Admission, tr *obs.Trace, ar *Arena) *Result {
+func fitPartitionAdmit(ts task.Set, m int, order FitOrder, worst bool, admit Admission, tr *obs.Trace, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)
 	}
@@ -234,13 +227,23 @@ func fitPartitionAdmit(ts task.Set, m int, order FitOrder, pick func(*Arena, *ta
 
 	for _, i := range idxs {
 		t := sorted[i]
-		u := t.Utilization()
 		placed := false
-		for _, q := range pick(ar, asg) {
+		for _, q := range fitOrder(&ar.order, m, worst, asg.Utilization) {
 			cAssignAttempts.Inc()
-			// Every admission refuses U > 1, so an over-full processor
-			// is refused before any of them runs (overUtilized).
-			if overUtilized(asg.Utilization(q), u) {
+			before := traceIters(tr)
+			abortsBefore := traceAborts(tr)
+			// Every admission refuses U > 1, so an over-full processor is
+			// refused before any of them runs: inside fitsWhole for the
+			// exact test, here for the thresholds.
+			uq := asg.Utilization(q)
+			ok, by := false, byUtilization
+			switch {
+			case admit == AdmitRTA:
+				ok, by = fitsWhole(&states[q], uq, i, t.C, t.T, t.Deadline())
+			case !OverUtilized(uq, t.Utilization()):
+				ok, by = admit.admits(asg.Procs[q], t.C, t.T), byThreshold
+			}
+			if by == byUtilization {
 				cUtilSkips.Inc()
 				if tr != nil {
 					tr.Add(obs.Event{Kind: obs.EvReject, Task: i, Part: 1, Proc: q,
@@ -249,22 +252,13 @@ func fitPartitionAdmit(ts task.Set, m int, order FitOrder, pick func(*Arena, *ta
 				}
 				continue
 			}
-			before := traceIters(tr)
-			abortsBefore := traceAborts(tr)
-			var ok, pre bool
-			if admit == AdmitRTA {
-				pre = prefilterAdmit(&states[q], i, t.C, t.Deadline())
-				ok = pre || states[q].AdmitAt(i, t.C, t.T, t.Deadline())
-			} else {
-				ok = admit.admits(asg.Procs[q], t.C, t.T)
-			}
 			if ok {
 				asg.Add(q, task.Whole(i, t))
 				states[q].Insert(task.Whole(i, t))
 				cAssignWhole.Inc()
 				if tr != nil {
 					note := admit.String() + " admission"
-					if pre {
+					if by == byPrefilter {
 						note = "HB-prefilter admission"
 					}
 					tr.Add(obs.Event{Kind: obs.EvAssigned, Task: i, Part: 1, Proc: q,

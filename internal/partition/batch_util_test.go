@@ -125,7 +125,7 @@ func TestBatchUtilSkipsCounter(t *testing.T) {
 }
 
 // FuzzBatchUtilRuleSound checks the batch partitioners' utilization rule as
-// a property on one processor. Whenever overUtilized holds for a candidate,
+// a property on one processor. Whenever OverUtilized holds for a candidate,
 // the scalar RTA must refuse it on the surcharged list, and so must the HB,
 // LL and HT admissions on the raw one; and for every draw, MaxSplit with the
 // room-capped budget (utilRoomBudget) must find the same portion as with
@@ -169,7 +169,7 @@ func FuzzBatchUtilRuleSound(f *testing.F) {
 			uq += raw[k].Utilization()
 		}
 		prio := 2 * (slot % (len(raw) + 1))
-		if overUtilized(uq, float64(c)/float64(T)) {
+		if OverUtilized(uq, float64(c)/float64(T)) {
 			if rta.SchedulableWithExtraAt(sur, prio, c+s, T, d) {
 				t.Fatalf("over-utilized (%v + %v) but exact RTA accepts %d/%d/%d at %d over %v",
 					uq, float64(c)/float64(T), c+s, T, d, prio, sur)

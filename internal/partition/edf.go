@@ -38,7 +38,7 @@ func (a EDFFirstFit) Partition(ts task.Set, m int) *Result {
 
 // PartitionArena implements ArenaPartitioner.
 func (a EDFFirstFit) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
-	return edfFit(ts, m, a.Order, pickFirstFit, ar)
+	return edfFit(ts, m, a.Order, false, ar)
 }
 
 // EDFWorstFit is strict partitioned EDF with worst-fit processor choice.
@@ -57,10 +57,10 @@ func (a EDFWorstFit) Partition(ts task.Set, m int) *Result {
 
 // PartitionArena implements ArenaPartitioner.
 func (a EDFWorstFit) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
-	return edfFit(ts, m, a.Order, pickWorstFit, ar)
+	return edfFit(ts, m, a.Order, true, ar)
 }
 
-func edfFit(ts task.Set, m int, order FitOrder, pick func(*Arena, *task.Assignment) []int, ar *Arena) *Result {
+func edfFit(ts task.Set, m int, order FitOrder, worst bool, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)
 	}
@@ -80,8 +80,8 @@ func edfFit(ts task.Set, m int, order FitOrder, pick func(*Arena, *task.Assignme
 		t := sorted[i]
 		u := t.Utilization()
 		placed := false
-		for _, q := range pick(ar, asg) {
-			if asg.Utilization(q)+u <= 1+utilEps {
+		for _, q := range fitOrder(&ar.order, m, worst, asg.Utilization) {
+			if !OverUtilized(asg.Utilization(q), u) {
 				asg.Add(q, task.Whole(i, t))
 				placed = true
 				break

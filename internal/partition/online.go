@@ -40,12 +40,14 @@ type Online struct {
 	nextH  uint64
 	epoch  uint64 // bumped by every resident or handle-counter change
 
-	order []int // worst-fit candidate order scratch
+	order []int // fitOrder scratch
 }
 
-// Online placement policies. The RTA policies admit with the exact test
-// (ProcState.AdmitAt); the threshold policy admits iff the processor's
-// surcharged utilization stays under the Liu & Layland bound Θ(n+1) — the
+// Online placement policies. The RTA policies are FirstFitRTA and
+// WorstFitRTA run one task at a time through the same fitOrder and
+// fitsWhole (FuzzOnlineBatchTwin states the twin and its rta-wf tie
+// restriction). The threshold policy admits iff the processor's surcharged
+// utilization stays under the Liu & Layland bound Θ(n+1) — the
 // parametric-bound baseline, implicit deadlines only.
 const (
 	OnlineRTAFirstFit = "rta-ff"    // processors in index order
@@ -54,8 +56,8 @@ const (
 )
 
 // cOnlineUtilSkips counts processors an RTA admission refused by
-// utilization alone (OverUtilized), with neither the prefilter nor the
-// exact probe run.
+// utilization alone (OverUtilized on the cached sum), with neither the
+// prefilter nor the exact probe run.
 var cOnlineUtilSkips = obs.NewCounter("partition.online.util_skips")
 
 type onlineResident struct {
@@ -151,15 +153,6 @@ func (o *Online) resum(q int) {
 	o.util[q] = u
 }
 
-// OverUtilized reports whether adding raw utilization u to processor q
-// takes it past 1 — the batch partitioners' rule (overUtilized, sound
-// under any surcharge), applied to the cached utilization. The RTA
-// policies skip such processors, and the admission service's rejection
-// evidence reports this test for them.
-func (o *Online) OverUtilized(q int, u float64) bool {
-	return overUtilized(o.util[q], u)
-}
-
 // SurchargedUtilization is the threshold policy's view of processor q:
 // every resident's C inflated by the surcharge.
 func (o *Online) SurchargedUtilization(q int) float64 {
@@ -226,45 +219,17 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 			fmt.Sprintf("no processor has %.4f utilization room under the L&L threshold for %s", u, t))
 	}
 
-	u := t.Utilization()
-	for _, q := range o.candidates() {
-		if o.OverUtilized(q, u) {
-			cOnlineUtilSkips.Inc()
-			continue
-		}
-		if d >= t.C+s && (prefilterAdmit(&o.states[q], prio, t.C, d) || o.states[q].AdmitAt(prio, t.C, t.T, d)) {
+	for _, q := range fitOrder(&o.order, o.m, o.policy == OnlineRTAWorstFit, o.Utilization) {
+		ok, by := fitsWhole(&o.states[q], o.util[q], prio, t.C, t.T, d)
+		if ok {
 			return o.place(q, prio, t), nil
+		}
+		if by == byUtilization {
+			cOnlineUtilSkips.Inc()
 		}
 	}
 	return o.reject(CauseRTADeadlineMiss,
 		fmt.Sprintf("exact RTA proves a deadline miss for %s on every processor", t))
-}
-
-// candidates returns the processor probe order of the RTA policies:
-// index order for first fit, ascending assigned utilization (ties by
-// index, same permutation as pickWorstFit) for worst fit.
-func (o *Online) candidates() []int {
-	if cap(o.order) < o.m {
-		o.order = make([]int, o.m)
-	}
-	out := o.order[:o.m]
-	for q := range out {
-		out[q] = q
-	}
-	if o.policy != OnlineRTAWorstFit {
-		return out
-	}
-	for i := 1; i < len(out); i++ {
-		q := out[i]
-		u := o.util[q]
-		j := i - 1
-		for j >= 0 && o.util[out[j]] > u {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = q
-	}
-	return out
 }
 
 func (o *Online) place(q, prio int, t task.Task) Placement {

@@ -138,7 +138,7 @@ func FuzzUtilSkipSound(f *testing.F) {
 			case 0:
 				cand := task.Task{C: c, T: T, D: d}
 				for q := 0; q < m; q++ {
-					if !o.OverUtilized(q, cand.Utilization()) {
+					if !OverUtilized(o.Utilization(q), cand.Utilization()) {
 						continue
 					}
 					post := onlineSurView(o.Residents(q), s)

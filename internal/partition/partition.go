@@ -158,17 +158,14 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 		}
 		tr.Add(ev)
 	}
-	// A fragment that would take q past U = 1 cannot be placed whole
-	// (overUtilized), so it goes straight to MaxSplit. Otherwise the
-	// closed-form density prefilter proves the common lightly-loaded
-	// admission without any fixed point; a miss is "unknown", not "no", and
-	// falls through to the exact probe (see prefilter.go).
+	// A fragment the whole-placement probe refuses goes to MaxSplit; one
+	// that would take q past U = 1 gets there without any exact test.
 	uq := asg.Utilization(q)
-	over := overUtilized(uq, float64(f.remC)/float64(t.T))
-	if over {
+	ok, by := fitsWhole(ps, uq, f.idx, f.remC, t.T, d)
+	if by == byUtilization {
 		cUtilSkips.Inc()
 	}
-	if !over && d >= f.remC+s && (prefilterAdmit(ps, f.idx, f.remC, d) || ps.AdmitAt(f.idx, f.remC, t.T, d)) {
+	if ok {
 		sub := task.Subtask{
 			TaskIndex: f.idx, Part: f.part, C: f.remC, T: t.T,
 			Deadline: d, Offset: f.offset, Tail: true,

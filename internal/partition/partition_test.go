@@ -116,12 +116,18 @@ func TestTheorem8RandomLightHarmonicSets(t *testing.T) {
 func TestRMTSBoundKChains(t *testing.T) {
 	// §V instantiation: K=2 harmonic chains → bound min(82.8%, 2Θ/(1+Θ)).
 	// Random two-chain sets under that bound must partition under RM-TS.
+	// U_M is drawn from [0.76, 0.84]·M, around Λ ≈ 0.81–0.83. Sets above the
+	// bound are skipped; at least half the trials must stay under it, and at
+	// least an eighth of all trials within 0.02 of it (seed 777: 763 and
+	// 253 of 1,000), where the theorem is tightest.
 	r := rand.New(rand.NewSource(777))
 	alg := NewRMTS(bounds.HarmonicChain{Minimal: true})
-	for trial := 0; trial < 40; trial++ {
+	const trials = 1000
+	under, near := 0, 0
+	for trial := 0; trial < trials; trial++ {
 		m := 2 + r.Intn(3)
 		ts, err := gen.HarmonicSet(r, gen.HarmonicConfig{
-			TargetU: float64(m) * 0.70, // safely under min(0.828, 2Θ/(1+Θ)) ≈ 0.81-0.84
+			TargetU: float64(m) * (0.76 + 0.08*r.Float64()),
 			UMin:    0.05, UMax: 0.45,
 			Chains: 2,
 		})
@@ -129,17 +135,26 @@ func TestRMTSBoundKChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		lambda := alg.Lambda(ts)
-		if ts.NormalizedUtilization(m) > lambda || ts.MaxUtilization() > lambda {
+		um := ts.NormalizedUtilization(m)
+		if um > lambda || ts.MaxUtilization() > lambda {
 			continue
+		}
+		under++
+		if lambda-um <= 0.02 {
+			near++
 		}
 		res := alg.Partition(ts, m)
 		if !res.OK {
 			t.Fatalf("trial %d: RM-TS bound violated: U_M=%.4f ≤ Λ=%.4f on M=%d rejected: %s",
-				trial, ts.NormalizedUtilization(m), lambda, m, res.Reason)
+				trial, um, lambda, m, res.Reason)
 		}
 		if err := Verify(res); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+	}
+	t.Logf("%d of %d trials under Λ, %d of them within 0.02", under, trials, near)
+	if under < trials/2 || near < trials/8 {
+		t.Errorf("%d trials under Λ (want ≥ %d), %d within 0.02 of it (want ≥ %d)", under, trials/2, near, trials/8)
 	}
 }
 

@@ -250,6 +250,69 @@ func TestObservedResponseNeverExceedsRTABound(t *testing.T) {
 	}
 }
 
+// FuzzSimVsRTA pins the simulator to exact response-time analysis on one
+// processor: for a DM-sorted set of whole tasks (implicit or constrained
+// deadlines) that passes RTA, the synchronous release is the critical
+// instant, so every task's worst observed response equals its RTA fixed
+// point. The horizon is the largest period: the first jobs are the worst,
+// and each completes by its D ≤ T. The first byte picks a left shift that
+// scales every period up to 2^7× and, in its top bit, constrained
+// deadlines; each following 3-byte group is one task (period, execution
+// share up to 1/4, deadline share).
+func FuzzSimVsRTA(f *testing.F) {
+	f.Add([]byte{0, 0, 255, 0, 4, 255, 0, 12, 255, 0})
+	f.Add([]byte{0x83, 10, 200, 100, 20, 120, 30, 40, 255, 255, 90, 60, 0})
+	f.Add([]byte{0x01, 6, 255, 0, 6, 255, 0, 6, 255, 0, 6, 200, 0})
+	f.Add([]byte{0x85, 250, 40, 0, 3, 90, 255, 17, 255, 128, 120, 255, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		shift, constrained := uint(data[0]%8), data[0] >= 128
+		data = data[1:]
+		if len(data) > 30 {
+			data = data[:30]
+		}
+		var ts task.Set
+		for ; len(data) >= 3; data = data[3:] {
+			T := task.Time(4+int(data[0])) << shift
+			c := max(T*task.Time(data[1])/1024, 1)
+			d := T
+			if constrained {
+				d = c + (T-c)*task.Time(data[2])/255
+			}
+			ts = append(ts, task.Task{C: c, T: T, D: d})
+		}
+		if len(ts) == 0 {
+			return
+		}
+		ts.SortDM()
+		a := task.NewAssignment(ts, 1)
+		horizon := task.Time(0)
+		for i, tk := range ts {
+			a.Add(0, task.Whole(i, tk))
+			horizon = max(horizon, tk.T)
+		}
+		list := a.Procs[0]
+		if !rta.ProcessorSchedulable(list) {
+			return
+		}
+		rep, err := Simulate(a, Options{Horizon: horizon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Ok() {
+			t.Fatalf("RTA-schedulable %v missed in simulation: %v", ts, rep.Misses)
+		}
+		for i := range list {
+			want, _ := rta.SubtaskResponse(list, i)
+			if got := rep.WorstResponse[i]; got != want {
+				t.Fatalf("%v: τ%d simulated worst response %d, RTA %d", ts, i, got, want)
+			}
+		}
+	})
+}
+
 func rtaSchedulable(a *task.Assignment) bool {
 	return rta.ProcessorSchedulable(a.Procs[0])
 }
