@@ -358,10 +358,9 @@ func benchAdmitService(b *testing.B, c *admit.Cluster) {
 
 // BenchmarkAdmitServiceReject measures an analyzed rejection in process:
 // an M=32 cluster prefilled to its capacity edge, offered a cycle of 4,096
-// distinct heavy candidates that every processor refuses. The rejection
-// memo holds at most 1,024 entries, so every op misses it and pays the
-// engine's pass over all 32 processors, the per-processor evidence and the
-// memo insert — the in-process cost behind admitd's rejection responses.
+// distinct heavy candidates that every processor refuses. Every op pays the
+// engine's pass over all 32 processors and the per-processor evidence — the
+// in-process cost behind admitd's rejection responses.
 // Most processors are over-full for a heavy candidate: those are refused
 // by utilization alone and report the utilization room as evidence, so
 // only the processors with room left run exact RTA, once in the engine
@@ -401,7 +400,7 @@ func BenchmarkAdmitServiceReject(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Accepted && !res.CacheHit {
+		if !res.Accepted && len(res.Evidence) == 32 {
 			rejected++
 		}
 	}

@@ -11,12 +11,12 @@
 # parser, the warm-state removal invalidation, every RTA kernel and the
 # scalar list API against the array-of-structs reference analysis, every
 # utilization bound's scratch evaluation against its slice-based
-# reference, the admission prefilter's soundness and that of the utilization refusal in
+# reference, every utilization bound's soundness against exact RTA
+# (FuzzPUBSound), the admission prefilter's soundness and that of the utilization refusal in
 # the online engine and the batch partitioners, the online rta-ff/rta-wf
 # policies against the batch P-RM-FF/WF they twin (FuzzOnlineBatchTwin), the
 # uniprocessor simulator against exact RTA (FuzzSimVsRTA), the admission
-# service's rejection evidence and verdict JSON (each against its oracle) and its
-# rejection memo (FuzzClusterMemo, against an unmemoized twin), the
+# service's rejection evidence and verdict JSON (each against its oracle), the
 # global-RM simulator, the EDF-TS budget search, the EDF check interval and
 # the EDF-TS window split (each against the implementation it replaced,
 # kept in its tests), EDF-TS and EDF-FF termination on periods up to
@@ -28,7 +28,8 @@
 # (every command resolves algorithm names through one registry), an
 # admitd smoke that boots the admission service and drives the
 # admit→remove→re-admit cycle
-# plus a load run through its -check client, a metrics lint that
+# plus a load run through its -check client (an EXIT trap stops any daemon
+# a failing step leaves running and removes its temp files), a metrics lint that
 # grammar-checks the daemon's live Prometheus exposition and schema-checks
 # its JSONL access log (DESIGN.md §15), a crash-recovery smoke that
 # churns a journaled admitd, SIGKILLs it and requires the restarted daemon
@@ -70,7 +71,7 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, journal replay, rejection evidence and verdict JSON vs their oracles, rejection memo vs an unmemoized twin, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
@@ -83,10 +84,10 @@ go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBoundValueScratch -fuzztime 5s repro/internal/bounds
+go test -run '^$' -fuzz FuzzPUBSound -fuzztime 5s repro/internal/bounds
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit
-go test -run '^$' -fuzz FuzzClusterMemo -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzGlobalSimVsReference -fuzztime 5s repro/internal/global
 go test -run '^$' -fuzz FuzzMaxAdditionalDemand -fuzztime 5s repro/internal/edfa
 go test -run '^$' -fuzz FuzzSchedulableInterval -fuzztime 5s repro/internal/edfa
@@ -148,6 +149,22 @@ cli_status=0
 rm -rf "$cli_dir"
 
 echo "== admitd smoke (boot, admit→remove→re-admit cycle, load run, graceful stop) =="
+# Under set -e a failing -check, -scrape or digest step exits at once; the
+# trap then stops the background daemon it would otherwise orphan. It also
+# removes the smoke's temp files, on success too. A daemon stopped on
+# purpose clears admitd_pid, so the trap never signals a recycled pid.
+admitd_pid= admitd_bin= admitd_addr= admitd_access= admitd_prom= admitd_data=
+cleanup_admitd() {
+    if [ -n "$admitd_pid" ]; then
+        kill -KILL "$admitd_pid" 2>/dev/null || true
+        wait "$admitd_pid" 2>/dev/null || true
+    fi
+    for f in "$admitd_bin" "$admitd_addr" "$admitd_access" "$admitd_prom" "$admitd_data" \
+        /tmp/ci-canon-before.txt /tmp/ci-canon-after.txt; do
+        [ -z "$f" ] || rm -rf "$f"
+    done
+}
+trap cleanup_admitd EXIT
 admitd_bin=$(mktemp /tmp/ci-admitd.XXXXXX)
 admitd_addr=$(mktemp /tmp/ci-admitd-addr.XXXXXX)
 admitd_access=$(mktemp /tmp/ci-admitd-access.XXXXXX.jsonl)
@@ -180,8 +197,8 @@ grep -q '^# TYPE admit_gate_queue_depth gauge$' "$admitd_prom"
 grep -q '^# TYPE partition_online_util_skips counter$' "$admitd_prom"
 kill -TERM "$admitd_pid"
 wait "$admitd_pid"
+admitd_pid=
 go run ./cmd/perfdiff -validate-access-log "$admitd_access"
-rm -f "$admitd_access" "$admitd_prom"
 
 echo "== admitd crash-recovery smoke (churn, SIGKILL, restart, digest compare) =="
 # Boot journaled (fsync=always: every acknowledged op durable), drive a
@@ -208,6 +225,7 @@ done
     2>/dev/null > /tmp/ci-canon-before.txt
 kill -KILL "$admitd_pid"
 wait "$admitd_pid" 2>/dev/null || true
+admitd_pid=
 rm -f "$admitd_addr"
 "$admitd_bin" -listen 127.0.0.1:0 -addr-file "$admitd_addr" -q \
     -data "$admitd_data" -fsync always &
@@ -230,7 +248,7 @@ done
 cmp /tmp/ci-canon-before.txt /tmp/ci-canon-after.txt
 kill -TERM "$admitd_pid"
 wait "$admitd_pid"
-rm -rf "$admitd_bin" "$admitd_addr" "$admitd_data" /tmp/ci-canon-before.txt /tmp/ci-canon-after.txt
+admitd_pid=
 
 echo "== hot-path bench JSON (BENCH_hotpath.json) =="
 baseline=$(mktemp /tmp/ci-bench-baseline.XXXXXX.json)

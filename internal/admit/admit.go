@@ -12,17 +12,9 @@
 // is single-writer by design); per-tenant statistics are plain atomics,
 // readable lock-free while admissions are in flight.
 //
-// Rejection caching: admission is deterministic in (cluster state,
-// candidate), so each cluster memoizes rejected verdicts keyed by the
-// candidate alone, valid for exactly one engine state: the memo records the
-// engine's mutation counter (partition.Online.Epoch) it was filled at, and
-// the first Admit after any accepted admit, remove or rollback finds the
-// epoch moved and empties it before the lookup. Same epoch means no
-// mutation in between, hence the same state and the same verdict, so no
-// state key is built and no entry outlives the state it answers for. Only
-// rejections are cached: they are the expensive repeated case under churn
-// (retry storms re-ask the same question against the same state), while an
-// acceptance mutates the state and so can never repeat.
+// Every admission, a repeated rejection included, is answered by the
+// engine: a refusal costs a few microseconds of exact RTA, so no verdict
+// is cached.
 package admit
 
 import (
@@ -48,40 +40,22 @@ var (
 	cAccepted        = obs.NewCounter("admit.accepted")
 	cRejected        = obs.NewCounter("admit.rejected")
 	cRemoved         = obs.NewCounter("admit.removed")
-	cCacheHits       = obs.NewCounter("admit.cache_hits")
 	cClustersCreated = obs.NewCounter("admit.clusters_created")
 	cClustersDeleted = obs.NewCounter("admit.clusters_deleted")
 )
 
 // cRejectByCause breaks admit.rejected down by partition cause
-// (admit.reject.<cause>). The map is built once at init over the closed
-// cause taxonomy and keyed by the interned String() values the rejection
-// path already produces, so attributing a rejection is one map lookup — no
-// registry mutex, no allocation — and the memo cache can attribute its hits
-// from the cached Result's Cause string.
-var cRejectByCause = func() map[string]*obs.Counter {
-	m := make(map[string]*obs.Counter)
-	for _, c := range partition.RejectionCauses() {
-		m[c.String()] = obs.NewCounter("admit.reject." + c.String())
+// (admit.reject.<cause>), indexed by the engine's typed Cause and built
+// once at init over the closed taxonomy, so attributing a rejection is one
+// slice index: no registry mutex, no allocation.
+var cRejectByCause = func() []*obs.Counter {
+	causes := partition.RejectionCauses()
+	cs := make([]*obs.Counter, causes[len(causes)-1]+1)
+	for _, c := range causes {
+		cs[c] = obs.NewCounter("admit.reject." + c.String())
 	}
-	return m
+	return cs
 }()
-
-// countRejection attributes one rejection to its cause counter. Unknown
-// cause strings (impossible through the engine, conceivable through a
-// hand-built cached Result in tests) simply go unattributed — the aggregate
-// cRejected already counted them.
-func countRejection(cause string) {
-	if c, ok := cRejectByCause[cause]; ok {
-		c.Inc()
-	}
-}
-
-// defaultCacheCap bounds the distinct rejected candidates a cluster
-// memoizes at one state — the candidates come from outside, so a burst of
-// distinct rejections must not grow the memo without limit. Outgrowing the
-// cap drops the map wholesale, which keeps the policy deterministic.
-const defaultCacheCap = 1024
 
 // ErrExists is returned by Create when the cluster name is already taken.
 var ErrExists = errors.New("admit: cluster name already taken")
@@ -144,7 +118,7 @@ func (s *Service) Create(ctx context.Context, name string, m int, policy string,
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{name: name, eng: eng, cacheCap: defaultCacheCap}
+	c := &Cluster{name: name, eng: eng}
 	idx := s.shardIndex(name)
 	sh := &s.shards[idx]
 	var jr *shardJournal
@@ -242,24 +216,25 @@ func (s *Service) Names() []string {
 // Stats is a cluster's per-tenant operation counters. All fields are
 // written with atomics and may be read lock-free via StatsSnapshot.
 type Stats struct {
-	Requests  atomic.Int64
-	Accepted  atomic.Int64
-	Rejected  atomic.Int64
-	Removed   atomic.Int64
-	CacheHits atomic.Int64
+	Requests atomic.Int64
+	Accepted atomic.Int64
+	Rejected atomic.Int64
+	Removed  atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of a cluster's Stats.
 type StatsSnapshot struct {
-	Requests  int64 `json:"requests"`
-	Accepted  int64 `json:"accepted"`
-	Rejected  int64 `json:"rejected"`
-	Removed   int64 `json:"removed"`
+	Requests int64 `json:"requests"`
+	Accepted int64 `json:"accepted"`
+	Rejected int64 `json:"rejected"`
+	Removed  int64 `json:"removed"`
+	// CacheHits is always 0: no verdict is cached. The field keeps the
+	// status and snapshot JSON in their published shape.
 	CacheHits int64 `json:"cacheHits"`
 }
 
-// Cluster is one tenant's virtual cluster: the engine, its rejection
-// cache, and the tenant's stats.
+// Cluster is one tenant's virtual cluster: the engine and the tenant's
+// stats.
 type Cluster struct {
 	name  string
 	stats Stats
@@ -269,12 +244,9 @@ type Cluster struct {
 	j  *Journal
 	jr *shardJournal
 
-	mu         sync.Mutex // serializes eng, cache, cacheEpoch and deleted
-	eng        *partition.Online
-	cache      map[task.Task]Result // rejections at engine epoch cacheEpoch
-	cacheEpoch uint64
-	cacheCap   int
-	deleted    bool // set by Service.Delete; mutations through stale handles fail
+	mu      sync.Mutex // serializes eng and deleted
+	eng     *partition.Online
+	deleted bool // set by Service.Delete; mutations through stale handles fail
 }
 
 // Name returns the cluster's registered name.
@@ -284,11 +256,10 @@ func (c *Cluster) Name() string { return c.name }
 // lock.
 func (c *Cluster) StatsSnapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Requests:  c.stats.Requests.Load(),
-		Accepted:  c.stats.Accepted.Load(),
-		Rejected:  c.stats.Rejected.Load(),
-		Removed:   c.stats.Removed.Load(),
-		CacheHits: c.stats.CacheHits.Load(),
+		Requests: c.stats.Requests.Load(),
+		Accepted: c.stats.Accepted.Load(),
+		Rejected: c.stats.Rejected.Load(),
+		Removed:  c.stats.Removed.Load(),
 	}
 }
 
@@ -316,10 +287,6 @@ type Result struct {
 	CauseDetail string         `json:"causeDetail,omitempty"`
 	Reason      string         `json:"reason,omitempty"`
 	Evidence    []ProcEvidence `json:"evidence,omitempty"`
-
-	// CacheHit reports that a memoized rejection answered the request. It
-	// is the only field allowed to differ from the uncached computation.
-	CacheHit bool `json:"cacheHit,omitempty"`
 }
 
 // Admit runs one admission attempt against the cluster. The context's
@@ -349,23 +316,6 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 			return Result{}, err
 		}
 	}
-
-	if c.cacheCap > 0 {
-		if e := c.eng.Epoch(); e != c.cacheEpoch {
-			clear(c.cache)
-			c.cacheEpoch = e
-		}
-		if res, ok := c.cache[t]; ok {
-			cCacheHits.Inc()
-			cRejected.Inc()
-			countRejection(res.Cause)
-			c.stats.CacheHits.Add(1)
-			c.stats.Rejected.Add(1)
-			res.CacheHit = true
-			return res, nil
-		}
-	}
-
 	pl, err := c.eng.Admit(t)
 	if err == nil {
 		if c.jr != nil {
@@ -390,25 +340,15 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 		panic("admit: online engine returned an untyped error: " + err.Error())
 	}
 	cRejected.Inc()
-	countRejection(rej.Cause.String())
+	cRejectByCause[rej.Cause].Inc()
 	c.stats.Rejected.Add(1)
-	res := Result{
+	return Result{
 		Proc:        -1,
 		Cause:       rej.Cause.String(),
 		CauseDetail: rej.Cause.Describe(),
 		Reason:      rej.Reason,
 		Evidence:    c.evidence(rej.Cause, t),
-	}
-	if c.cacheCap > 0 {
-		if len(c.cache) >= c.cacheCap {
-			c.cache = nil
-		}
-		if c.cache == nil {
-			c.cache = make(map[task.Task]Result)
-		}
-		c.cache[t] = res
-	}
-	return res, nil
+	}, nil
 }
 
 // Remove releases a previously admitted task, reporting whether the handle
@@ -462,7 +402,6 @@ func (c *Cluster) restoreStats(st StatsSnapshot) {
 	c.stats.Accepted.Store(st.Accepted)
 	c.stats.Rejected.Store(st.Rejected)
 	c.stats.Removed.Store(st.Removed)
-	c.stats.CacheHits.Store(st.CacheHits)
 }
 
 // appendCanonical appends the cluster's canonical engine state (see

@@ -147,70 +147,6 @@ func guardCluster(tb testing.TB, m int, policy string) *Cluster {
 // onlinePolicies lists the three partition.Online placement policies.
 var onlinePolicies = []string{partition.OnlineRTAFirstFit, partition.OnlineRTAWorstFit, partition.OnlineThreshold}
 
-// TestClusterCacheEquivalence drives identical random churn through a
-// cached cluster and a twin with the cache disabled (cap 0), checking every
-// Result is identical modulo the CacheHit marker — the soundness contract
-// of the rejection memo.
-func TestClusterCacheEquivalence(t *testing.T) {
-	for _, policy := range onlinePolicies {
-		t.Run(policy, func(t *testing.T) {
-			s := NewService(1)
-			cached, err := s.Create(context.Background(), "cached-"+policy, 2, policy, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := s.Create(context.Background(), "plain-"+policy, 2, policy, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain.cacheCap = 0 // cleared before every insert: no hit can survive
-
-			r := rand.New(rand.NewSource(41))
-			var live []uint64
-			hits := 0
-			for op := 0; op < 600; op++ {
-				if len(live) > 0 && r.Intn(3) == 0 {
-					h := live[r.Intn(len(live))]
-					a, b := removeNow(t, cached, h), removeNow(t, plain, h)
-					if a != b {
-						t.Fatalf("op %d: Remove(%d) diverged: %v vs %v", op, h, a, b)
-					}
-					if a {
-						for i, x := range live {
-							if x == h {
-								live = append(live[:i], live[i+1:]...)
-								break
-							}
-						}
-					}
-					continue
-				}
-				// A small parameter space so repeats (and thus cache hits) occur.
-				T := task.Time(10 * (1 + r.Intn(6)))
-				tk := task.Task{C: 1 + task.Time(r.Intn(int(T)/2)), T: T}
-				if policy != partition.OnlineThreshold && r.Intn(3) == 0 {
-					tk.D = tk.C + task.Time(r.Intn(int(T-tk.C)+1))
-				}
-				a := admitNow(t, cached, tk)
-				b := admitNow(t, plain, tk)
-				if a.CacheHit {
-					hits++
-				}
-				a.CacheHit, b.CacheHit = false, false
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("op %d task %s: cached %+v vs plain %+v", op, tk, a, b)
-				}
-				if a.Accepted {
-					live = append(live, a.Handle)
-				}
-			}
-			if hits == 0 {
-				t.Error("cache never hit; the equivalence run proved nothing")
-			}
-		})
-	}
-}
-
 // TestClusterAdmitRejectShapes pins the Result surface: evidence on
 // analyzed rejections, none on input errors, handles usable for Remove.
 func TestClusterAdmitRejectShapes(t *testing.T) {
@@ -312,34 +248,5 @@ func TestClusterStatsConcurrent(t *testing.T) {
 	}
 	if snap.Accepted+snap.Rejected != snap.Requests {
 		t.Errorf("accepted %d + rejected %d != requests %d", snap.Accepted, snap.Rejected, snap.Requests)
-	}
-}
-
-// TestCacheCapClears pins the bounded-cache policy: outgrowing the cap
-// clears the map rather than evicting piecemeal.
-func TestCacheCapClears(t *testing.T) {
-	s := NewService(1)
-	c, err := s.Create(context.Background(), "small", 1, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.cacheCap = 2
-	// Saturate the processor so every distinct oversized task is rejected
-	// and cached.
-	if res := admitNow(t, c, task.Task{C: 9, T: 10}); !res.Accepted {
-		t.Fatalf("setup admit failed: %+v", res)
-	}
-	for i := 0; i < 5; i++ {
-		admitNow(t, c, task.Task{C: 50 + task.Time(i), T: 100})
-	}
-	c.mu.Lock()
-	n := len(c.cache)
-	c.mu.Unlock()
-	if n > 2 {
-		t.Errorf("cache grew to %d entries past its cap of 2", n)
-	}
-	// A repeat of the last rejection must still hit.
-	if res := admitNow(t, c, task.Task{C: 54, T: 100}); !res.CacheHit {
-		t.Error("repeat rejection missed the cache after a clear cycle")
 	}
 }

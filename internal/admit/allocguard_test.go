@@ -18,7 +18,7 @@ import (
 // Alloc guards for the service layer (run with `go test -run AllocGuard`):
 // the accept path must not allocate once the cluster is warm, and an
 // analyzed rejection must cost a fixed number of allocations however many
-// processors its evidence covers, and a memo hit must cost none.
+// processors its evidence covers.
 
 func TestAllocGuardAdmitRemoveCycle(t *testing.T) {
 	defer obs.SetEnabled(obs.On())
@@ -43,12 +43,11 @@ func TestAllocGuardAdmitRemoveCycle(t *testing.T) {
 	}
 }
 
-// rejectAllocs measures one analyzed rejection with the memo disabled, so
-// every call runs the engine and rebuilds the evidence.
+// rejectAllocs measures one analyzed rejection: every call runs the engine
+// and rebuilds the evidence.
 func rejectAllocs(t *testing.T, m int, policy string, wantCause partition.Cause) float64 {
 	t.Helper()
 	c := guardCluster(t, m, policy)
-	c.cacheCap = 0
 	cand := task.Task{Name: "big", C: 90, T: 100}
 	reject := func() {
 		res := admitNow(t, c, cand)
@@ -72,26 +71,5 @@ func TestAllocGuardRejectionIndependentOfM(t *testing.T) {
 		if small != large {
 			t.Errorf("%s: analyzed rejection allocates %v at M=8 but %v at M=32; want a count independent of M", tc.policy, small, large)
 		}
-	}
-}
-
-// TestAllocGuardMemoHit pins a memoized rejection at M=32 to zero
-// allocations: the hit looks the candidate up and copies the stored
-// Result, evidence included, without building a key.
-func TestAllocGuardMemoHit(t *testing.T) {
-	defer obs.SetEnabled(obs.On())
-	obs.SetEnabled(true)
-	c := guardCluster(t, 32, partition.OnlineRTAFirstFit)
-	cand := task.Task{Name: "big", C: 90, T: 100}
-	if res := admitNow(t, c, cand); res.Accepted || res.CacheHit || len(res.Evidence) != 32 {
-		t.Fatalf("want a fresh analyzed rejection with 32 evidence records, got %+v", res)
-	}
-	hit := func() {
-		if res := admitNow(t, c, cand); !res.CacheHit {
-			t.Fatalf("repeat rejection missed the memo: %+v", res)
-		}
-	}
-	if allocs := testing.AllocsPerRun(200, hit); allocs != 0 {
-		t.Errorf("memo hit on an M=32 cluster: %v allocs/op, want 0", allocs)
 	}
 }

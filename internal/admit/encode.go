@@ -50,9 +50,6 @@ func appendResult(dst []byte, res *Result) ([]byte, error) {
 		}
 		dst = append(dst, ']')
 	}
-	if res.CacheHit {
-		dst = append(dst, `,"cacheHit":true`...)
-	}
 	return append(dst, '}', '\n'), nil
 }
 

@@ -108,7 +108,6 @@ func FuzzResultJSON(f *testing.F) {
 				}},
 				{Proc: 2, Utilization: room},
 			},
-			CacheHit: !flag,
 		}
 		checkResultJSON(t, res)
 		res.Evidence = res.Evidence[:0]

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -183,27 +184,32 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decodeBody strictly decodes one JSON object into v. Oversized bodies are
-// a clean 413 (http.MaxBytesReader both enforces the cap and tells the
-// server to close the connection, the slow-client-safe behavior), not the
-// truncation-induced 400 a bare LimitReader would produce.
+// decodeBody strictly decodes one JSON object into v, followed by nothing
+// but whitespace. Oversized bodies are a clean 413 (http.MaxBytesReader
+// both enforces the cap and tells the server to close the connection, the
+// slow-client-safe behavior), not the truncation-induced 400 a bare
+// LimitReader would produce.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		// Token, not More: More reports false before a stray '}' or ']',
+		// while Token reaches io.EOF only past trailing whitespace.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if err == nil {
+			err = errors.New("trailing data")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 		return false
 	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "bad request body: trailing data")
-		return false
-	}
-	return true
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
 }
 
 func (s *Service) cluster(w http.ResponseWriter, r *http.Request) (*Cluster, bool) {

@@ -146,6 +146,8 @@ func TestHTTPErrorTable(t *testing.T) {
 		{"oversized body", "POST", "/v1/clusters/edge/admit", oversized, http.StatusRequestEntityTooLarge},
 		{"unknown field", "POST", "/v1/clusters", `{"nope":1}`, http.StatusBadRequest},
 		{"trailing data", "POST", "/v1/clusters/edge/admit", `{"c":1,"t":2}{"c":1,"t":2}`, http.StatusBadRequest},
+		{"trailing brace", "POST", "/v1/clusters/edge/admit", `{"c":1,"t":2}}`, http.StatusBadRequest},
+		{"trailing bracket", "POST", "/v1/clusters/edge/admit", `{"c":1,"t":2}]`, http.StatusBadRequest},
 		{"not json", "POST", "/v1/clusters/edge/admit", `not json`, http.StatusBadRequest},
 		{"unknown cluster status", "GET", "/v1/clusters/ghost", "", http.StatusNotFound},
 		{"unknown cluster admit", "POST", "/v1/clusters/ghost/admit", `{"c":1,"t":2}`, http.StatusNotFound},

@@ -131,7 +131,6 @@ func (ch *churner) step(op int) {
 		if merr != nil {
 			t.Fatalf("op %d: mirror admit: %v", op, merr)
 		}
-		dres.CacheHit, mres.CacheHit = false, false
 		if !reflect.DeepEqual(dres, mres) {
 			t.Fatalf("op %d: admit verdicts diverged:\ndurable %+v\nmirror  %+v", op, dres, mres)
 		}

@@ -42,8 +42,8 @@ import (
 //
 // Counter semantics after recovery: the durable counters (accepted,
 // removed, and one request per replayed acceptance) are exact; the
-// volatile traffic counters (rejections, cache hits, and the requests that
-// carried them) restart from the last snapshot, because rejections are
+// volatile traffic counters (rejections and the requests that carried
+// them) restart from the last snapshot, because rejections are
 // deliberately not journaled. A clean Close writes a final snapshot, so a
 // clean restart restores Status byte-identically.
 
@@ -267,7 +267,7 @@ func (s *Service) loadSnapshot(dir string, idx int) (uint64, error) {
 		if err := eng.SetHandleSeq(cs.NextHandle); err != nil {
 			return 0, fmt.Errorf("%w: cluster %q: %v", ErrCorrupt, cs.Name, err)
 		}
-		c := &Cluster{name: cs.Name, eng: eng, cacheCap: defaultCacheCap}
+		c := &Cluster{name: cs.Name, eng: eng}
 		c.restoreStats(cs.Stats)
 		reg.clusters[cs.Name] = c
 	}
@@ -347,7 +347,7 @@ func (s *Service) applyRecord(shardIdx int, rec walRecord) error {
 		if err != nil {
 			return fmt.Errorf("%w: replayed create of %q: %v", ErrCorrupt, rec.Cluster, err)
 		}
-		reg.clusters[rec.Cluster] = &Cluster{name: rec.Cluster, eng: eng, cacheCap: defaultCacheCap}
+		reg.clusters[rec.Cluster] = &Cluster{name: rec.Cluster, eng: eng}
 	case opAdmit:
 		c, ok := reg.clusters[rec.Cluster]
 		if !ok {

@@ -110,6 +110,79 @@ func chainyPeriods(r *rand.Rand, n int) []task.Time {
 	return out
 }
 
+// raiseToBound raises each C, in index order, to the largest integer (at
+// most T) that keeps U(τ) ≤ bound, so the set sits as close under Λ(τ) as
+// integer execution times allow.
+func raiseToBound(ts task.Set, bound float64) {
+	for i := range ts {
+		orig := ts[i].C
+		rest := ts.TotalUtilization() - ts[i].Utilization()
+		ts[i].C = min(max(task.Time((bound-rest)*float64(ts[i].T)), orig), ts[i].T)
+		for ts[i].C > orig && ts.TotalUtilization() > bound {
+			ts[i].C--
+		}
+		for ts[i].C < ts[i].T {
+			ts[i].C++
+			if ts.TotalUtilization() > bound {
+				ts[i].C--
+				break
+			}
+		}
+	}
+}
+
+// FuzzPUBSound is checkBoundSoundness as a property over every -pub name:
+// an implicit-deadline set whose periods come from the generic, harmonic or
+// chain family and whose execution times are scaled under Λ(τ) and then
+// each raised to the largest integer the bound allows must pass exact RTA,
+// and lowering any one C must keep it schedulable.
+func FuzzPUBSound(f *testing.F) {
+	families := []func(r *rand.Rand, n int) []task.Time{genericPeriods, harmonicPeriods, chainyPeriods}
+	for fam := range families {
+		for seed := int64(1); seed <= 3; seed++ {
+			f.Add(uint8(fam), uint8(seed*3), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, fam, nRaw uint8, seed int64) {
+		n := 2 + int(nRaw)%8
+		for _, name := range Names() {
+			b, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(seed))
+			periods := families[int(fam)%len(families)](r, n)
+			ts := make(task.Set, n)
+			for i, p := range periods {
+				ts[i] = task.Task{Name: "s", C: task.Time(1 + r.Int63n(int64(p))), T: p}
+			}
+			bound := b.Value(ts)
+			if bound <= 0 || bound > 1 {
+				t.Fatalf("%s produced out-of-range bound %g for periods %v", name, bound, periods)
+			}
+			scaled, ok := scaleToBound(r, ts, bound)
+			if !ok {
+				continue
+			}
+			raiseToBound(scaled, bound)
+			if !rmSchedulable(scaled) {
+				t.Fatalf("%s UNSOUND: set %v has U=%.17g ≤ Λ=%.17g but fails exact RTA",
+					name, scaled, scaled.TotalUtilization(), bound)
+			}
+			for i := range scaled {
+				if scaled[i].C == 1 {
+					continue
+				}
+				lower := scaled.Clone()
+				lower[i].C = task.Time(1 + r.Int63n(int64(lower[i].C-1)))
+				if !rmSchedulable(lower) {
+					t.Fatalf("%s: lowering C of task %d to %d broke schedulability of %v", name, i, lower[i].C, scaled)
+				}
+			}
+		}
+	})
+}
+
 func TestLiuLaylandSound(t *testing.T) {
 	checkBoundSoundness(t, LiuLayland{}, genericPeriods, 300, 1001)
 }

@@ -38,7 +38,6 @@ type Online struct {
 	util   []float64          // util[q]: procs[q]'s raw utilization, summed in priority order
 	loc    map[uint64]int     // handle → hosting processor
 	nextH  uint64
-	epoch  uint64 // bumped by every resident or handle-counter change
 
 	order []int // fitOrder scratch
 }
@@ -122,13 +121,6 @@ func (o *Online) Policy() string { return o.policy }
 
 // Surcharge returns the per-task analysis surcharge.
 func (o *Online) Surcharge() task.Time { return o.surcharge }
-
-// Epoch returns the engine's mutation counter. Every change to the
-// residents or the handle counter (an accepted Admit, Remove, UndoAdmit,
-// RestoreResident, SetHandleSeq) bumps it, and nothing else does, so two
-// calls returning the same epoch bracket an unchanged state: every verdict
-// asked in between is a pure function of the candidate.
-func (o *Online) Epoch() uint64 { return o.epoch }
 
 // Len returns the number of resident tasks across all processors.
 func (o *Online) Len() int { return len(o.loc) }
@@ -253,7 +245,6 @@ func (o *Online) install(q int, h uint64, sub task.Subtask) int {
 	o.procs[q][pos] = onlineResident{handle: h, sub: sub}
 	o.resum(q)
 	o.loc[h] = q
-	o.epoch++
 	return pos
 }
 
@@ -355,7 +346,6 @@ func (o *Online) SetHandleSeq(h uint64) error {
 		return fmt.Errorf("partition: handle counter %d below restored maximum %d", h, o.nextH)
 	}
 	o.nextH = h
-	o.epoch++
 	return nil
 }
 
@@ -403,6 +393,5 @@ func (o *Online) Remove(handle uint64) bool {
 	o.procs[q] = append(list[:pos], list[pos+1:]...)
 	o.resum(q)
 	delete(o.loc, handle)
-	o.epoch++
 	return true
 }
