@@ -50,7 +50,9 @@ func TestBenchHotpathJSON(t *testing.T) {
 		{"E2AcceptanceGeneral", BenchmarkE2AcceptanceGeneral},
 		{"E3AcceptanceLight", BenchmarkE3AcceptanceLight},
 		{"E6Breakdown", BenchmarkE6Breakdown},
+		{"E10SimulateVerify", BenchmarkE10SimulateVerify},
 		{"E12GlobalCompare", BenchmarkE12GlobalCompare},
+		{"E13OverheadSensitivity", BenchmarkE13OverheadSensitivity},
 		{"E15FPvsEDF", BenchmarkE15FPvsEDF},
 		{"E16ConstrainedDeadlines", BenchmarkE16ConstrainedDeadlines},
 		{"RTAProcessor", BenchmarkRTAProcessor},
@@ -58,6 +60,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		{"MaxSplitTestingPoint", BenchmarkMaxSplitTestingPoint},
 		{"PartitionRMTS", BenchmarkPartitionRMTS},
 		{"PartitionRMTSArena", BenchmarkPartitionRMTSArena},
+		{"SimulateHyperperiod", BenchmarkSimulateHyperperiod},
 		{"AdmitService", BenchmarkAdmitService},
 		{"AdmitServiceJournaled", BenchmarkAdmitServiceJournaled},
 		{"AdmitServiceReject", BenchmarkAdmitServiceReject},

@@ -262,9 +262,9 @@ func BenchmarkSimulateHyperperiod(b *testing.B) {
 // BenchmarkAdmitService measures the admission service's sustained hot
 // path: one in-process admit per op against a prefilled steady-state
 // cluster, with removal churn keeping the resident population bounded, so
-// every op exercises the warm-start probe, the removal invalidation, and
-// the rejection cache. 1e9/ns_per_op is the sustained admissions/sec on
-// one box — the ci.sh gate requires ≥ 100k (ns/op ≤ 10µs).
+// every op exercises the warm-start probe and the removal invalidation.
+// 1e9/ns_per_op is the sustained admissions/sec on one box — the ci.sh
+// gate requires ≈ 143k (ns/op ≤ 7,000).
 func BenchmarkAdmitService(b *testing.B) {
 	svc := admit.NewService(0)
 	c, err := svc.Create(context.Background(), "bench", 8, partition.OnlineRTAFirstFit, 0)

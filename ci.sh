@@ -15,7 +15,9 @@
 # (FuzzPUBSound), the admission prefilter's soundness and that of the utilization refusal in
 # the online engine and the batch partitioners, the online rta-ff/rta-wf
 # policies against the batch P-RM-FF/WF they twin (FuzzOnlineBatchTwin), the
-# uniprocessor simulator against exact RTA (FuzzSimVsRTA), the admission
+# uniprocessor simulator against exact RTA (FuzzSimVsRTA), the partitioned
+# simulator and Assignment.Validate against the implementations they
+# replaced (FuzzSimVsReference, FuzzValidateVsReference), the admission
 # service's rejection evidence and verdict JSON (each against its oracle), the
 # global-RM simulator, the EDF-TS budget search, the EDF check interval and
 # the EDF-TS window split (each against the implementation it replaced,
@@ -65,13 +67,13 @@ echo "== go test -race (concurrency-sensitive packages) =="
 go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
 
 echo "== alloc guards (hot paths must stay zero-allocation) =="
-go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit repro/internal/edfa repro/internal/global
+go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit repro/internal/edfa repro/internal/global repro/internal/sim
 
 echo "== fault injection (every injected fault must surface as a seed-reproducible SampleError) =="
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
@@ -80,6 +82,8 @@ go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzBatchUtilRuleSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzOnlineBatchTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzSimVsRTA -fuzztime 5s repro/internal/sim
+go test -run '^$' -fuzz FuzzSimVsReference -fuzztime 5s repro/internal/sim
+go test -run '^$' -fuzz FuzzValidateVsReference -fuzztime 5s repro/internal/task
 go test -run '^$' -fuzz FuzzParseRoundTrip -fuzztime 5s repro/internal/taskio
 go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta

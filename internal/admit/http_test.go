@@ -326,3 +326,26 @@ func TestHTTPLargeBodyHasContentLength(t *testing.T) {
 		t.Errorf("Transfer-Encoding = %v, want none", resp.TransferEncoding)
 	}
 }
+
+// TestHTTPThresholdRefusesJustAboveTheBound replays L&L's n = 2 worst case
+// with one tick added to the last C (U − Θ(2) ≈ 7.1·10⁻¹¹) against a
+// threshold cluster: the second task misses its deadline under exact RTA,
+// so the utilization test must refuse it rather than admit it inside the
+// float margin.
+func TestHTTPThresholdRefusesJustAboveTheBound(t *testing.T) {
+	h := NewService(4).Handler()
+	if w, v := doJSON(t, h, "POST", "/v1/clusters", `{"name":"ll","m":1,"policy":"threshold"}`); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %v", w.Code, v)
+	}
+	w, v := doJSON(t, h, "POST", "/v1/clusters/ll/admit", `{"name":"a","c":4142135624,"t":10000000000}`)
+	if w.Code != http.StatusOK || v["accepted"] != true {
+		t.Fatalf("admit a: %d %v", w.Code, v)
+	}
+	w, v = doJSON(t, h, "POST", "/v1/clusters/ll/admit", `{"name":"b","c":5857864377,"t":14142135624}`)
+	if w.Code != http.StatusOK || v["accepted"] == true {
+		t.Fatalf("admit b: %d %v, want an analyzed rejection", w.Code, v)
+	}
+	if v["cause"] != "threshold-exhausted" {
+		t.Fatalf("admit b: cause %v, want threshold-exhausted", v["cause"])
+	}
+}

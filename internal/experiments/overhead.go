@@ -94,7 +94,7 @@ func OverheadSensitivity(cfg Config) ([]Table, error) {
 			}
 			if resP := ws.Partition(alg, inflated, m); resP.OK {
 				o.inflAcc = true
-				if !simWithCharges(deflateAssignment(resP.Assignment, ts)) {
+				if !simWithCharges(deflateAssignment(resP.Assignment, ts, ws)) {
 					o.inflMiss = true
 				}
 			}
@@ -148,13 +148,18 @@ func OverheadSensitivity(cfg Config) ([]Table, error) {
 // execution restored to its original (smaller) demand: the difference is
 // removed from the task's fragments starting at the tail, never dropping a
 // fragment below 1 tick. Synthetic deadlines and offsets stay as
-// provisioned (conservative). The input assignment is not modified.
-func deflateAssignment(asg *task.Assignment, original task.Set) *task.Assignment {
-	sortedOrig := original.Clone()
+// provisioned (conservative). The input assignment is not modified; the
+// result borrows ws (its set, assignment and fragment index) until the
+// next deflation.
+func deflateAssignment(asg *task.Assignment, original task.Set, ws *Workspace) *task.Assignment {
+	sortedOrig := append(ws.deflOrig[:0], original...)
 	sortedOrig.SortDM()
-	newSet := asg.Set.Clone()
-	out := task.NewAssignment(newSet, asg.M())
+	newSet := append(ws.deflSet[:0], asg.Set...)
+	ws.deflOrig, ws.deflSet = sortedOrig, newSet
+	out := &ws.deflated
+	out.Reset(newSet, asg.M())
 	copy(out.PreAssigned, asg.PreAssigned)
+	ws.frags.Build(asg)
 	for idx := range asg.Set {
 		// Positions align: both sets were RM-sorted with stable ties from
 		// the same base order, and inflation does not change periods.
@@ -162,10 +167,10 @@ func deflateAssignment(asg *task.Assignment, original task.Set) *task.Assignment
 		if reduce < 0 {
 			reduce = 0
 		}
-		subs, procs := asg.Subtasks(idx)
+		frags := ws.frags.Of(idx)
 		var sum task.Time
-		for k := len(subs) - 1; k >= 0; k-- {
-			s := subs[k]
+		for k := len(frags) - 1; k >= 0; k-- {
+			s := frags[k].Sub
 			cut := reduce
 			if limit := s.C - 1; cut > limit {
 				cut = limit
@@ -173,7 +178,7 @@ func deflateAssignment(asg *task.Assignment, original task.Set) *task.Assignment
 			s.C -= cut
 			reduce -= cut
 			sum += s.C
-			out.Add(procs[k], s)
+			out.Add(frags[k].Proc, s)
 		}
 		// If fragments could not absorb the whole reduction (each is
 		// already at 1 tick), keep the residual demand: the simulation is

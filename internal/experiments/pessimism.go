@@ -59,32 +59,27 @@ func AnalysisPessimism(cfg Config) ([]Table, error) {
 		}
 		var out []sample
 		asg := res.Assignment
+		ws.frags.Build(asg)
 		for idx := range asg.Set {
-			subs, procs := asg.Subtasks(idx)
+			frags := ws.frags.Of(idx)
 			// Certified job-response bound: offsets of the tail plus its
 			// RTA response on its processor.
-			tail := subs[len(subs)-1]
-			list := asg.Procs[procs[len(subs)-1]]
-			pos := -1
-			for i, ls := range list {
-				if ls.TaskIndex == idx && ls.Part == tail.Part {
-					pos = i
-				}
-			}
+			tail := frags[len(frags)-1]
+			list, pos := asg.Procs[tail.Proc], tail.Pos
 			rt, ok := rta.SubtaskResponse(list, pos)
 			if !ok {
 				errs[s] = fmt.Errorf("verified partition fails RTA re-check")
 				return
 			}
 			base := asg.Set[idx].T - asg.Set[idx].Deadline()
-			bound := tail.Offset - base + rt // certified worst job response
+			bound := tail.Sub.Offset - base + rt // certified worst job response
 			observed := rep.WorstResponse[idx]
 			if bound <= 0 || observed <= 0 {
 				continue
 			}
 			out = append(out, sample{
 				ratio: float64(observed) / float64(bound),
-				split: len(subs) > 1,
+				split: len(frags) > 1,
 				last:  pos == len(list)-1,
 			})
 		}

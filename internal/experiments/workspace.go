@@ -41,6 +41,13 @@ type Workspace struct {
 	// scaled C-vector (memoC holds the keys flattened n-at-a-time).
 	memoC  []task.Time
 	memoOK []bool
+	// frags indexes a partitioning's fragments by task for E13's
+	// deflation and E17's per-task bounds; deflOrig, deflSet and deflated
+	// are E13's deflation buffers (deflateAssignment).
+	frags    task.FragmentIndex
+	deflOrig task.Set
+	deflSet  task.Set
+	deflated task.Assignment
 }
 
 // Gen returns the workspace's generator scratch. Every generator draws

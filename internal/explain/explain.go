@@ -319,12 +319,14 @@ func FromResult(alg partition.Algorithm, res *partition.Result, tr *obs.Trace, t
 		e.Processors[q] = pi
 	}
 
+	var frags task.FragmentIndex
+	frags.Build(asg)
 	for _, idx := range asg.SplitTasks() {
-		subs, procs := asg.Subtasks(idx)
 		chain := SplitChain{Task: idx}
-		for k, s := range subs {
+		for _, f := range frags.Of(idx) {
+			s := f.Sub
 			chain.Parts = append(chain.Parts, SplitPart{
-				Part: s.Part, Proc: procs[k], C: s.C, Deadline: s.Deadline, Offset: s.Offset,
+				Part: s.Part, Proc: f.Proc, C: s.C, Deadline: s.Deadline, Offset: s.Offset,
 			})
 		}
 		e.SplitChains = append(e.SplitChains, chain)

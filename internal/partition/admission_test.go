@@ -216,3 +216,38 @@ func TestHanTyanHugePeriodReturns(t *testing.T) {
 		t.Fatal("Han–Tyan test did not return for a period above 2^62")
 	}
 }
+
+// llCorner is L&L's n = 2 worst case at large periods with one tick added
+// to the last C: U exceeds Θ(2) by ≈ 7.1·10⁻¹¹, below the float margin,
+// and exact RTA gives b a response one tick past its deadline.
+var llCorner = task.Set{
+	{Name: "a", C: 4142135624, T: 10000000000},
+	{Name: "b", C: 5857864377, T: 14142135624},
+}
+
+func TestThresholdAdmissionsRefuseJustAboveTheBound(t *testing.T) {
+	a := task.Whole(0, llCorner[0])
+	list := []task.Subtask{a}
+	b := llCorner[1]
+	if rta.SchedulableWithExtraAt(list, 1, b.C, b.T, b.T) {
+		t.Fatal("the reproducer no longer misses under exact RTA")
+	}
+	for _, adm := range []Admission{AdmitLL, AdmitHyperbolic} {
+		if adm.admits(list, b.C, b.T) {
+			t.Errorf("%v admits b on [a] although exact RTA misses", adm)
+		}
+		if res := (FirstFit{Admission: adm}).Partition(llCorner, 1); res.OK {
+			t.Errorf("P-RM-FF[%v] accepts the set on one processor:\n%s", adm, res.Assignment)
+		}
+	}
+	on, err := NewOnline(1, OnlineThreshold, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := on.Admit(llCorner[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := on.Admit(llCorner[1]); err == nil {
+		t.Error("the online threshold policy admits b next to a")
+	}
+}

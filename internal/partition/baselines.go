@@ -149,7 +149,8 @@ func (a Admission) String() string {
 
 // admits reports whether task (c, t) fits on the processor under one of
 // the threshold admission tests. AdmitRTA never reaches it:
-// fitPartitionAdmit routes the exact test through fitsWhole.
+// fitPartitionAdmit routes the exact test through fitsWhole. The float
+// margin lies on the refusing side, so a set just above a bound is refused.
 func (a Admission) admits(list []task.Subtask, c, t task.Time) bool {
 	switch a {
 	case AdmitHyperbolic:
@@ -157,13 +158,13 @@ func (a Admission) admits(list []task.Subtask, c, t task.Time) bool {
 		for _, s := range list {
 			prod *= 1 + s.Utilization()
 		}
-		return prod <= 2+utilEps
+		return prod <= 2-utilEps
 	case AdmitLL:
 		sum := float64(c) / float64(t)
 		for _, s := range list {
 			sum += s.Utilization()
 		}
-		return sum <= bounds.LL(len(list)+1)+utilEps
+		return sum <= bounds.LL(len(list)+1)-utilEps
 	case AdmitHanTyan:
 		ts := make(task.Set, 0, len(list)+1)
 		for _, s := range list {

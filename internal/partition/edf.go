@@ -114,7 +114,8 @@ func VerifyEDF(res *Result) error {
 		return fmt.Errorf("partition: VerifyEDF on a %q result", res.Scheduler)
 	}
 	asg := res.Assignment
-	if err := asg.Validate(); err != nil {
+	var frags task.FragmentIndex
+	if err := asg.ValidateIndexed(&frags); err != nil {
 		return fmt.Errorf("partition: structural check failed: %w", err)
 	}
 	for q, list := range asg.Procs {
@@ -128,13 +129,14 @@ func VerifyEDF(res *Result) error {
 	}
 	// Split tasks: windows must be disjoint and end by the deadline.
 	for _, idx := range asg.SplitTasks() {
-		subs, _ := asg.Subtasks(idx)
-		for k := 1; k < len(subs); k++ {
-			if subs[k].Offset < subs[k-1].Offset+subs[k-1].Deadline {
-				return fmt.Errorf("partition: task %d: window of part %d opens before part %d closes", idx, subs[k].Part, subs[k-1].Part)
+		chain := frags.Of(idx)
+		for k := 1; k < len(chain); k++ {
+			cur, prev := chain[k].Sub, chain[k-1].Sub
+			if cur.Offset < prev.Offset+prev.Deadline {
+				return fmt.Errorf("partition: task %d: window of part %d opens before part %d closes", idx, cur.Part, prev.Part)
 			}
 		}
-		last := subs[len(subs)-1]
+		last := chain[len(chain)-1].Sub
 		if last.Offset+last.Deadline > asg.Set[idx].T {
 			return fmt.Errorf("partition: task %d: final window ends past the deadline", idx)
 		}

@@ -203,7 +203,7 @@ func (o *Online) Admit(t task.Task) (Placement, error) {
 		}
 		u := float64(t.C+s) / float64(t.T)
 		for q := 0; q < o.m; q++ {
-			if o.SurchargedUtilization(q)+u <= bounds.LL(len(o.procs[q])+1)+utilEps {
+			if o.SurchargedUtilization(q)+u <= bounds.LL(len(o.procs[q])+1)-utilEps {
 				return o.place(q, prio, t), nil
 			}
 		}

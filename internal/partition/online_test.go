@@ -93,7 +93,7 @@ func (m *onlineModel) admit(t task.Task) int {
 	for _, q := range order {
 		if m.policy == OnlineThreshold {
 			u := float64(t.C+m.s) / float64(t.T)
-			if t.Implicit() && m.surUtil(q)+u <= bounds.LL(len(m.procs[q])+1)+utilEps {
+			if t.Implicit() && m.surUtil(q)+u <= bounds.LL(len(m.procs[q])+1)-utilEps {
 				return q
 			}
 			continue

@@ -72,7 +72,8 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 		return fmt.Errorf("partition: result reports failure: %s", res.Reason)
 	}
 	asg := res.Assignment
-	if err := asg.Validate(); err != nil {
+	var frags task.FragmentIndex
+	if err := asg.ValidateIndexed(&frags); err != nil {
 		return fmt.Errorf("partition: structural check failed: %w", err)
 	}
 	under := ""
@@ -91,23 +92,15 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 	// Synthetic deadlines must cover the accumulated response times of the
 	// preceding fragments.
 	for idx := range asg.Set {
-		subs, procs := asg.Subtasks(idx)
 		var acc task.Time
-		for k, sub := range subs {
+		for _, f := range frags.Of(idx) {
+			sub := f.Sub
 			if sub.Offset < acc {
 				return fmt.Errorf("partition: task %d part %d: offset %d is below accumulated response %d%s", idx, sub.Part, sub.Offset, acc, under)
 			}
-			list := asg.Procs[procs[k]]
-			pos := -1
-			for i, ls := range list {
-				if ls.TaskIndex == idx && ls.Part == sub.Part {
-					pos = i
-					break
-				}
-			}
-			r, ok := rta.SubtaskResponse(surcharged(list, s), pos)
+			r, ok := rta.SubtaskResponse(surcharged(asg.Procs[f.Proc], s), f.Pos)
 			if !ok {
-				return fmt.Errorf("partition: task %d part %d unschedulable on processor %d%s", idx, sub.Part, procs[k], under)
+				return fmt.Errorf("partition: task %d part %d unschedulable on processor %d%s", idx, sub.Part, f.Proc, under)
 			}
 			acc = sub.Offset + r
 		}

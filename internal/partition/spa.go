@@ -11,7 +11,9 @@ import (
 
 // utilEps absorbs float rounding when comparing utilization sums against
 // the Θ threshold; utilizations are ratios of int64s, so accumulated error
-// is far below this.
+// is far below this. An admitting comparison subtracts it (sum ≤ bound −
+// utilEps): a set above the bound by less than the margin must not pass
+// without an exact test.
 const utilEps = 1e-9
 
 // SPA1 is the light-task algorithm of [16] ("Fixed-Priority Multiprocessor

@@ -13,10 +13,10 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/task"
 )
@@ -136,8 +136,9 @@ type Options struct {
 	// HorizonCap bounds the default hyperperiod horizon (ignored when
 	// Horizon is set explicitly). Zero means 10_000_000 ticks.
 	HorizonCap task.Time
-	// Offsets optionally gives each task a first-release offset; nil means
-	// synchronous release at 0 (the critical instant for uniprocessor RM).
+	// Offsets optionally gives each task a non-negative first-release
+	// offset; nil means synchronous release at 0 (the critical instant for
+	// uniprocessor RM).
 	Offsets []task.Time
 	// StopOnMiss aborts the run at the first detected deadline miss
 	// (default behaviour when true). When false, the missed job's
@@ -165,9 +166,18 @@ const defaultHorizonCap = 10_000_000
 
 // Simulate runs the assignment under the model of §II and returns a report.
 // The assignment must be structurally valid (task.Assignment.Validate);
-// invalid input returns an error rather than panicking.
+// invalid input, an offset list of the wrong length and a negative offset
+// return an error rather than panicking.
+//
+// A task has at most one pending fragment job, so each task owns one
+// reused job record, and the processors' ready queues are heaps of task
+// indices. The working state comes from a pool: after set-up a run
+// allocates only its Report, whatever the horizon (DESIGN.md, "Sweep
+// kernels outside RTA").
 func Simulate(asg *task.Assignment, opt Options) (*Report, error) {
-	if err := asg.Validate(); err != nil {
+	s := statePool.Get().(*state)
+	defer s.recycle()
+	if err := asg.ValidateIndexed(&s.index); err != nil {
 		return nil, fmt.Errorf("sim: invalid assignment: %w", err)
 	}
 	horizon := opt.Horizon
@@ -184,97 +194,108 @@ func Simulate(asg *task.Assignment, opt Options) (*Report, error) {
 	if opt.Offsets != nil && len(opt.Offsets) != len(asg.Set) {
 		return nil, fmt.Errorf("sim: %d offsets for %d tasks", len(opt.Offsets), len(asg.Set))
 	}
-	// Under EDF, a fragment job's priority key is its own absolute window
-	// deadline (release + true ready delay + window budget); see the
-	// chainStage key computation below.
-
-	s := newState(asg, opt, horizon)
+	for idx, off := range opt.Offsets {
+		if off < 0 {
+			return nil, fmt.Errorf("sim: task %d has negative offset %d", idx, off)
+		}
+	}
+	s.reset(asg, opt, horizon)
 	s.run()
-	return s.report, nil
+	return s.finish(), nil
 }
 
-// chainStage locates one fragment of a task: the processor hosting it, its
-// execution demand, and (for EDF) its relative window deadline from the
-// job's release.
-type chainStage struct {
-	proc int
-	c    task.Time
-	part int
-	// relDeadline is Offset + Deadline − (T − D_task): the fragment's
-	// window end measured from the job's release (equals the task deadline
-	// for whole tasks and fixed-priority chains).
-	relDeadline task.Time
-}
-
-// job is an active fragment-job instance on a processor's ready queue.
+// job is a task's pending fragment job. Each task reuses one record: a
+// completed fragment's successor, and the next release, overwrite it.
 type job struct {
-	taskIdx   int
+	active    bool
 	stage     int // position in the fragment chain
 	remaining task.Time
 	release   task.Time // release time of the owning task job
 	key       task.Time // primary ordering key: 0 under FP, absolute deadline under EDF
-	index     int       // heap index
-}
-
-// procQueue is a priority heap of jobs: ordered by key (0 for every job
-// under FP, the absolute deadline under EDF), ties broken by task index
-// (RM priority under FP, a deterministic tie-break under EDF).
-type procQueue []*job
-
-func (q procQueue) Len() int { return len(q) }
-func (q procQueue) Less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
-	}
-	return q[i].taskIdx < q[j].taskIdx
-}
-func (q procQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *procQueue) Push(x interface{}) { j := x.(*job); j.index = len(*q); *q = append(*q, j) }
-func (q *procQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return j
+	pos       int       // heap position in its processor's queue
+	// serial names the fragment job: every release and every successor
+	// activation draws a fresh one, so a processor pays the dispatch
+	// overhead exactly when its top is a job it has not dispatched yet.
+	serial uint64
 }
 
 type state struct {
-	asg     *task.Assignment
+	set     task.Set
 	opt     Options
 	horizon task.Time
 	report  *Report
 
-	chains      [][]chainStage // per task, fragment chain in part order
+	index       task.FragmentIndex
 	nextRelease []task.Time
-	active      []*job // per task: the currently pending fragment job, nil if idle
-	queues      []procQueue
-	lastRunning []*job // per processor, for preemption accounting
-	dispatched  []*job // per processor, last job charged a dispatch
+	jobs        []job
+	// queues[q] is processor q's ready queue: a binary heap of task
+	// indices ordered by (job key, task index), so under FP the top is the
+	// highest-priority pending fragment and under EDF the earliest window
+	// deadline, ties to the higher priority.
+	queues     [][]int
+	dispatched []uint64 // per processor, serial of the last job charged a dispatch
+	serial     uint64
+	worst      []task.Time   // per task, the worst observed job response
+	fragWorst  [][]task.Time // per task, the report's per-fragment worsts
+	// minRelease is the earliest pending release; instants before it are
+	// completions only and skip the per-task release scan.
+	minRelease  task.Time
 	timelineCap task.Time
 	now         task.Time
 }
 
-func newState(asg *task.Assignment, opt Options, horizon task.Time) *state {
-	n := len(asg.Set)
-	m := asg.M()
-	s := &state{
-		asg:     asg,
-		opt:     opt,
-		horizon: horizon,
-		report: &Report{
-			Horizon:               horizon,
-			WorstResponse:         make(map[int]task.Time, n),
-			WorstFragmentResponse: make(map[int][]task.Time, n),
-			Busy:                  make([]task.Time, m),
-		},
-		chains:      make([][]chainStage, n),
-		nextRelease: make([]task.Time, n),
-		active:      make([]*job, n),
-		queues:      make([]procQueue, m),
-		lastRunning: make([]*job, m),
-		dispatched:  make([]*job, m),
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// recycle drops the run's references and returns the state to the pool;
+// the buffers keep their capacity for the next run.
+func (s *state) recycle() {
+	s.set, s.report, s.opt = nil, nil, Options{}
+	clear(s.fragWorst)
+	statePool.Put(s)
+}
+
+// reset prepares the pooled state for a run of asg, whose fragment index
+// s.index already holds. Only the report is newly allocated.
+func (s *state) reset(asg *task.Assignment, opt Options, horizon task.Time) {
+	n, m := len(asg.Set), asg.M()
+	s.set, s.opt, s.horizon, s.now, s.serial = asg.Set, opt, horizon, 0, 0
+	s.nextRelease = resize(s.nextRelease, n)
+	s.jobs = resize(s.jobs, n)
+	s.worst = resize(s.worst, n)
+	s.fragWorst = resize(s.fragWorst, n)
+	s.dispatched = resize(s.dispatched, m)
+	if cap(s.queues) < m {
+		grown := make([][]int, m)
+		copy(grown, s.queues[:cap(s.queues)])
+		s.queues = grown
 	}
+	s.queues = s.queues[:m]
+	for q := range s.queues {
+		s.queues[q] = s.queues[q][:0]
+		s.dispatched[q] = 0
+	}
+	total := 0
+	for idx := range asg.Set {
+		total += len(s.index.Of(idx))
+	}
+	frags := make([]task.Time, total)
+	s.report = &Report{
+		Horizon: horizon,
+		Busy:    make([]task.Time, m),
+	}
+	s.minRelease = math.MaxInt64
+	for idx := range asg.Set {
+		s.nextRelease[idx] = 0
+		if opt.Offsets != nil {
+			s.nextRelease[idx] = opt.Offsets[idx]
+		}
+		s.minRelease = min(s.minRelease, s.nextRelease[idx])
+		s.jobs[idx] = job{}
+		s.worst[idx] = 0
+		k := len(s.index.Of(idx))
+		s.fragWorst[idx], frags = frags[:k:k], frags[k:]
+	}
+	s.timelineCap = 0
 	if opt.RecordTimeline {
 		s.timelineCap = opt.TimelineCap
 		if s.timelineCap <= 0 {
@@ -283,142 +304,176 @@ func newState(asg *task.Assignment, opt Options, horizon task.Time) *state {
 		if s.timelineCap > horizon {
 			s.timelineCap = horizon
 		}
+		cells := make([]int, int(s.timelineCap)*m)
+		for t := range cells {
+			cells[t] = -1
+		}
 		s.report.Timeline = make([][]int, m)
 		for q := range s.report.Timeline {
-			row := make([]int, s.timelineCap)
-			for t := range row {
-				row[t] = -1
-			}
-			s.report.Timeline[q] = row
+			s.report.Timeline[q], cells = cells[:s.timelineCap:s.timelineCap], cells[s.timelineCap:]
 		}
 	}
-	for idx := range asg.Set {
-		subs, procs := asg.Subtasks(idx)
-		chain := make([]chainStage, len(subs))
-		for k, sub := range subs {
-			base := asg.Set[idx].T - asg.Set[idx].Deadline()
-			chain[k] = chainStage{
-				proc: procs[k], c: sub.C, part: sub.Part,
-				relDeadline: sub.Offset + sub.Deadline - base,
-			}
+}
+
+// finish copies the per-task worsts into the report's maps.
+func (s *state) finish() *Report {
+	rep := s.report
+	rep.WorstResponse = make(map[int]task.Time, len(s.worst))
+	rep.WorstFragmentResponse = make(map[int][]task.Time, len(s.fragWorst))
+	for idx, w := range s.worst {
+		if w > 0 {
+			rep.WorstResponse[idx] = w
 		}
-		s.chains[idx] = chain
-		if opt.Offsets != nil {
-			s.nextRelease[idx] = opt.Offsets[idx]
-		}
-		s.report.WorstFragmentResponse[idx] = make([]task.Time, len(subs))
+		rep.WorstFragmentResponse[idx] = s.fragWorst[idx]
 	}
-	return s
+	return rep
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func (s *state) run() {
 	for s.now < s.horizon {
-		s.chargeDispatches()
-		next := s.nextEventTime()
+		next, finished := s.dispatchAndNextEvent()
 		if next > s.horizon {
 			next = s.horizon
 		}
-		s.advance(next - s.now)
+		// Completions are due only where a top has no demand left: one that
+		// finishes now, or one that surfaced already finished (see
+		// dispatchAndNextEvent).
+		completed := s.advance(next-s.now) || finished
 		s.now = next
 		if s.now >= s.horizon {
 			// Completions landing exactly on the horizon still count.
-			s.handleCompletions()
+			if completed {
+				s.handleCompletions()
+			}
 			break
 		}
-		if !s.handleCompletions() {
+		if completed && !s.handleCompletions() {
 			return // stopped on miss
 		}
-		if !s.handleReleases() {
+		if s.minRelease == s.now && !s.handleReleases() {
 			return
 		}
 	}
 	// Jobs whose absolute deadline falls within the horizon but are still
 	// incomplete at the end are misses too.
-	for idx, j := range s.active {
-		if j == nil {
+	for idx := range s.jobs {
+		j := &s.jobs[idx]
+		if !j.active {
 			continue
 		}
-		deadline := j.release + s.asg.Set[idx].Deadline()
+		deadline := j.release + s.set[idx].Deadline()
 		if deadline <= s.horizon {
 			s.report.Misses = append(s.report.Misses, Miss{Task: idx, Release: j.release, At: deadline})
 		}
 	}
 }
 
-// nextEventTime returns the earliest future instant at which anything can
-// change: a task release or the completion of a currently running fragment.
-func (s *state) nextEventTime() task.Time {
-	next := task.Time(math.MaxInt64)
-	for idx := range s.nextRelease {
-		if s.nextRelease[idx] > s.now && s.nextRelease[idx] < next {
-			next = s.nextRelease[idx]
-		}
-		// A release exactly at s.now has been handled already.
-		if s.nextRelease[idx] == s.now {
-			next = s.now
-			break
-		}
+// dispatchAndNextEvent applies the dispatch (context-switch) overhead and
+// returns the earliest future instant at which anything can change: a
+// task release or the completion of a running fragment. A processor whose
+// highest-priority pending fragment differs from the one it last
+// dispatched pays Options.DispatchOverhead, added to the incoming
+// fragment's remaining demand before its completion time is read.
+//
+// finished reports a top with no demand left. That happens when a
+// fragment finishes at the same instant as a higher-priority successor
+// fragment is queued on its processor, before handleCompletions reaches
+// that processor: the finished job stays queued under the successor and
+// is popped only when it surfaces again.
+func (s *state) dispatchAndNextEvent() (next task.Time, finished bool) {
+	next = math.MaxInt64
+	if s.minRelease >= s.now {
+		next = s.minRelease
 	}
-	for q := range s.queues {
-		if len(s.queues[q]) == 0 {
+	for q, queue := range s.queues {
+		if len(queue) == 0 {
 			continue
 		}
-		if t := s.now + s.queues[q][0].remaining; t < next {
+		top := &s.jobs[queue[0]]
+		if top.serial != s.dispatched[q] {
+			s.dispatched[q] = top.serial
+			if s.opt.DispatchOverhead > 0 {
+				top.remaining += s.opt.DispatchOverhead
+				s.report.Overhead += s.opt.DispatchOverhead
+			}
+		}
+		finished = finished || top.remaining == 0
+		if t := s.now + top.remaining; t < next {
 			next = t
 		}
 	}
 	if next == math.MaxInt64 {
-		return s.horizon
+		return s.horizon, finished
 	}
-	return next
-}
-
-// chargeDispatches applies the dispatch (context-switch) overhead: each
-// processor whose highest-priority pending fragment differs from the one
-// it last dispatched pays Options.DispatchOverhead, added to the incoming
-// fragment's remaining demand.
-func (s *state) chargeDispatches() {
-	for q := range s.queues {
-		if len(s.queues[q]) == 0 {
-			continue
-		}
-		top := s.queues[q][0]
-		if top == s.dispatched[q] {
-			continue
-		}
-		s.dispatched[q] = top
-		if s.opt.DispatchOverhead > 0 {
-			top.remaining += s.opt.DispatchOverhead
-			s.report.Overhead += s.opt.DispatchOverhead
-		}
-	}
+	return next, finished
 }
 
 // advance runs every processor's highest-priority pending fragment for
-// delta ticks.
-func (s *state) advance(delta task.Time) {
+// delta ticks and reports whether any of them finished.
+func (s *state) advance(delta task.Time) (completed bool) {
 	if delta <= 0 {
-		return
+		return false
 	}
-	for q := range s.queues {
-		if len(s.queues[q]) == 0 {
+	for q, queue := range s.queues {
+		if len(queue) == 0 {
 			continue
 		}
-		top := s.queues[q][0]
+		top := &s.jobs[queue[0]]
 		if top.remaining < delta {
 			panic("sim: running fragment overran its completion event")
 		}
 		top.remaining -= delta
+		completed = completed || top.remaining == 0
 		s.report.Busy[q] += delta
 		if s.report.Timeline != nil && s.now < s.timelineCap {
 			end := s.now + delta
 			if end > s.timelineCap {
 				end = s.timelineCap
 			}
+			row := s.report.Timeline[q]
 			for t := s.now; t < end; t++ {
-				s.report.Timeline[q][t] = top.taskIdx
+				row[t] = queue[0]
 			}
 		}
+	}
+	return completed
+}
+
+// activate makes stage the pending fragment job of task idx, released at
+// release, and queues it on its processor, counting a preemption when it
+// displaces a running fragment there.
+func (s *state) activate(idx, stage int, release task.Time) {
+	frag := &s.index.Of(idx)[stage]
+	s.serial++
+	j := &s.jobs[idx]
+	*j = job{active: true, stage: stage, remaining: frag.Sub.C, release: release, serial: s.serial}
+	if s.opt.Policy == PolicyEDF {
+		// The fragment's window end from the job's release: its offset
+		// plus synthetic deadline, less the task's T − D.
+		t := s.set[idx]
+		j.key = release + frag.Sub.Offset + frag.Sub.Deadline - (t.T - t.Deadline())
+	}
+	if stage > 0 && s.opt.MigrationOverhead > 0 {
+		j.remaining += s.opt.MigrationOverhead
+		s.report.Overhead += s.opt.MigrationOverhead
+	}
+	q := frag.Proc
+	prevTop := -1
+	if len(s.queues[q]) > 0 {
+		prevTop = s.queues[q][0]
+	}
+	s.push(q, idx)
+	if prevTop >= 0 && s.queues[q][0] == idx && s.jobs[prevTop].remaining > 0 {
+		s.report.Preemptions++
 	}
 }
 
@@ -427,45 +482,27 @@ func (s *state) advance(delta task.Time) {
 // StopOnMiss).
 func (s *state) handleCompletions() bool {
 	for q := range s.queues {
-		for len(s.queues[q]) > 0 && s.queues[q][0].remaining == 0 {
-			j := heap.Pop(&s.queues[q]).(*job)
-			idx := j.taskIdx
-			chain := s.chains[idx]
+		for len(s.queues[q]) > 0 && s.jobs[s.queues[q][0]].remaining == 0 {
+			idx := s.pop(q)
+			j := &s.jobs[idx]
 			resp := s.now - j.release
-			if wfr := s.report.WorstFragmentResponse[idx]; resp > wfr[j.stage] {
+			if wfr := s.fragWorst[idx]; resp > wfr[j.stage] {
 				wfr[j.stage] = resp
 			}
-			if j.stage+1 < len(chain) {
+			if j.stage+1 < len(s.fragWorst[idx]) {
 				// Activate the successor fragment, possibly on another
 				// processor; it may itself complete at this same instant
 				// only if it has zero demand, which Validate excludes.
-				succ := &job{taskIdx: idx, stage: j.stage + 1, remaining: chain[j.stage+1].c, release: j.release}
-				if s.opt.Policy == PolicyEDF {
-					succ.key = j.release + chain[j.stage+1].relDeadline
-				}
-				if s.opt.MigrationOverhead > 0 {
-					succ.remaining += s.opt.MigrationOverhead
-					s.report.Overhead += s.opt.MigrationOverhead
-				}
-				s.active[idx] = succ
-				sp := chain[j.stage+1].proc
-				var prevTop *job
-				if len(s.queues[sp]) > 0 {
-					prevTop = s.queues[sp][0]
-				}
-				heap.Push(&s.queues[sp], succ)
-				if prevTop != nil && s.queues[sp][0] == succ && prevTop.remaining > 0 {
-					s.report.Preemptions++
-				}
+				s.activate(idx, j.stage+1, j.release)
 				continue
 			}
 			// Whole job done.
-			s.active[idx] = nil
+			j.active = false
 			s.report.Completed++
-			if resp > s.report.WorstResponse[idx] {
-				s.report.WorstResponse[idx] = resp
+			if resp > s.worst[idx] {
+				s.worst[idx] = resp
 			}
-			deadline := j.release + s.asg.Set[idx].Deadline()
+			deadline := j.release + s.set[idx].Deadline()
 			if s.now > deadline {
 				s.report.Misses = append(s.report.Misses, Miss{Task: idx, Release: j.release, At: s.now})
 				if s.opt.StopOnMiss {
@@ -477,42 +514,108 @@ func (s *state) handleCompletions() bool {
 	return true
 }
 
-// handleReleases releases all jobs due at the current instant. A task whose
-// previous job is still pending at its deadline (= this release instant)
-// has missed; in continue mode the stale job is discarded. Returns false if
-// the run must stop.
+// handleReleases releases all jobs due at the current instant and finds the
+// next release instant. A task whose previous job is still pending at its
+// deadline (= this release instant) has missed; in continue mode the stale
+// job is discarded. Returns false if the run must stop.
 func (s *state) handleReleases() bool {
+	s.minRelease = math.MaxInt64
 	for idx := range s.nextRelease {
-		if s.nextRelease[idx] != s.now {
-			continue
-		}
-		t := s.asg.Set[idx]
-		if old := s.active[idx]; old != nil {
-			s.report.Misses = append(s.report.Misses, Miss{Task: idx, Release: old.release, At: s.now})
-			if s.opt.StopOnMiss {
-				return false
+		if s.nextRelease[idx] == s.now {
+			if old := &s.jobs[idx]; old.active {
+				s.report.Misses = append(s.report.Misses, Miss{Task: idx, Release: old.release, At: s.now})
+				if s.opt.StopOnMiss {
+					return false
+				}
+				// Discard the stale chain so the new job can run.
+				s.remove(s.index.Of(idx)[old.stage].Proc, old.pos)
 			}
-			// Discard the stale chain so the new job can run.
-			q := s.chains[idx][old.stage].proc
-			heap.Remove(&s.queues[q], old.index)
-			s.active[idx] = nil
+			s.activate(idx, 0, s.now)
+			s.report.Released++
+			s.nextRelease[idx] += s.set[idx].T
 		}
-		j := &job{taskIdx: idx, stage: 0, remaining: s.chains[idx][0].c, release: s.now}
-		if s.opt.Policy == PolicyEDF {
-			j.key = s.now + s.chains[idx][0].relDeadline
+		// A release pushed past math.MaxInt64 wraps below now and, as it
+		// can never equal a later instant, is never due again.
+		if r := s.nextRelease[idx]; r >= s.now && r < s.minRelease {
+			s.minRelease = r
 		}
-		s.active[idx] = j
-		proc := s.chains[idx][0].proc
-		prevTop := (*job)(nil)
-		if len(s.queues[proc]) > 0 {
-			prevTop = s.queues[proc][0]
-		}
-		heap.Push(&s.queues[proc], j)
-		if prevTop != nil && s.queues[proc][0] == j && prevTop.remaining > 0 {
-			s.report.Preemptions++
-		}
-		s.report.Released++
-		s.nextRelease[idx] += t.T
 	}
 	return true
+}
+
+// The ready-queue heap: container/heap's sift algorithms over task
+// indices, ordered by (job key, task index), each job tracking its
+// position. The order is total over a queue's distinct tasks, so the top
+// is the same whatever the heap's internal layout.
+
+func (s *state) less(a, b int) bool {
+	if ka, kb := s.jobs[a].key, s.jobs[b].key; ka != kb {
+		return ka < kb
+	}
+	return a < b
+}
+
+func (s *state) swap(h []int, i, j int) {
+	h[i], h[j] = h[j], h[i]
+	s.jobs[h[i]].pos = i
+	s.jobs[h[j]].pos = j
+}
+
+func (s *state) up(h []int, j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(h[j], h[i]) {
+			break
+		}
+		s.swap(h, i, j)
+		j = i
+	}
+}
+
+func (s *state) down(h []int, i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s.less(h[j2], h[j1]) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !s.less(h[j], h[i]) {
+			break
+		}
+		s.swap(h, i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (s *state) push(q, idx int) {
+	h := append(s.queues[q], idx)
+	s.queues[q] = h
+	s.jobs[idx].pos = len(h) - 1
+	s.up(h, len(h)-1)
+}
+
+func (s *state) pop(q int) int {
+	h := s.queues[q]
+	n := len(h) - 1
+	s.swap(h, 0, n)
+	s.down(h, 0, n)
+	s.queues[q] = h[:n]
+	return h[n]
+}
+
+func (s *state) remove(q, i int) {
+	h := s.queues[q]
+	n := len(h) - 1
+	if n != i {
+		s.swap(h, i, n)
+		if !s.down(h, i, n) {
+			s.up(h, i)
+		}
+	}
+	s.queues[q] = h[:n]
 }

@@ -365,3 +365,13 @@ func TestEDFOptimalityOnUniprocessor(t *testing.T) {
 		t.Errorf("weak coverage: %d under, %d over", under, over)
 	}
 }
+
+func TestNegativeOffsetRefused(t *testing.T) {
+	// U = 1.25 on one processor: releasing both tasks must miss. A negative
+	// offset used to leave task 1 unreleased, so the run read Ok() with one
+	// job released.
+	a := uni(task.Task{Name: "a", C: 3, T: 4}, task.Task{Name: "b", C: 2, T: 4})
+	if rep, err := Simulate(a, Options{Offsets: []task.Time{0, -1}}); err == nil {
+		t.Fatalf("negative offset accepted: ok=%v released=%d", rep.Ok(), rep.Released)
+	}
+}

@@ -133,27 +133,82 @@ func (a *Assignment) TotalUtilization() float64 {
 	return sum
 }
 
-// Subtasks returns all fragments of task idx across processors, ordered by
-// part number, together with their processor indices.
-func (a *Assignment) Subtasks(idx int) (subs []Subtask, procs []int) {
-	type frag struct {
-		s Subtask
-		q int
-	}
-	var frags []frag
-	for q, list := range a.Procs {
+// Fragment locates one fragment of a task in an Assignment: the subtask,
+// the processor hosting it, and its position in that processor's list
+// (Procs[Proc][Pos] == Sub).
+type Fragment struct {
+	Sub  Subtask
+	Proc int
+	Pos  int
+}
+
+// FragmentIndex groups the fragments of every task of an Assignment in
+// part order. Build counts fragments by task index, places them in
+// processor-then-list order, and insertion-sorts each task's few
+// fragments by part, so equal parts (only an invalid assignment has them)
+// keep processor order. The buffers are reused across Builds: a long-lived
+// index allocates nothing once it has grown to the working-set size.
+type FragmentIndex struct {
+	// start[idx] is where task idx's fragments begin in frags; they end at
+	// start[idx+1].
+	start []int
+	frags []Fragment
+}
+
+// Build indexes a. Fragments whose task index is outside the set are
+// skipped (Validate reports them).
+func (x *FragmentIndex) Build(a *Assignment) {
+	n := len(a.Set)
+	x.start = resize(x.start, n+1)
+	clear(x.start)
+	for _, list := range a.Procs {
 		for _, s := range list {
-			if s.TaskIndex == idx {
-				frags = append(frags, frag{s, q})
+			if s.TaskIndex >= 0 && s.TaskIndex < n {
+				x.start[s.TaskIndex+1]++
 			}
 		}
 	}
-	sort.Slice(frags, func(i, j int) bool { return frags[i].s.Part < frags[j].s.Part })
-	for _, f := range frags {
-		subs = append(subs, f.s)
-		procs = append(procs, f.q)
+	for idx := 1; idx <= n; idx++ {
+		x.start[idx] += x.start[idx-1]
 	}
-	return subs, procs
+	// Place each fragment at its task's cursor start[idx], which advances
+	// to the task's end; shifting start right by one slot restores the
+	// task starts.
+	x.frags = resize(x.frags, x.start[n])
+	for q, list := range a.Procs {
+		for i, s := range list {
+			if s.TaskIndex >= 0 && s.TaskIndex < n {
+				x.frags[x.start[s.TaskIndex]] = Fragment{Sub: s, Proc: q, Pos: i}
+				x.start[s.TaskIndex]++
+			}
+		}
+	}
+	copy(x.start[1:], x.start[:n])
+	x.start[0] = 0
+	for idx := 0; idx < n; idx++ {
+		frags := x.frags[x.start[idx]:x.start[idx+1]]
+		for k := 1; k < len(frags); k++ {
+			for j := k; j > 0 && frags[j].Sub.Part < frags[j-1].Sub.Part; j-- {
+				frags[j], frags[j-1] = frags[j-1], frags[j]
+			}
+		}
+	}
+}
+
+// Of returns task idx's fragments in part order. The slice is valid until
+// the next Build.
+func (x *FragmentIndex) Of(idx int) []Fragment {
+	lo, hi := x.start[idx], x.start[idx+1]
+	return x.frags[lo:hi:hi]
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SplitTasks returns the indices of tasks that were split into two or more
@@ -183,6 +238,13 @@ func (a *Assignment) SplitTasks() []int {
 // fragments of a task share a processor, and per-processor lists are
 // priority sorted.
 func (a *Assignment) Validate() error {
+	var x FragmentIndex
+	return a.ValidateIndexed(&x)
+}
+
+// ValidateIndexed is Validate drawing its fragment index from x. When it
+// returns nil, x indexes a.
+func (a *Assignment) ValidateIndexed(x *FragmentIndex) error {
 	for q, list := range a.Procs {
 		for i, s := range list {
 			if err := s.Validate(); err != nil {
@@ -196,24 +258,26 @@ func (a *Assignment) Validate() error {
 			}
 		}
 	}
+	x.Build(a)
 	for idx, t := range a.Set {
-		subs, procs := a.Subtasks(idx)
-		if len(subs) == 0 {
+		frags := x.Of(idx)
+		if len(frags) == 0 {
 			return fmt.Errorf("task %d (%s) is not assigned to any processor", idx, t)
 		}
-		seen := map[int]bool{}
 		base := t.T - t.Deadline() // 0 for implicit deadlines
 		sumC := Time(0)
 		minOffset := base
 		prevOffset := Time(0)
-		for k, s := range subs {
+		for k, f := range frags {
+			s := f.Sub
 			if s.Part != k+1 {
 				return fmt.Errorf("task %d: fragment parts are not contiguous (got part %d at position %d)", idx, s.Part, k)
 			}
-			if seen[procs[k]] {
-				return fmt.Errorf("task %d: two fragments share processor %d", idx, procs[k])
+			for _, prev := range frags[:k] {
+				if prev.Proc == f.Proc {
+					return fmt.Errorf("task %d: two fragments share processor %d", idx, f.Proc)
+				}
 			}
-			seen[procs[k]] = true
 			if s.T != t.T {
 				return fmt.Errorf("task %d: fragment period %d differs from task period %d", idx, s.T, t.T)
 			}
@@ -233,7 +297,7 @@ func (a *Assignment) Validate() error {
 				// safe. Looser is never allowed.
 				return fmt.Errorf("task %d part %d: synthetic deadline %d exceeds chain budget T−offset = %d", idx, s.Part, s.Deadline, t.T-s.Offset)
 			}
-			wantTail := k == len(subs)-1
+			wantTail := k == len(frags)-1
 			if s.Tail != wantTail {
 				return fmt.Errorf("task %d part %d: tail flag %v, want %v", idx, s.Part, s.Tail, wantTail)
 			}

@@ -124,7 +124,7 @@ func FuzzAssignmentUtil(f *testing.F) {
 	})
 }
 
-func TestSubtasksAndSplitTasks(t *testing.T) {
+func TestFragmentIndexAndSplitTasks(t *testing.T) {
 	set := Set{{Name: "a", C: 6, T: 20}, {Name: "b", C: 2, T: 30}}
 	a := NewAssignment(set, 2)
 	// Split task 0 into body (4 ticks on P0) and tail (2 ticks on P1).
@@ -132,12 +132,17 @@ func TestSubtasksAndSplitTasks(t *testing.T) {
 	a.Add(1, Subtask{TaskIndex: 0, Part: 2, C: 2, T: 20, Deadline: 16, Offset: 4, Tail: true})
 	a.Add(1, Whole(1, set[1]))
 
-	subs, procs := a.Subtasks(0)
-	if len(subs) != 2 || subs[0].Part != 1 || subs[1].Part != 2 {
-		t.Fatalf("fragments wrong: %v", subs)
+	var x FragmentIndex
+	x.Build(a)
+	frags := x.Of(0)
+	if len(frags) != 2 || frags[0].Sub.Part != 1 || frags[1].Sub.Part != 2 {
+		t.Fatalf("fragments wrong: %v", frags)
 	}
-	if procs[0] != 0 || procs[1] != 1 {
-		t.Fatalf("processors wrong: %v", procs)
+	if frags[0].Proc != 0 || frags[1].Proc != 1 || frags[0].Pos != 0 || frags[1].Pos != 0 {
+		t.Fatalf("locations wrong: %v", frags)
+	}
+	if other := x.Of(1); len(other) != 1 || other[0].Proc != 1 || other[0].Pos != 1 {
+		t.Fatalf("task 1 fragments wrong: %v", other)
 	}
 	split := a.SplitTasks()
 	if len(split) != 1 || split[0] != 0 {
