@@ -49,10 +49,12 @@ func TestBenchHotpathJSON(t *testing.T) {
 	}{
 		{"E2AcceptanceGeneral", BenchmarkE2AcceptanceGeneral},
 		{"E3AcceptanceLight", BenchmarkE3AcceptanceLight},
+		{"E5AcceptanceKChains", BenchmarkE5AcceptanceKChains},
 		{"E6Breakdown", BenchmarkE6Breakdown},
 		{"E10SimulateVerify", BenchmarkE10SimulateVerify},
 		{"E12GlobalCompare", BenchmarkE12GlobalCompare},
 		{"E13OverheadSensitivity", BenchmarkE13OverheadSensitivity},
+		{"E14AdmissionAblation", BenchmarkE14AdmissionAblation},
 		{"E15FPvsEDF", BenchmarkE15FPvsEDF},
 		{"E16ConstrainedDeadlines", BenchmarkE16ConstrainedDeadlines},
 		{"RTAProcessor", BenchmarkRTAProcessor},

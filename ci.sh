@@ -9,10 +9,16 @@
 # checker, RM-TS against its RM-TS/light twin on light sets, the cached
 # per-processor utilization against a fresh in-order sum, the task-set
 # parser, the warm-state removal invalidation, every RTA kernel and the
-# scalar list API against the array-of-structs reference analysis, every
+# scalar list API against the array-of-structs reference analysis (and
+# the responses an admitted insert adopts against a cold analysis), every
 # utilization bound's scratch evaluation against its slice-based
 # reference, every utilization bound's soundness against exact RTA
-# (FuzzPUBSound), the admission prefilter's soundness and that of the utilization refusal in
+# (FuzzPUBSound), the integer Han–Tyan test against its former float
+# implementation and an exact-rational folding (FuzzHanTyanVsReference),
+# every utilization-threshold admission (LL, HB, HT, the online threshold
+# policy) against exact RTA at the threshold's corner (FuzzThresholdSound),
+# the worst-fit tree against the scan it replaced (FuzzWorstFitTree),
+# the admission prefilter's soundness and that of the utilization refusal in
 # the online engine and the batch partitioners, the online rta-ff/rta-wf
 # policies against the batch P-RM-FF/WF they twin (FuzzOnlineBatchTwin), the
 # uniprocessor simulator against exact RTA (FuzzSimVsRTA), the partitioned
@@ -73,9 +79,11 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzThresholdSound -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzWorstFitTree -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
@@ -89,6 +97,7 @@ go test -run '^$' -fuzz FuzzProcStateRemove -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBatchVsScalarRTA -fuzztime 5s repro/internal/rta
 go test -run '^$' -fuzz FuzzBoundValueScratch -fuzztime 5s repro/internal/bounds
 go test -run '^$' -fuzz FuzzPUBSound -fuzztime 5s repro/internal/bounds
+go test -run '^$' -fuzz FuzzHanTyanVsReference -fuzztime 5s repro/internal/bounds
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit

@@ -24,7 +24,7 @@ import (
 // evaluation. The zero value is ready to use; a Scratch is not safe for
 // concurrent use.
 type Scratch struct {
-	periods []task.Time // sorted period vector
+	periods []task.Time // sorted period vector (also Han–Tyan's sorted bases)
 	scaled  []float64   // ScaledPeriods output
 	matchR  []int       // Kuhn matching: predecessor per right node
 	seen    []bool      // visited set, cleared per augmenting round
@@ -123,6 +123,11 @@ func (sc *Scratch) sortedPeriods(ts task.Set) []task.Time {
 		ps = append(ps, t.T)
 	}
 	sc.periods = ps
+	return sortTimes(ps)
+}
+
+// sortTimes sorts ps ascending in place (insertion sort) and returns it.
+func sortTimes(ps []task.Time) []task.Time {
 	for i := 1; i < len(ps); i++ {
 		x := ps[i]
 		j := i - 1

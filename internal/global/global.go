@@ -22,6 +22,7 @@ package global
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"sort"
 
 	"repro/internal/task"
@@ -314,9 +315,20 @@ func topM(buf []slot, perm []int, active []bool, gen []int, m int) []slot {
 // SchedulableByUSBound reports whether the set is guaranteed schedulable
 // by RM-US[m/(3m−2)] on m processors: U_M(τ) ≤ m/(3m−2) ([4]). This is the
 // global fixed-priority guarantee the paper's partitioned bounds are
-// measured against.
+// measured against. The comparison is exact: the float error of a sum of a
+// few hundred C/T terms is ≈ 1e-14, so a float utilization more than 1e-9
+// from the bound decides, and one within 1e-9 of it is decided in
+// rationals, ΣC_i/T_i ≤ m²/(3m−2).
 func SchedulableByUSBound(ts task.Set, m int) bool {
-	return ts.NormalizedUtilization(m) <= USBound(m)+1e-9
+	u, bound := ts.NormalizedUtilization(m), USBound(m)
+	if math.Abs(u-bound) > 1e-9 {
+		return u < bound
+	}
+	sum := new(big.Rat)
+	for _, t := range ts {
+		sum.Add(sum, big.NewRat(int64(t.C), int64(t.T)))
+	}
+	return sum.Cmp(big.NewRat(int64(m)*int64(m), int64(3*m-2))) <= 0
 }
 
 // DhallExample constructs the classic Dhall-effect witness scaled to m

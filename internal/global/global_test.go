@@ -261,3 +261,23 @@ func TestGlobalHorizonCap(t *testing.T) {
 		t.Errorf("horizon = %d, want capped 4000", rep.Horizon)
 	}
 }
+
+// TestUSBoundExactAtTheBound: on m = 2, {C 1, T 2} and
+// {C 5000000001, T 10000000000} have U_M − 1/2 = 5·10⁻¹¹, inside the float
+// margin, so the bound must refuse them. A set exactly at the bound (on
+// m = 4, U_M = 2/5) must still pass, as the quick golden table's RM-US
+// column requires; moving the margin to the refusing side would refuse it.
+func TestUSBoundExactAtTheBound(t *testing.T) {
+	above := task.Set{{Name: "a", C: 1, T: 2}, {Name: "b", C: 5000000001, T: 10000000000}}
+	if u := above.NormalizedUtilization(2); !(u > USBound(2)) {
+		t.Fatalf("setup: U_M = %.17g is not above the bound %.17g", u, USBound(2))
+	}
+	if SchedulableByUSBound(above, 2) {
+		t.Error("a set above the RM-US bound is accepted")
+	}
+	at := task.Set{{C: 1, T: 3}, {C: 1, T: 3}, {C: 14, T: 15}}
+	if !SchedulableByUSBound(at, 4) {
+		t.Errorf("a set exactly at the RM-US bound (float U_M %.17g, bound %.17g) is refused",
+			at.NormalizedUtilization(4), USBound(4))
+	}
+}

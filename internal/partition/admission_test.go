@@ -38,8 +38,8 @@ func TestAdmissionHierarchy(t *testing.T) {
 		T := periods[newPos]
 		C := task.Time(1 + r.Intn(int(T)))
 		prio := newPos
-		ll := AdmitLL.admits(list, C, T)
-		hb := AdmitHyperbolic.admits(list, C, T)
+		ll := AdmitLL.admits(list, C, T, nil)
+		hb := AdmitHyperbolic.admits(list, C, T, nil)
 		rtaOK := rta.SchedulableWithExtraAt(list, prio, C, T, T)
 		if ll && !hb {
 			t.Fatalf("trial %d: LL accepted but hyperbolic rejected", trial)
@@ -233,7 +233,7 @@ func TestThresholdAdmissionsRefuseJustAboveTheBound(t *testing.T) {
 		t.Fatal("the reproducer no longer misses under exact RTA")
 	}
 	for _, adm := range []Admission{AdmitLL, AdmitHyperbolic} {
-		if adm.admits(list, b.C, b.T) {
+		if adm.admits(list, b.C, b.T, nil) {
 			t.Errorf("%v admits b on [a] although exact RTA misses", adm)
 		}
 		if res := (FirstFit{Admission: adm}).Partition(llCorner, 1); res.OK {
@@ -249,5 +249,24 @@ func TestThresholdAdmissionsRefuseJustAboveTheBound(t *testing.T) {
 	}
 	if _, err := on.Admit(llCorner[1]); err == nil {
 		t.Error("the online threshold policy admits b next to a")
+	}
+}
+
+// TestHanTyanAdmissionRefusesFloatCorner is the Han–Tyan float corner: on
+// one processor {C 2^59, T 2^60} and {C 2^59+1, T 2^60} have U = 1 + 2^-60,
+// which a float sum rounds to 1, and exact RTA misses the second task by
+// one tick. The integer folding refuses it.
+func TestHanTyanAdmissionRefusesFloatCorner(t *testing.T) {
+	corner := task.Set{{Name: "a", C: 1 << 59, T: 1 << 60}, {Name: "b", C: 1<<59 + 1, T: 1 << 60}}
+	list := []task.Subtask{task.Whole(0, corner[0])}
+	b := corner[1]
+	if rta.SchedulableWithExtraAt(list, 1, b.C, b.T, b.T) {
+		t.Fatal("the reproducer no longer misses under exact RTA")
+	}
+	if AdmitHanTyan.admits(list, b.C, b.T, new(Arena)) {
+		t.Error("HT admits b on [a] although exact RTA misses")
+	}
+	if res := (FirstFit{Admission: AdmitHanTyan}).Partition(corner, 1); res.OK || res.Guaranteed {
+		t.Errorf("P-RM-FF[HT] accepts the set on one processor (Guaranteed %v):\n%s", res.Guaranteed, res.Assignment)
 	}
 }

@@ -28,6 +28,7 @@ func TestAllocGuardPartitionArena(t *testing.T) {
 		{"RM-TS/light", RMTSLight{}},
 		{"SPA2", SPA2{}},
 		{"FF-RTA", FirstFitRTA{}},
+		{"FF[HT]", FirstFit{Admission: AdmitHanTyan}},
 		{"EDF-FF", EDFFirstFit{}},
 	}
 	for _, a := range algos {

@@ -45,6 +45,9 @@ type Arena struct {
 	keys     []float64
 	preProcs []int
 	bsc      bounds.Scratch
+	htC      []task.Time // Han–Tyan admission: the processor's C, then the candidate's
+	htT      []task.Time // Han–Tyan admission: the matching periods
+	wf       wfTree
 	demands  [][]edfa.Demand
 	scratch  []edfa.Demand
 	caps     []edfCap
@@ -238,4 +241,68 @@ func (ar *Arena) budgetBuf(m int, c task.Time) []task.Time {
 		ar.budget[q] = c
 	}
 	return ar.budget
+}
+
+// wfTree is the worst-fit processor pick of RM-TS/light, RM-TS phase 2,
+// SPA1 and SPA2: a tournament tree over (U_q, q) of the live processors —
+// eligible and not full — whose root is the processor with the least
+// assigned utilization, ties to the lowest index (the same float
+// comparison as a left-to-right scan keeping strict improvements). A
+// placement on q re-plays q's path to the root: a pick costs O(1) and an
+// update O(log m), where the scan read every processor per pick.
+type wfTree struct {
+	util []float64 // leaf keys: U_q as of q's last update
+	node []int     // node[1] is the root, leaf q at size+q; -1: no live processor below
+	size int
+}
+
+// worstFit resets the arena's worst-fit tree over asg's processors;
+// eligible == nil makes every processor eligible.
+func (ar *Arena) worstFit(asg *task.Assignment, eligible, full []bool) *wfTree {
+	w := &ar.wf
+	m := len(asg.Procs)
+	w.size = 1
+	for w.size < m {
+		w.size <<= 1
+	}
+	w.util = floatBuf(&w.util, m)
+	w.node = intBuf(&w.node, 2*w.size)
+	for i := 0; i < w.size; i++ {
+		q := -1
+		if i < m && (eligible == nil || eligible[i]) && !full[i] {
+			q = i
+			w.util[i] = asg.Utilization(i)
+		}
+		w.node[w.size+i] = q
+	}
+	for i := w.size - 1; i >= 1; i-- {
+		w.node[i] = w.winner(w.node[2*i], w.node[2*i+1])
+	}
+	return w
+}
+
+// winner plays a left subtree's champion a against a right one's b: every
+// index in a's subtree is below every index in b's, so a tie goes to a.
+func (w *wfTree) winner(a, b int) int {
+	if a < 0 || (b >= 0 && w.util[b] < w.util[a]) {
+		return b
+	}
+	return a
+}
+
+// pick returns the live processor with the least utilization, or -1.
+func (w *wfTree) pick() int { return w.node[1] }
+
+// update records processor q's utilization u after a placement on it, and
+// whether it is still live (not full).
+func (w *wfTree) update(q int, u float64, live bool) {
+	w.util[q] = u
+	i := w.size + q
+	if !live {
+		w.node[i] = -1
+	}
+	for i > 1 {
+		i /= 2
+		w.node[i] = w.winner(w.node[2*i], w.node[2*i+1])
+	}
 }

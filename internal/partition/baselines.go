@@ -150,8 +150,10 @@ func (a Admission) String() string {
 // admits reports whether task (c, t) fits on the processor under one of
 // the threshold admission tests. AdmitRTA never reaches it:
 // fitPartitionAdmit routes the exact test through fitsWhole. The float
-// margin lies on the refusing side, so a set just above a bound is refused.
-func (a Admission) admits(list []task.Subtask, c, t task.Time) bool {
+// margin lies on the refusing side, so a set just above a bound is refused;
+// Han–Tyan compares exactly, on C/T scratch from ar (the list, then the
+// candidate).
+func (a Admission) admits(list []task.Subtask, c, t task.Time, ar *Arena) bool {
 	switch a {
 	case AdmitHyperbolic:
 		prod := 1 + float64(c)/float64(t)
@@ -166,12 +168,12 @@ func (a Admission) admits(list []task.Subtask, c, t task.Time) bool {
 		}
 		return sum <= bounds.LL(len(list)+1)-utilEps
 	case AdmitHanTyan:
-		ts := make(task.Set, 0, len(list)+1)
+		cs, ts := ar.htC[:0], ar.htT[:0]
 		for _, s := range list {
-			ts = append(ts, task.Task{C: s.C, T: s.T})
+			cs, ts = append(cs, s.C), append(ts, s.T)
 		}
-		ts = append(ts, task.Task{C: c, T: t})
-		return bounds.HanTyanSchedulable(ts)
+		ar.htC, ar.htT = append(cs, c), append(ts, t)
+		return bounds.HanTyanScratch(ar.htC, ar.htT, &ar.bsc)
 	default:
 		panic("partition: unknown admission test")
 	}
@@ -242,7 +244,7 @@ func fitPartitionAdmit(ts task.Set, m int, order FitOrder, worst bool, admit Adm
 			case admit == AdmitRTA:
 				ok, by = fitsWhole(&states[q], uq, i, t.C, t.T, t.Deadline())
 			case !OverUtilized(uq, t.Utilization()):
-				ok, by = admit.admits(asg.Procs[q], t.C, t.T), byThreshold
+				ok, by = admit.admits(asg.Procs[q], t.C, t.T, ar), byThreshold
 			}
 			if by == byUtilization {
 				cUtilSkips.Inc()

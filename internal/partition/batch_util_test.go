@@ -175,7 +175,7 @@ func FuzzBatchUtilRuleSound(f *testing.F) {
 					uq, float64(c)/float64(T), c+s, T, d, prio, sur)
 			}
 			for _, a := range []Admission{AdmitHyperbolic, AdmitLL, AdmitHanTyan} {
-				if a.admits(raw, c, T) {
+				if a.admits(raw, c, T, new(Arena)) {
 					t.Fatalf("over-utilized (%v + %v) but %s admits %d/%d over %v",
 						uq, float64(c)/float64(T), a, c, T, raw)
 				}

@@ -220,24 +220,6 @@ func assignOrSplit(asg *task.Assignment, ps *rta.ProcState, q int, f fragment, t
 	return false, f, true
 }
 
-// minUtilProcessor returns the index of the processor with the smallest
-// assigned utilization among those with eligible[q] && !full[q], or -1.
-// Ties break towards the lowest index, making the packing deterministic.
-func minUtilProcessor(asg *task.Assignment, eligible, full []bool) int {
-	best := -1
-	bestU := 0.0
-	for q := range asg.Procs {
-		if (eligible != nil && !eligible[q]) || full[q] {
-			continue
-		}
-		u := asg.Utilization(q)
-		if best == -1 || u < bestU {
-			best, bestU = q, u
-		}
-	}
-	return best
-}
-
 // Verify independently re-checks a successful Result: structural invariants
 // of the assignment (task.Assignment.Validate), exact RTA of every subtask
 // against its synthetic deadline, and consistency of the synthetic

@@ -57,8 +57,9 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		return res
 	}
 	// Increasing priority order: lowest priority (largest index) first.
+	wf := ar.worstFit(asg, nil, full)
 	for i := len(sorted) - 1; i >= 0; i-- {
-		f, placed := packWorstFit(asg, states, nil, full, wholeFragment(i, sorted[i]), sorted, tr)
+		f, placed := packWorstFit(asg, states, wf, full, wholeFragment(i, sorted[i]), sorted, tr)
 		if !placed {
 			failWith(res, CauseMaxSplitExhausted, i,
 				"all processors full while assigning τ"+strconv.Itoa(i))
@@ -76,14 +77,14 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 }
 
 // packWorstFit is the packing loop RM-TS/light and RM-TS phase 2 share: it
-// places fragment f on the eligible processor (nil: every processor) with
-// the least assigned utilization, splitting on overflow (assignOrSplit)
-// and marking processors full, until f is placed or every eligible
-// processor is full. It returns the last fragment handled — placed, or the
-// remainder to carry on when placed is false.
-func packWorstFit(asg *task.Assignment, states []rta.ProcState, eligible, full []bool, f fragment, sorted task.Set, tr *obs.Trace) (last fragment, placed bool) {
+// places fragment f on the live processor of wf with the least assigned
+// utilization, splitting on overflow (assignOrSplit) and marking
+// processors full, until f is placed or every processor of wf is full. It
+// returns the last fragment handled — placed, or the remainder to carry on
+// when placed is false.
+func packWorstFit(asg *task.Assignment, states []rta.ProcState, wf *wfTree, full []bool, f fragment, sorted task.Set, tr *obs.Trace) (last fragment, placed bool) {
 	for {
-		q := minUtilProcessor(asg, eligible, full)
+		q := wf.pick()
 		if q < 0 {
 			return f, false
 		}
@@ -91,6 +92,7 @@ func packWorstFit(asg *task.Assignment, states []rta.ProcState, eligible, full [
 		if becameFull {
 			full[q] = true
 		}
+		wf.update(q, asg.Utilization(q), !full[q])
 		if placed {
 			return f, true
 		}
@@ -297,11 +299,12 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		}
 	}
 
+	wf := ar.worstFit(asg, normal, full)
 	for i := n - 1; i >= 0; i-- {
 		if pre[i] {
 			continue
 		}
-		f, placed := packWorstFit(asg, states, normal, full, wholeFragment(i, sorted[i]), sorted, tr)
+		f, placed := packWorstFit(asg, states, wf, full, wholeFragment(i, sorted[i]), sorted, tr)
 		// Phase 3: pre-assigned processors, first-fit from the processor
 		// hosting the lowest-priority pre-assigned task (largest index).
 		if !placed {

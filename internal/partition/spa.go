@@ -60,10 +60,11 @@ func (a SPA1) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	theta := bounds.LL(len(sorted))
 	res := ar.result("")
 	full := boolBuf(&ar.full, m)
+	wf := ar.worstFit(asg, nil, full)
 	for i := len(sorted) - 1; i >= 0; i-- {
 		f := wholeFragment(i, sorted[i])
 		for {
-			q := minUtilProcessor(asg, nil, full)
+			q := wf.pick()
 			if q < 0 {
 				failWith(res, CauseThresholdExhausted, i,
 					"all processors at the Θ threshold while assigning τ"+strconv.Itoa(i))
@@ -74,6 +75,7 @@ func (a SPA1) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 			if becameFull {
 				full[q] = true
 			}
+			wf.update(q, asg.Utilization(q), !full[q])
 			if placed {
 				break
 			}
@@ -238,6 +240,7 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	tracePhase(tr, "phase 2/3: threshold packing (normal, then pre-assigned processors)")
 	ar.preProcs = preProcs
 	nextPre := len(preProcs) - 1
+	wf := ar.worstFit(asg, normal, full)
 	for i := n - 1; i >= 0; i-- {
 		if pre[i] {
 			continue
@@ -245,7 +248,7 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 		f := wholeFragment(i, sorted[i])
 		placedWhole := false
 		for !placedWhole {
-			q := minUtilProcessor(asg, normal, full)
+			q := wf.pick()
 			if q < 0 {
 				break
 			}
@@ -254,6 +257,7 @@ func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 			if becameFull {
 				full[q] = true
 			}
+			wf.update(q, asg.Utilization(q), !full[q])
 		}
 		for !placedWhole {
 			for nextPre >= 0 && full[preProcs[nextPre]] {

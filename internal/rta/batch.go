@@ -109,8 +109,24 @@ func interferenceBound(cs, ts []task.Time, maxL task.Time) (uint64, bool) {
 }
 
 // batchSafe reports whether fixpointFast may run for a task with execution
-// own against interferers (cs, ts) and iterates bounded by maxL.
+// own against interferers (cs, ts) and iterates bounded by maxL. A
+// division-free test decides first whenever it can: each term
+// ⌈x/T_j⌉·C_j is at most (maxL+1)·C_j, so own + bound ≤ (maxL+1)·s with
+// s = own + ΣC_j, which is below 2^63 when 0 ≤ maxL < 2^31 and s < 2^32. Only
+// when that test fails does interferenceBound run, with one division per
+// interferer; the answer is the same either way.
 func batchSafe(own task.Time, cs, ts []task.Time, maxL task.Time) bool {
+	if 0 <= maxL && maxL < 1<<31 {
+		s := uint64(own)
+		for _, c := range cs[:len(ts)] {
+			if s += uint64(c); s >= 1<<32 {
+				break
+			}
+		}
+		if s < 1<<32 {
+			return true
+		}
+	}
 	bound, ok := interferenceBound(cs, ts, maxL)
 	return ok && bound <= uint64(math.MaxInt64)-uint64(own)
 }
@@ -323,8 +339,9 @@ func (b *BatchState) EvaluateList(list []task.Subtask, carry bool) bool {
 // maintains the demand incrementally: nm[j] is the smallest multiple of
 // source j's period that is ≥ the current point x, so ⌈x/T_j⌉ = nm[j]/T_j,
 // and the running demand sum advances by C_j exactly when the walk passes a
-// multiple of T_j. The inner loop is then a k-way min scan plus O(1) adds —
-// no divisions. scratch holds the nm frontier (len(ts)+1 entries; the last
+// multiple of T_j. Each point costs one pass over the frontier that both
+// advances the sources sitting at x and finds the next point — no
+// divisions. scratch holds the nm frontier (len(ts)+1 entries; the last
 // tracks t for the jobs divisor) and is grown, never shrunk, by the callee.
 func slackBatchCapped(c, d task.Time, cs, ts []task.Time, t, cap task.Time, scratch *[]task.Time) task.Time {
 	if !batchSafe(c, cs, ts, d) {
@@ -360,16 +377,11 @@ func slackBatchCapped(c, d task.Time, cs, ts []task.Time, t, cap task.Time, scra
 		}
 		nm[k] = t
 		jobs := task.Time(1) // invariant: nm[k] = jobs·t, so ⌈x/t⌉ = jobs
-		for {
-			x := nm[0]
-			for _, v := range nm[1:] {
-				if v < x {
-					x = v
-				}
-			}
-			if x >= d {
-				break // ≥-d points are covered by the initial d visit
-			}
+		x := t
+		for _, v := range nm[:k] {
+			x = min(x, v)
+		}
+		for x < d { // ≥-d points are covered by the initial d visit
 			points++
 			if sum <= x {
 				if e := (x - sum) / jobs; e > best {
@@ -379,17 +391,20 @@ func slackBatchCapped(c, d task.Time, cs, ts []task.Time, t, cap task.Time, scra
 					}
 				}
 			}
-			for j := range nm {
-				if nm[j] == x {
-					if j < k {
-						sum += cs[j]
-						nm[j] = mathx.AddSat(x, ts[j])
-					} else {
-						jobs++
-						nm[j] = mathx.AddSat(x, t)
-					}
-				}
+			if nm[k] == x {
+				jobs++
+				nm[k] = mathx.AddSat(x, t)
 			}
+			next := nm[k]
+			for j, v := range nm[:k] {
+				if v == x {
+					sum += cs[j]
+					v = mathx.AddSat(x, ts[j])
+					nm[j] = v
+				}
+				next = min(next, v)
+			}
+			x = next
 		}
 	}
 	cSlackPoints.Add(points)
@@ -463,7 +478,7 @@ func slackCheckedBatch(c, d task.Time, cs, ts []task.Time, t task.Time) task.Tim
 // MaxOwnLoad), with the same testing-point enumeration and
 // rta.maxload.points totals as maxOwnLoadCheckedBatch.
 func maxOwnLoadBatch(cs, ts []task.Time, d task.Time) task.Time {
-	if bound, ok := interferenceBound(cs, ts, d); d <= 0 || !ok || bound > uint64(math.MaxInt64) {
+	if d <= 0 || !batchSafe(0, cs, ts, d) {
 		return maxOwnLoadCheckedBatch(cs, ts, d)
 	}
 	best := task.Time(0)

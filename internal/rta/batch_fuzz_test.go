@@ -15,6 +15,8 @@ import (
 // fast kernels (batchSafe accepts) and their checked fallbacks (batchSafe
 // rejects). After every attempt it compares, on the surcharged view:
 //
+//   - after every admitted Insert, the responses it adopted from the probe
+//     against a cold analysis of the post-insert processor;
 //   - the ProcState accessors (AdmitAt, warm-started ResponseAt,
 //     SlackAtMost capped and uncapped, MaxOwnLoadAt at every position);
 //   - the checked kernels called directly (fixpointChecked with its
@@ -74,6 +76,15 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 				sub := task.Subtask{TaskIndex: prio, Part: 1, C: c, T: T, Deadline: d, Tail: true}
 				pos := ps.Insert(sub)
 				list = insertSub(list, pos, sub)
+				// The probe's staged responses, adopted by the Insert, are
+				// the converged responses of the post-insert processor.
+				sur := surchargedView(list, s)
+				for i := range list {
+					wantR, _ := refSubtaskResponse(sur, i)
+					if got := ps.b.resp[i]; got != wantR {
+						t.Fatalf("%s: adopted response %d = %d, cold analysis %d", ctx, i, got, wantR)
+					}
+				}
 			}
 			sur := surchargedView(list, s)
 			if got, want := ProcessorSchedulable(sur), refProcessorSchedulable(sur); got != want {

@@ -174,14 +174,20 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 // Residents above the insertion position are skipped (the candidate cannot
 // interfere with them, and the processor invariant — every resident is
 // schedulable in the current configuration, whether its admission came from
-// RTA or the sufficient prefilter — makes their re-check redundant) and
-// every evaluated fixed point starts from the cached response when that
-// beats the cold lower bound. The verdict equals the from-scratch one.
+// RTA or the sufficient prefilter — makes their re-check redundant).
 //
 // The probe materializes the post-insert view once — candidate spliced into
 // the scratch arrays (pcs, pts) at pos — so position k's interferers are
 // plain prefixes and one batchSafe precheck over the whole view licenses
-// the unchecked kernel for every fixed point of the probe.
+// the unchecked kernel for every fixed point of the probe. Each position's
+// fixed point is independent of the others (same view, same limit), so the
+// verdict is their AND in any order and the probe visits them cheapest
+// refusal first (DESIGN.md §13): the lowest-priority position n, which
+// carries the most interference and is where a refused probe almost always
+// fails, then pos…n−1, returning at the first refusal. A resident below
+// the candidate starts from max(cold bound, r + c′·⌈r/t⌉), with r its
+// cached response and c′ the surcharged candidate (see warmStart). The
+// verdict and the staged responses equal the from-scratch ones.
 func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	cand := c + ps.Surcharge
 	pos := ps.PosFor(prio)
@@ -193,30 +199,36 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	staged := ps.staged[:n+1]
 	pcs, pts, fast := ps.splice(pos, cand, t, d)
 
-	// One pass over the post-insert positions from the insertion point down,
-	// maintaining the running prefix sum of execution times (the classic
-	// cold-start bound for position k is sum(pcs[:k]) + pcs[k]); limits
+	// prefix is the classic cold-start bound's running sum over positions
+	// above k (the bound for position k is sum(pcs[:k]) + pcs[k]); limits
 	// come from d at pos and the resident deadlines below it.
 	if obs.On() && pos > 0 {
 		cSkippedHP.Add(int64(pos))
 	}
 	copy(staged[:pos], ps.b.resp[:pos])
-	sum := task.Time(0)
+	prefix := task.Time(0)
 	for _, cv := range pcs[:pos] {
-		sum = mathx.AddSat(sum, cv)
+		prefix = mathx.AddSat(prefix, cv)
 	}
-	for k := pos; k <= n; k++ {
+	total := prefix
+	for _, cv := range pcs[pos:] {
+		total = mathx.AddSat(total, cv)
+	}
+	limit, start := d, total
+	if n > pos {
+		limit, start = ps.b.dls[n-1], ps.warmStart(n-1, total, cand, t, fast)
+	}
+	r, v, iters := fixpoint(pcs[n], pcs[:n], pts[:n], limit, start, fast)
+	account(v, iters)
+	if v != VerdictFits {
+		return false
+	}
+	staged[n] = r
+	for k := pos; k < n; k++ {
 		own := pcs[k]
-		limit := d
-		start := mathx.AddSat(sum, own)
+		limit, start := d, mathx.AddSat(prefix, own)
 		if k > pos {
-			limit = ps.b.dls[k-1]
-			if cached := ps.b.resp[k-1]; cached > start {
-				start = cached
-				if obs.On() {
-					cWarmStarts.Inc()
-				}
-			}
+			limit, start = ps.b.dls[k-1], ps.warmStart(k-1, start, cand, t, fast)
 		}
 		r, v, iters := fixpoint(own, pcs[:k], pts[:k], limit, start, fast)
 		account(v, iters)
@@ -224,7 +236,7 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 			return false
 		}
 		staged[k] = r
-		sum = mathx.AddSat(sum, own)
+		prefix = mathx.AddSat(prefix, own)
 	}
 
 	ps.stagedValid = true
@@ -233,6 +245,35 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	ps.stagedT = t
 	ps.stagedD = d
 	return true
+}
+
+// warmStart returns the start of resident i's fixed point once a candidate
+// of surcharged execution cand and period t is inserted above it: the
+// larger of the cold bound and r + cand·⌈r/t⌉, where r is the cached
+// response (0 = unknown, which gives 0). The latter is a lower bound on the
+// post-insert response R′ = f(R′) + cand·⌈R′/t⌉, where f is the resident's
+// pre-insert demand: r is at most the pre-insert least fixed point R ≤ R′,
+// and f(r) ≥ r for every r ≤ R (Knaster–Tarski), so r + cand·⌈r/t⌉ ≤
+// f(r) + cand·⌈r/t⌉ ≤ R′ by monotonicity. Fixed points started there
+// count as warm starts. On the fast path the start is at most the demand
+// f(r) + cand·⌈r/t⌉ at an iterate r no larger than the resident's deadline,
+// which the probe's precheck bounds below MaxInt64, so it cannot wrap; the
+// checked path saturates.
+func (ps *ProcState) warmStart(i int, cold, cand, t task.Time, fast bool) task.Time {
+	r := ps.b.resp[i]
+	var w task.Time
+	if fast {
+		w = r + cand*mathx.CeilDivU(r, t)
+	} else {
+		w = mathx.AddSat(r, mathx.MulSat(cand, mathx.CeilDiv(r, t)))
+	}
+	if w <= cold {
+		return cold
+	}
+	if obs.On() {
+		cWarmStarts.Inc()
+	}
+	return w
 }
 
 // splice materializes the post-insert view of a candidate (surcharged

@@ -2,6 +2,7 @@ package rta
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/task"
@@ -103,5 +104,35 @@ func TestProcessorSchedulableAdversarialSet(t *testing.T) {
 	_ = ProcessorSchedulable(list)
 	if !ProcessorSchedulable(list[:1]) {
 		t.Error("single task with C < D rejected")
+	}
+}
+
+// TestBatchSafeDivisionFreeAgrees checks batchSafe's division-free test
+// against the precheck it short-cuts, on magnitudes around its 2^31 and
+// 2^32 edges: the division-free answer may only be "safe" where
+// interferenceBound also proves it, and the answer must never change.
+func TestBatchSafeDivisionFreeAgrees(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	mags := []int64{1, 1 << 10, 1 << 29, 1 << 30, 1 << 31, 1 << 32, 1 << 40, math.MaxInt64 / 4}
+	pick := func() task.Time {
+		m := mags[r.Intn(len(mags))]
+		return task.Time(1 + r.Int63n(m))
+	}
+	for trial := 0; trial < 20000; trial++ {
+		n := r.Intn(6)
+		cs := make([]task.Time, n)
+		ts := make([]task.Time, n)
+		for k := range ts {
+			cs[k], ts[k] = pick(), pick()
+		}
+		own, maxL := pick(), pick()
+		if trial%7 == 0 {
+			maxL = 1<<31 - task.Time(r.Intn(2))
+		}
+		bound, ok := interferenceBound(cs, ts, maxL)
+		want := ok && bound <= uint64(math.MaxInt64)-uint64(own)
+		if got := batchSafe(own, cs, ts, maxL); got != want {
+			t.Fatalf("batchSafe(%d, %v, %v, %d) = %v, interferenceBound says %v", own, cs, ts, maxL, got, want)
+		}
 	}
 }
