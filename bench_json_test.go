@@ -62,6 +62,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		{"MaxSplitTestingPoint", BenchmarkMaxSplitTestingPoint},
 		{"PartitionRMTS", BenchmarkPartitionRMTS},
 		{"PartitionRMTSArena", BenchmarkPartitionRMTSArena},
+		{"E2SetVerdict", BenchmarkE2SetVerdict},
 		{"SimulateHyperperiod", BenchmarkSimulateHyperperiod},
 		{"AdmitService", BenchmarkAdmitService},
 		{"AdmitServiceJournaled", BenchmarkAdmitServiceJournaled},

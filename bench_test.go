@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/admit"
+	"repro/internal/bounds"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -216,6 +217,46 @@ func BenchmarkPartitionRMTSArena(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		alg.PartitionArena(sets[i%len(sets)], 8, &ar)
 	}
+}
+
+// BenchmarkE2SetVerdict is the unit an acceptance-ratio curve is made of:
+// name one E2 sample (RecipeFor), regenerate it (ReplaySample) and judge it
+// by the three E2 algorithms — RM-TS under bounds.Best (the max of LL,
+// HC-min, T and R), SPA2 and P-RM-FF — through one persistent Arena, as
+// perfbench's p50_us and a sweep's Workspace do. Each op is one sample of
+// a fixed cycle over every point of the publication-scale sweep.
+func BenchmarkE2SetVerdict(b *testing.B) {
+	const key, seed, samples = "acceptance-general", 1, 8
+	points := 0
+	for ; ; points++ {
+		if _, err := experiments.RecipeFor(key, seed, false, points, 0); err != nil {
+			break
+		}
+	}
+	algos := []partition.ArenaPartitioner{
+		partition.NewRMTS(bounds.Best()), partition.SPA2{}, partition.FirstFitRTA{},
+	}
+	var ar partition.Arena
+	accepted := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % (points * samples)
+		rc, err := experiments.RecipeFor(key, seed, false, k/samples, k%samples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts, m, err := experiments.ReplaySample(key, false, rc.Point, rc.SampleSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, alg := range algos {
+			if res := alg.PartitionArena(ts, m, &ar); res.OK && res.Guaranteed {
+				accepted++
+			}
+		}
+	}
+	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
 }
 
 func BenchmarkPartitionRMTSLight(b *testing.B) {

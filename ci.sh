@@ -17,7 +17,9 @@
 # implementation and an exact-rational folding (FuzzHanTyanVsReference),
 # every utilization-threshold admission (LL, HB, HT, the online threshold
 # policy) against exact RTA at the threshold's corner (FuzzThresholdSound),
-# the worst-fit tree against the scan it replaced (FuzzWorstFitTree),
+# the worst-fit tree against the scan it replaced (FuzzWorstFitTree), an
+# arena reused across calls against a fresh arena per call, so a set it
+# prepared once and then offers again is judged alike (FuzzArenaPreparedSet),
 # the admission prefilter's soundness and that of the utilization refusal in
 # the online engine and the batch partitioners, the online rta-ff/rta-wf
 # policies against the batch P-RM-FF/WF they twin (FuzzOnlineBatchTwin), the
@@ -73,17 +75,18 @@ echo "== go test -race (concurrency-sensitive packages) =="
 go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
 
 echo "== alloc guards (hot paths must stay zero-allocation) =="
-go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit repro/internal/edfa repro/internal/global repro/internal/sim
+go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit repro/internal/edfa repro/internal/global repro/internal/sim repro/internal/experiments
 
 echo "== fault injection (every injected fault must surface as a seed-reproducible SampleError) =="
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, reused arena vs a fresh one, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzThresholdSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzWorstFitTree -fuzztime 5s repro/internal/partition
+go test -run '^$' -fuzz FuzzArenaPreparedSet -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzAssignmentUtil -fuzztime 5s repro/internal/task
 go test -run '^$' -fuzz FuzzPrefilterSound -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzUtilSkipSound -fuzztime 5s repro/internal/partition
@@ -271,7 +274,8 @@ go test -run TestBenchHotpathJSON -benchjson=BENCH_hotpath.json .
 echo "== perf-regression gate (new record vs committed baseline) =="
 # Timing and bytes are noisy on shared CI hardware, so ns/op and B/op only
 # warn; allocs/op and the domain metrics (rta-iters/op, splits/op, ...) are
-# deterministic for the fixed bench seeds and gate hard.
+# deterministic for the fixed bench seeds and gate hard, except the
+# cheap-path counters (warm-starts/op, prefilter-hits/op), reported ungated.
 go run ./cmd/perfdiff -warn 'ns/op,B/op' -allocs-tol 0.25 -extra-tol 0.25 "$baseline" BENCH_hotpath.json
 rm -f "$baseline"
 

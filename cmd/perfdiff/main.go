@@ -44,7 +44,7 @@ func run() int {
 		nsTol     = flag.Float64("ns-tol", 0.50, "allowed fractional ns/op growth")
 		bytesTol  = flag.Float64("bytes-tol", 0.50, "allowed fractional B/op growth")
 		allocsTol = flag.Float64("allocs-tol", 0.10, "allowed fractional allocs/op growth")
-		extraTol  = flag.Float64("extra-tol", 0.50, "allowed fractional growth of domain metrics (rta-iters/op, ...)")
+		extraTol  = flag.Float64("extra-tol", 0.50, "allowed fractional growth of domain metrics (rta-iters/op, ...); warm-starts/op and prefilter-hits/op count cheap paths and are reported ungated")
 		warn      = flag.String("warn", "", "comma-separated metrics that only warn on regression (e.g. 'ns/op,B/op')")
 		validate  = flag.String("validate-events", "", "validate a JSONL run-event log instead of diffing bench records")
 		valProm   = flag.String("validate-prom", "", "validate a Prometheus text exposition instead of diffing bench records")

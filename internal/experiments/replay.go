@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/gen"
 	"repro/internal/task"
-	"repro/internal/xrand"
 )
 
 // sampleSeedStride is the per-index seed offset of the parEach fan-out:
@@ -92,76 +92,82 @@ func ParseRecipe(s string) (Recipe, error) {
 	return rc, nil
 }
 
+// replayPoint is the generator input of one sweep point: the processor
+// count, the target total utilization and, for heavy-sweep, the heavy
+// share.
+type replayPoint struct {
+	m             int
+	target, share float64
+}
+
 // replaySpec ties one replayable sweep's seed derivation to its per-point
-// generator parameters (which live in the shared param helpers the sweep
-// itself uses — see acceptance.go).
+// generator parameters. The points are derived once per Quick setting from
+// the shared param helpers the sweep itself uses (see acceptance.go), so a
+// replay reads a table instead of rebuilding the grid.
 type replaySpec struct {
 	// seedXor is XORed into the run seed before drawing the point bases.
 	seedXor int64
-	// points returns the sweep length.
-	points func(quick bool) int
-	// sample regenerates the task set and processor count of one sample of
-	// 0-based point p from r. The point index is pre-validated.
-	sample func(r *rand.Rand, quick bool, p int) (task.Set, int, error)
+	// full and quick are the sweep's points without and with Quick.
+	full, quick []replayPoint
+	// set regenerates one sample of point pt from r, drawing through sc.
+	set func(r *rand.Rand, sc *gen.Scratch, pt replayPoint) (task.Set, error)
 }
 
-func replaySpecs() map[string]replaySpec {
-	return map[string]replaySpec{
-		"acceptance-general": {
-			seedXor: 0xE2,
-			points:  func(q bool) int { _, pts := generalParams(q); return len(pts) },
-			sample: func(r *rand.Rand, q bool, p int) (task.Set, int, error) {
-				m, pts := generalParams(q)
-				ts, err := generalSet(r, nil, pts[p]*float64(m))
-				return ts, m, err
-			},
-		},
-		"acceptance-light": {
-			seedXor: 0xE3,
-			points:  func(q bool) int { _, pts := lightParams(q); return len(pts) },
-			sample: func(r *rand.Rand, q bool, p int) (task.Set, int, error) {
-				m, pts := lightParams(q)
-				ts, err := lightSet(r, nil, pts[p]*float64(m))
-				return ts, m, err
-			},
-		},
-		"acceptance-harmonic": {
-			seedXor: 0xE4,
-			points:  func(q bool) int { _, pts := harmonicParams(q); return len(pts) },
-			sample: func(r *rand.Rand, q bool, p int) (task.Set, int, error) {
-				m, pts := harmonicParams(q)
-				ts, err := harmonicSet(r, nil, pts[p]*float64(m))
-				return ts, m, err
-			},
-		},
-		"procs-sweep": {
-			seedXor: 0xE7,
-			points:  func(q bool) int { return len(procsParams(q)) },
-			sample: func(r *rand.Rand, q bool, p int) (task.Set, int, error) {
-				m := procsParams(q)[p]
-				ts, err := procsSet(r, nil, procsSweepUM*float64(m))
-				return ts, m, err
-			},
-		},
-		"heavy-sweep": {
-			seedXor: 0xE8,
-			points:  func(q bool) int { _, _, shares := heavyParams(q); return len(shares) },
-			sample: func(r *rand.Rand, q bool, p int) (task.Set, int, error) {
-				m, um, shares := heavyParams(q)
-				ts, err := heavySet(r, nil, um*float64(m), shares[p])
-				return ts, m, err
-			},
-		},
-		"utilization-tail": {
-			seedXor: 0xE11,
-			points:  func(q bool) int { _, ums := tailParams(q); return len(ums) },
-			sample: func(r *rand.Rand, q bool, p int) (task.Set, int, error) {
-				m, ums := tailParams(q)
-				ts, err := tailSet(r, nil, ums[p]*float64(m))
-				return ts, m, err
-			},
-		},
+func (s replaySpec) points(quick bool) []replayPoint {
+	if quick {
+		return s.quick
 	}
+	return s.full
+}
+
+// gridSpec derives a spec's point tables from grid, once per Quick setting.
+func gridSpec(seedXor int64, grid func(quick bool) []replayPoint,
+	set func(*rand.Rand, *gen.Scratch, replayPoint) (task.Set, error)) replaySpec {
+	return replaySpec{seedXor: seedXor, full: grid(false), quick: grid(true), set: set}
+}
+
+// umSpec is gridSpec for a U_M sweep on a fixed processor count.
+func umSpec(seedXor int64, params func(quick bool) (int, []float64),
+	set func(*rand.Rand, *gen.Scratch, float64) (task.Set, error)) replaySpec {
+	return gridSpec(seedXor, func(q bool) []replayPoint {
+		m, ums := params(q)
+		pts := make([]replayPoint, len(ums))
+		for i, um := range ums {
+			pts[i] = replayPoint{m: m, target: um * float64(m)}
+		}
+		return pts
+	}, func(r *rand.Rand, sc *gen.Scratch, pt replayPoint) (task.Set, error) {
+		return set(r, sc, pt.target)
+	})
+}
+
+// replaySpecs is the replay registry, built once; it is only read after
+// package initialization, so concurrent replays share it.
+var replaySpecs = map[string]replaySpec{
+	"acceptance-general":  umSpec(0xE2, generalParams, generalSet),
+	"acceptance-light":    umSpec(0xE3, lightParams, lightSet),
+	"acceptance-harmonic": umSpec(0xE4, harmonicParams, harmonicSet),
+	"procs-sweep": gridSpec(0xE7, func(q bool) []replayPoint {
+		ms := procsParams(q)
+		pts := make([]replayPoint, len(ms))
+		for i, m := range ms {
+			pts[i] = replayPoint{m: m, target: procsSweepUM * float64(m)}
+		}
+		return pts
+	}, func(r *rand.Rand, sc *gen.Scratch, pt replayPoint) (task.Set, error) {
+		return procsSet(r, sc, pt.target)
+	}),
+	"heavy-sweep": gridSpec(0xE8, func(q bool) []replayPoint {
+		m, um, shares := heavyParams(q)
+		pts := make([]replayPoint, len(shares))
+		for i, share := range shares {
+			pts[i] = replayPoint{m: m, target: um * float64(m), share: share}
+		}
+		return pts
+	}, func(r *rand.Rand, sc *gen.Scratch, pt replayPoint) (task.Set, error) {
+		return heavySet(r, sc, pt.target, pt.share)
+	}),
+	"utilization-tail": umSpec(0xE11, tailParams, tailSet),
 }
 
 // ReplayableExperiments lists the registry keys ReplaySample supports, in
@@ -169,58 +175,79 @@ func replaySpecs() map[string]replaySpec {
 // tables (K=2, 3) under one point counter, so a point index alone does not
 // identify the generator parameters.
 func ReplayableExperiments() []string {
-	specs := replaySpecs()
 	var out []string
 	for _, e := range Registry() {
-		if _, ok := specs[e.Key]; ok {
+		if _, ok := replaySpecs[e.Key]; ok {
 			out = append(out, e.Key)
 		}
 	}
 	return out
 }
 
+// lookupReplay looks up the spec of experiment and its 0-based point under
+// the quick flag.
+func lookupReplay(experiment string, quick bool, point int) (replaySpec, replayPoint, error) {
+	spec, ok := replaySpecs[experiment]
+	if !ok {
+		return replaySpec{}, replayPoint{}, fmt.Errorf("experiment %q is not replayable (replayable: %s)",
+			experiment, strings.Join(ReplayableExperiments(), ", "))
+	}
+	pts := spec.points(quick)
+	if point < 0 || point >= len(pts) {
+		return replaySpec{}, replayPoint{}, fmt.Errorf("%s: point %d out of range [0,%d)", experiment, point, len(pts))
+	}
+	return spec, pts[point], nil
+}
+
 // RecipeFor derives the replay recipe of sample (point, sample) of a
 // replayable experiment under the given run seed and quick flag — the exact
 // derivation the sweep itself uses (per-experiment seed XOR, point bases
-// pre-drawn in order, golden-ratio sample stride). It lets tools name any
-// sample, not just the crashed ones SampleError reports.
+// drawn in order, golden-ratio sample stride). It lets tools name any
+// sample, not just the crashed ones SampleError reports. The point base is
+// drawn from a pooled, reseeded RNG, so a call allocates nothing.
 func RecipeFor(experiment string, runSeed int64, quick bool, point, sample int) (Recipe, error) {
-	spec, ok := replaySpecs()[experiment]
-	if !ok {
-		return Recipe{}, fmt.Errorf("experiment %q is not replayable (replayable: %s)",
-			experiment, strings.Join(ReplayableExperiments(), ", "))
-	}
-	n := spec.points(quick)
-	if point < 0 || point >= n {
-		return Recipe{}, fmt.Errorf("%s: point %d out of range [0,%d)", experiment, point, n)
+	spec, _, err := lookupReplay(experiment, quick, point)
+	if err != nil {
+		return Recipe{}, err
 	}
 	if sample < 0 {
 		return Recipe{}, fmt.Errorf("%s: negative sample %d", experiment, sample)
 	}
-	bases := pointBases(rand.New(xrand.New(runSeed^spec.seedXor)), n)
+	ws := wsPool.Get().(*Workspace)
+	ws.rng.Seed(runSeed ^ spec.seedXor)
+	var base int64
+	for i := 0; i <= point; i++ { // pointBases(r, n)[point]
+		base = ws.rng.Int63()
+	}
+	wsPool.Put(ws)
 	return Recipe{
 		Experiment: experiment,
 		Point:      point,
 		Sample:     sample,
-		BaseSeed:   bases[point],
-		SampleSeed: bases[point] + int64(sample)*sampleSeedStride,
+		BaseSeed:   base,
+		SampleSeed: base + int64(sample)*sampleSeedStride,
 	}, nil
 }
 
 // ReplaySample regenerates the task set of one sweep sample bit for bit from
 // its replay seeds: the experiment key, the Quick flag the run used, the
 // 0-based sweep point, and the sample's derived seed. It returns the set and
-// the processor count the sweep offered it to. Generation uses a fresh RNG
-// and a nil scratch; sweeps produce identical sets through their reused
-// scratch (gen's TestScratchMatchesNil pins scratch-independence).
+// the processor count the sweep offered it to. Generation draws from a
+// pooled workspace's RNG, reseeded exactly as parEach reseeds it, and its
+// generator scratch (gen's TestScratchMatchesNil pins scratch-independence),
+// so the returned set, a copy the caller owns, is its only allocation. Safe
+// for concurrent use.
 func ReplaySample(experiment string, quick bool, point int, sampleSeed int64) (task.Set, int, error) {
-	spec, ok := replaySpecs()[experiment]
-	if !ok {
-		return nil, 0, fmt.Errorf("experiment %q is not replayable (replayable: %s)",
-			experiment, strings.Join(ReplayableExperiments(), ", "))
+	spec, pt, err := lookupReplay(experiment, quick, point)
+	if err != nil {
+		return nil, 0, err
 	}
-	if n := spec.points(quick); point < 0 || point >= n {
-		return nil, 0, fmt.Errorf("%s: point %d out of range [0,%d)", experiment, point, n)
+	ws := wsPool.Get().(*Workspace)
+	defer wsPool.Put(ws)
+	ws.rng.Seed(sampleSeed)
+	ts, err := spec.set(ws.rng, ws.Gen(), pt)
+	if err != nil {
+		return nil, 0, err
 	}
-	return spec.sample(rand.New(xrand.New(sampleSeed)), quick, point)
+	return ts.Clone(), pt.m, nil
 }

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/task"
+	"repro/internal/xrand"
 )
 
 func TestParseRecipe(t *testing.T) {
@@ -78,26 +82,64 @@ func TestReplayUnsupported(t *testing.T) {
 }
 
 // TestReplayDeterministic pins that every replayable experiment regenerates
-// an identical set for identical replay coordinates.
+// an identical set for identical replay coordinates, also when several
+// goroutines replay at once through the pooled RNGs and scratches: each
+// set must equal the one a fresh RNG and a nil scratch generate.
 func TestReplayDeterministic(t *testing.T) {
+	type job struct {
+		key   string
+		quick bool
+		point int
+		seed  int64
+		want  task.Set
+		wantM int
+	}
+	var jobs []job
 	for _, key := range ReplayableExperiments() {
-		rc, err := RecipeFor(key, 11, true, 0, 2)
+		spec := replaySpecs[key]
+		for _, quick := range []bool{false, true} {
+			for p, pt := range spec.points(quick) {
+				rc, err := RecipeFor(key, 11, quick, p, 2)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				want, err := spec.set(rand.New(xrand.New(rc.SampleSeed)), nil, pt)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if len(want) == 0 || pt.m <= 0 {
+					t.Fatalf("%s: degenerate replay (n=%d m=%d)", key, len(want), pt.m)
+				}
+				jobs = append(jobs, job{key: key, quick: quick, point: p, seed: rc.SampleSeed, want: want, wantM: pt.m})
+			}
+		}
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range jobs {
+					j := jobs[(i+g*len(jobs)/goroutines)%len(jobs)]
+					ts, m, err := ReplaySample(j.key, j.quick, j.point, j.seed)
+					if err == nil && (m != j.wantM || !reflect.DeepEqual(ts, j.want)) {
+						err = fmt.Errorf("%s quick=%v point %d: replay differs from a fresh RNG and nil scratch", j.key, j.quick, j.point)
+					}
+					if err != nil {
+						errs[g] = err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		a, ma, err := ReplaySample(key, true, rc.Point, rc.SampleSeed)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		b, mb, err := ReplaySample(key, true, rc.Point, rc.SampleSeed)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		if ma != mb || !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: replay not deterministic", key)
-		}
-		if len(a) == 0 || ma <= 0 {
-			t.Errorf("%s: degenerate replay (n=%d m=%d)", key, len(a), ma)
+			t.Error(err)
 		}
 	}
 }

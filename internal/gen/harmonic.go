@@ -153,7 +153,7 @@ func MixedSetInto(r *rand.Rand, cfg MixedConfig, sc *Scratch) (task.Set, error) 
 	}
 	pg := cfg.Periods
 	if pg == nil {
-		pg = LogUniformPeriods{Min: 100, Max: 10000}
+		pg = defaultPeriods
 	}
 	us := sc.usBuf()
 	heavyTarget := cfg.TargetU * cfg.HeavyShare

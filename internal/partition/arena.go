@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"repro/internal/bounds"
 	"repro/internal/edfa"
 	"repro/internal/rta"
@@ -22,7 +24,7 @@ import (
 //     until the next PartitionArena call on the same arena. Callers that
 //     retain anything past that point must copy it first.
 //   - The input task set is never modified and never retained; the arena
-//     keeps its own sorted copy.
+//     keeps its own copy and a sorted copy of it.
 //   - An Arena is not safe for concurrent use. The experiment harness
 //     keeps one per worker (experiments.Workspace); algorithms hold no
 //     arena state themselves, so one Algorithm value may be shared across
@@ -32,6 +34,8 @@ import (
 // means "allocate fresh" — PartitionArena with a nil arena is exactly
 // Partition, which is also how every Partition method is implemented.
 type Arena struct {
+	input    task.Set // copy of the last valid set prepared (when prepared)
+	prepared bool     // sorted is input DM-sorted and validated
 	sorted   task.Set
 	asg      task.Assignment
 	states   []rta.ProcState
@@ -84,19 +88,33 @@ var (
 // copy the input into the arena's working set, DM-sort it, validate, and
 // reset the arena assignment. Observationally identical to clone + sort +
 // NewAssignment.
+//
+// The prepared-set rule: the arena remembers a copy of the last valid set
+// it prepared, and a set equal to it element by element (the next
+// algorithm offered the same sample) reuses the sorted, validated copy and
+// only resets the assignment. Equality is on content, not on the slice, so
+// a caller that rewrites its buffer in place between calls (breakdown's
+// scaled probes) misses; an invalid set is never remembered.
 func (ar *Arena) prepare(ts task.Set, m int) (task.Set, *task.Assignment, *Result) {
 	if m <= 0 {
 		ar.res = Result{}
 		return nil, nil, failWith(&ar.res, CauseInvalidInput, -1, "no processors")
 	}
+	if ar.prepared && slices.Equal(ar.input, ts) {
+		ar.asg.Reset(ar.sorted, m)
+		return ar.sorted, &ar.asg, nil
+	}
+	ar.input = append(ar.input[:0], ts...)
 	sorted := append(ar.sorted[:0], ts...)
 	ar.sorted = sorted
 	sorted.SortDM() // identical to RM order for implicit-deadline sets
 	ar.asg.Reset(sorted, m)
 	if err := sorted.Validate(); err != nil {
+		ar.prepared = false
 		ar.res = Result{Assignment: &ar.asg}
 		return nil, nil, failWith(&ar.res, CauseInvalidInput, -1, err.Error())
 	}
+	ar.prepared = true
 	return sorted, &ar.asg, nil
 }
 

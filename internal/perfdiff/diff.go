@@ -33,15 +33,28 @@ type Tolerances struct {
 	WarnOnly map[string]bool
 }
 
-// tolerance returns the growth allowance for a metric name.
+// cheapPathCounters are the domain metrics that count cheap paths taken —
+// fixed points started from a cached response, placements the admission
+// prefilter settled without RTA — rather than work done. A rise in one is
+// no regression (the work it saves shows in rta-iters/op), so they are
+// reported but never gated.
+var cheapPathCounters = map[string]bool{
+	"warm-starts/op":    true,
+	"prefilter-hits/op": true,
+}
+
+// tolerance returns the growth allowance for a metric name: +Inf for the
+// ungated cheap-path counters.
 func (t Tolerances) tolerance(metric string) float64 {
-	switch metric {
-	case MetricNs:
+	switch {
+	case metric == MetricNs:
 		return t.Ns
-	case MetricBytes:
+	case metric == MetricBytes:
 		return t.Bytes
-	case MetricAllocs:
+	case metric == MetricAllocs:
 		return t.Allocs
+	case cheapPathCounters[metric]:
+		return math.Inf(1)
 	default:
 		return t.Extra
 	}
@@ -64,7 +77,8 @@ type Row struct {
 	// DeltaPct is the percentage change from Old to New; +Inf when a
 	// metric appears from zero.
 	DeltaPct float64
-	// Tolerance is the fractional allowance the row was judged under.
+	// Tolerance is the fractional allowance the row was judged under;
+	// +Inf for a cheap-path counter, which is reported but not gated.
 	Tolerance float64
 	Status    string
 }
@@ -85,7 +99,7 @@ func (r Report) Failed() bool { return r.Regressions > 0 }
 // a warning row (renames and benchmark additions should not silently
 // disable the gate). A metric regresses when new > old·(1+tolerance); a
 // regression on a warn-only metric counts as a warning, anything else as a
-// hard regression.
+// hard regression. The cheap-path counters never regress.
 func Diff(oldF, newF File, tol Tolerances) Report {
 	rep := Report{OldMeta: oldF.Meta, NewMeta: newF.Meta}
 	oldBy := make(map[string]Record, len(oldF.Benchmarks))
@@ -166,7 +180,7 @@ func compare(bench, metric string, oldV, newV float64, tol Tolerances) Row {
 	default:
 		row.DeltaPct = (newV - oldV) / oldV * 100
 	}
-	if newV > oldV*(1+row.Tolerance) && newV-oldV > 1e-9 {
+	if !math.IsInf(row.Tolerance, 1) && newV > oldV*(1+row.Tolerance) && newV-oldV > 1e-9 {
 		if tol.WarnOnly[metric] {
 			row.Status = StatusWarn
 		} else {
@@ -188,12 +202,14 @@ func (r Report) Render(w io.Writer) {
 			rows = append(rows, []string{row.Bench, "-", "-", "-", "-", "-", "missing on one side"})
 			continue
 		}
+		tol := "ungated"
+		if !math.IsInf(row.Tolerance, 1) {
+			tol = fmt.Sprintf("+%.0f%%", row.Tolerance*100)
+		}
 		rows = append(rows, []string{
 			row.Bench, row.Metric,
 			formatValue(row.Old), formatValue(row.New),
-			formatDelta(row.DeltaPct),
-			fmt.Sprintf("+%.0f%%", row.Tolerance*100),
-			row.Status,
+			formatDelta(row.DeltaPct), tol, row.Status,
 		})
 	}
 	widths := make([]int, len(rows[0]))

@@ -112,6 +112,44 @@ func TestDomainMetricGate(t *testing.T) {
 	}
 }
 
+// TestCheapPathCountersUngated: warm-starts/op and prefilter-hits/op count
+// cheap paths taken, not work, so a rise in either (or an appearance from
+// zero) is reported without failing, while a cost extra still gates.
+func TestCheapPathCountersUngated(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		metric string
+		old    float64 // 0: the metric is absent from the old record
+		new    float64
+		fail   bool
+	}{
+		{"warm starts rise", "warm-starts/op", 1.26, 1.64, false},
+		{"prefilter hits rise", "prefilter-hits/op", 10, 40, false},
+		{"warm starts appear", "warm-starts/op", 0, 3, false},
+		{"rta iterations rise", "rta-iters/op", 100, 130, true},
+		{"splits rise", "splits/op", 10, 13, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			oldF, newF := baseFile(), baseFile()
+			if tc.old != 0 {
+				oldF.Benchmarks[0].Extra[tc.metric] = tc.old
+			}
+			newF.Benchmarks[0].Extra[tc.metric] = tc.new
+			rep := Diff(oldF, newF, Tolerances{Extra: 0.25})
+			if rep.Failed() != tc.fail {
+				t.Fatalf("%s %v → %v: failed=%v, want %v: %+v", tc.metric, tc.old, tc.new, rep.Failed(), tc.fail, rep.Rows)
+			}
+			if !tc.fail {
+				var buf bytes.Buffer
+				rep.Render(&buf)
+				if !strings.Contains(buf.String(), tc.metric) || !strings.Contains(buf.String(), "ungated") {
+					t.Errorf("ungated row not reported:\n%s", buf.String())
+				}
+			}
+		})
+	}
+}
+
 // TestMissingBenchmarksWarn checks both directions of benchmark set drift.
 func TestMissingBenchmarksWarn(t *testing.T) {
 	oldF, newF := baseFile(), baseFile()
