@@ -30,7 +30,7 @@
 # global-RM simulator, the EDF-TS budget search, the EDF check interval and
 # the EDF-TS window split (each against the implementation it replaced,
 # kept in its tests), EDF-TS and EDF-FF termination on periods up to
-# math.MaxInt64, a
+# task.MaxTime (the model's domain), a
 # -paranoid quick table that re-validates every partitioning the harness
 # produces, a telemetry smoke that schema-lints a run-event log (including
 # the rejection-cause breakdown), an explain-replay golden (a fixed
@@ -45,11 +45,11 @@
 # churns a journaled admitd, SIGKILLs it and requires the restarted daemon
 # to recover a digest-identical canonical state (DESIGN.md §14), and a
 # perf-regression gate diffing the regenerated hot-path bench record
-# against the committed baseline (DESIGN.md §10) — plus absolute speed
-# floors that lock in the batch-kernel win (E2AcceptanceGeneral under
-# 700µs/op, AdmitService above ~140k admissions/sec, the journaled service
-# under 15µs/op). Run from the repository root; any failure fails
-# the gate.
+# against the committed baseline (DESIGN.md §10), which also holds the new
+# record to the absolute ns/op ceilings declared in internal/perfdiff
+# (E2AcceptanceGeneral under 700µs/op, AdmitService above ~140k
+# admissions/sec, the journaled service under 15µs/op). Run from the
+# repository root; any failure fails the gate.
 set -eu
 
 echo "== gofmt =="
@@ -81,7 +81,7 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, reused arena vs a fresh one, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on extreme periods) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, reused arena vs a fresh one, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on periods up to the domain limit) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzThresholdSound -fuzztime 5s repro/internal/partition
@@ -276,26 +276,9 @@ echo "== perf-regression gate (new record vs committed baseline) =="
 # warn; allocs/op and the domain metrics (rta-iters/op, splits/op, ...) are
 # deterministic for the fixed bench seeds and gate hard, except the
 # cheap-path counters (warm-starts/op, prefilter-hits/op), reported ungated.
+# The absolute ns/op ceilings (perfdiff's nsCeilings) gate hard on the new
+# record whatever -warn says.
 go run ./cmd/perfdiff -warn 'ns/op,B/op' -allocs-tol 0.25 -extra-tol 0.25 "$baseline" BENCH_hotpath.json
 rm -f "$baseline"
-
-echo "== hot-path speed floors (batch-kernel win must hold) =="
-# Absolute ns/op ceilings, deliberately generous against shared-hardware
-# noise but far below the pre-batch-kernel numbers: E2AcceptanceGeneral ran
-# ~840µs/op before the SoA kernel / cross-scale reuse / HB prefilter wave
-# and ~420-460µs/op after, so 700µs only trips on a real regression.
-# AdmitService at 7µs/op is ~140k admissions/sec, above the 100k target.
-e2_ns=$(awk '/"name": "E2AcceptanceGeneral"/{f=1} f && /"ns_per_op"/{gsub(/[^0-9.]/, ""); print; exit}' BENCH_hotpath.json)
-echo "E2AcceptanceGeneral: ${e2_ns} ns/op (ceiling 700000)"
-awk -v ns="$e2_ns" 'BEGIN { exit !(ns > 0 && ns <= 700000) }'
-admit_ns=$(awk '/"name": "AdmitService"/{f=1} f && /"ns_per_op"/{gsub(/[^0-9.]/, ""); print; exit}' BENCH_hotpath.json)
-echo "AdmitService: ${admit_ns} ns/op (ceiling 7000)"
-awk -v ns="$admit_ns" 'BEGIN { exit !(ns > 0 && ns <= 7000) }'
-# The journaled service (fsync off, snapshots off — pure record-encode cost)
-# runs ~7.5µs/op against ~4.4µs unjournaled; 15µs only trips on a real
-# regression in the append path.
-journal_ns=$(awk '/"name": "AdmitServiceJournaled"/{f=1} f && /"ns_per_op"/{gsub(/[^0-9.]/, ""); print; exit}' BENCH_hotpath.json)
-echo "AdmitServiceJournaled: ${journal_ns} ns/op (ceiling 15000)"
-awk -v ns="$journal_ns" 'BEGIN { exit !(ns > 0 && ns <= 15000) }'
 
 echo "CI gate passed."

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -23,9 +24,8 @@ import (
 // 1 − Utilization(q), and the scalar oracle must confirm the refusal there:
 // the candidate's own verdict is not fits, or a resident is blocked.
 // Residents are decoded from varints, so the fuzzer reaches constrained
-// deadlines, priority ties, surcharges and parameters near MaxInt64 (where
-// the checked kernel and the demand overflow verdict take over) as readily
-// as small task sets.
+// deadlines, priority ties, surcharges and parameters past task.MaxTime
+// (which the engine must refuse to restore) as readily as small task sets.
 func FuzzEvidenceVsProbeRTA(f *testing.F) {
 	seed := func(vals ...uint64) []byte {
 		var b []byte
@@ -83,20 +83,21 @@ func FuzzEvidenceVsProbeRTA(f *testing.F) {
 				eng.Remove(uint64(op/3)%(eng.HandleSeq()+1) + 1)
 				continue
 			}
-			rc, okC := mathx.AddChecked(cm1, 1)
-			rd, okD := mathx.AddChecked(rc, s)
-			if okD {
-				rd, okD = mathx.AddChecked(rd, slackD)
-			}
-			rt, okT := mathx.AddChecked(rd, slackT)
-			if !(okC && okD && okT) {
-				continue
-			}
+			rc := mathx.AddSat(cm1, 1)
+			rd := mathx.AddSat(mathx.AddSat(rc, s), slackD)
+			rt := mathx.AddSat(rd, slackT)
 			if op%3 == 1 {
 				eng.Admit(task.Task{C: rc, T: rt, D: rd})
 				continue
 			}
-			if err := eng.RestoreResident(int(op/3%int64(m)), eng.HandleSeq()+1, rc, rt, rd); err != nil {
+			err := eng.RestoreResident(int(op/3%int64(m)), eng.HandleSeq()+1, rc, rt, rd)
+			if rt > task.MaxTime {
+				if !errors.Is(err, task.ErrDomain) {
+					t.Fatalf("restore (c=%d t=%d d=%d) past MaxTime: got %v, want a domain error", rc, rt, rd, err)
+				}
+				continue
+			}
+			if err != nil {
 				t.Fatalf("restore (c=%d t=%d d=%d): %v", rc, rt, rd, err)
 			}
 		}

@@ -154,6 +154,7 @@ func TestHTTPErrorTable(t *testing.T) {
 		{"unknown handle", "POST", "/v1/clusters/edge/remove", `{"handle":999}`, http.StatusNotFound},
 		{"duplicate create", "POST", "/v1/clusters", `{"name":"edge","m":2}`, http.StatusConflict},
 		{"invalid params", "POST", "/v1/clusters", `{"name":"bad","m":0}`, http.StatusBadRequest},
+		{"out-of-domain surcharge", "POST", "/v1/clusters", `{"name":"big","m":1,"surcharge":17592186044417}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -347,5 +348,27 @@ func TestHTTPThresholdRefusesJustAboveTheBound(t *testing.T) {
 	}
 	if v["cause"] != "threshold-exhausted" {
 		t.Fatalf("admit b: cause %v, want threshold-exhausted", v["cause"])
+	}
+}
+
+// TestHTTPAdmitDomainEdge drives the model's domain through the admit
+// endpoint: a period of task.MaxTime is analyzed and accepted, one tick
+// more is an invalid-input rejection naming the domain, never a wrapped
+// value or a hang.
+func TestHTTPAdmitDomainEdge(t *testing.T) {
+	h := NewService(4).Handler()
+	if w, v := doJSON(t, h, "POST", "/v1/clusters", `{"name":"dom","m":1}`); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %v", w.Code, v)
+	}
+	w, v := doJSON(t, h, "POST", "/v1/clusters/dom/admit", `{"name":"top","c":17592186044416,"t":17592186044416}`)
+	if w.Code != http.StatusOK || v["accepted"] != true {
+		t.Fatalf("admit at MaxTime: %d %v, want accepted", w.Code, v)
+	}
+	w, v = doJSON(t, h, "POST", "/v1/clusters/dom/admit", `{"name":"past","c":1,"t":17592186044417}`)
+	if w.Code != http.StatusOK || v["accepted"] == true || v["cause"] != "invalid-input" {
+		t.Fatalf("admit past MaxTime: %d %v, want an invalid-input rejection", w.Code, v)
+	}
+	if reason, _ := v["reason"].(string); !strings.Contains(reason, "outside the model's domain") {
+		t.Errorf("reason %q lacks the domain message", reason)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -493,6 +494,47 @@ func TestRecoveryRefusesCorruption(t *testing.T) {
 		_, err := NewService(8).AttachJournal(JournalConfig{Dir: dir})
 		if err == nil {
 			t.Fatal("8-shard service opened a 4-shard data dir")
+		}
+	})
+	// A hand-written record or resident whose period lies past task.MaxTime
+	// is outside the model's domain: replay re-rejects the admission and
+	// snapshot restore refuses the resident, so startup fails with
+	// ErrCorrupt instead of loading it.
+	outOfDomain := func(t *testing.T, p string, old, new string) {
+		t.Helper()
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := bytes.Replace(data, []byte(old), []byte(new), 1)
+		if bytes.Equal(edited, data) {
+			t.Fatalf("%s holds no %s", p, old)
+		}
+		if err := os.WriteFile(p, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("out-of-domain-wal-record", func(t *testing.T) {
+		dir := seedDir(t)
+		outOfDomain(t, shardOf(dir), `"t":10`, `"t":17592186044417`)
+		if _, err := NewService(4).AttachJournal(JournalConfig{Dir: dir}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside the model's domain") {
+			t.Fatalf("err = %v, want ErrCorrupt naming the domain", err)
+		}
+	})
+	t.Run("out-of-domain-snapshot-resident", func(t *testing.T) {
+		dir := seedDir(t)
+		svc := NewService(4)
+		if _, err := svc.AttachJournal(JournalConfig{Dir: dir, SnapshotEvery: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		svc.crash()
+		outOfDomain(t, snapPath(dir, NewService(4).shardIndex("alpha")),
+			`"t":10,"d":10`, `"t":17592186044417,"d":17592186044417`)
+		if _, err := NewService(4).AttachJournal(JournalConfig{Dir: dir}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside the model's domain") {
+			t.Fatalf("err = %v, want ErrCorrupt naming the domain", err)
 		}
 	})
 }

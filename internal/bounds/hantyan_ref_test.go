@@ -92,15 +92,18 @@ func hanTyanRat(ts task.Set) (fits, near bool) {
 }
 
 // htCorner is the float corner: U = 1 + 2^-60 on one processor, which a
-// float sum rounds to 1. Exact RTA misses the second task by one tick.
+// float sum rounds to 1. Both tasks share one period, so their demand
+// C_a + C_b exceeds it by one tick: a miss. The periods lie outside the
+// model's domain (task.MaxTime), which every partitioner refuses; the bound
+// itself is exact integer arithmetic on any int64, so the row stays here.
 var htCorner = task.Set{{C: 1 << 59, T: 1 << 60}, {C: 1<<59 + 1, T: 1 << 60}}
 
 // htCornerSeed decodes to htCorner (FuzzHanTyanVsReference's corpus).
 var htCornerSeed = []byte{33, 0, 0, 33, 0, 64}
 
 func TestHanTyanFloatCornerRefused(t *testing.T) {
-	if rmSchedulable(htCorner) {
-		t.Fatal("the reproducer no longer misses under exact RTA")
+	if htCorner[0].C+htCorner[1].C <= htCorner[0].T {
+		t.Fatal("the reproducer's demand no longer exceeds its shared period")
 	}
 	if !hanTyanFloat(htCorner) {
 		t.Fatal("the reproducer no longer fools the float sum")
@@ -159,6 +162,9 @@ func decodeHanTyanSet(data []byte) task.Set {
 // FuzzHanTyanVsReference pins HanTyanScratch, on a reused Scratch, to the
 // exact-rational folding and to the former float implementation, which it
 // may part from only where some folded utilization is within 2^-40 of 1.
+// A small set it admits must pass exact RTA when it lies in the model's
+// domain (task.MaxTime); the decoder also reaches periods up to 2^62,
+// where only the bound's own arithmetic is checked.
 func FuzzHanTyanVsReference(f *testing.F) {
 	f.Add(htCornerSeed)
 	f.Add([]byte{0, 3, 200, 0, 7, 150, 3, 0, 64})
@@ -183,7 +189,7 @@ func FuzzHanTyanVsReference(f *testing.F) {
 		if old := hanTyanFloat(ts); old != got && !near {
 			t.Fatalf("float %v, integer %v on %v, far from the rounding corner", old, got, ts)
 		}
-		if got && len(ts) <= 4 && !rmSchedulable(ts) {
+		if got && len(ts) <= 4 && ts.Validate() == nil && !rmSchedulable(ts) {
 			t.Fatalf("Han–Tyan admits %v, which exact RTA refuses", ts)
 		}
 	})

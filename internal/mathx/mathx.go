@@ -1,6 +1,6 @@
 // Package mathx provides small integer-math helpers used throughout the
 // scheduling analyses: ceiling division, GCD/LCM with overflow saturation,
-// and checked arithmetic on the discrete time domain.
+// and saturating arithmetic on the discrete time domain.
 //
 // All scheduling analysis in this repository runs on int64 "ticks" rather
 // than floating point, so that response-time fixed points, hyperperiods and
@@ -105,36 +105,6 @@ func AddSat(a, b int64) int64 {
 		return math.MaxInt64
 	}
 	return a + b
-}
-
-// AddChecked returns a+b and true for non-negative inputs whose sum fits in
-// int64, or math.MaxInt64 and false on overflow. The analysis hot paths use
-// it where a silent wrap would turn an over-limit demand into a small bogus
-// one; the false return lets callers degrade to an explicit verdict
-// (rta.VerdictExceedsLimit) instead.
-func AddChecked(a, b int64) (int64, bool) {
-	if a < 0 || b < 0 {
-		panic("mathx: AddChecked requires non-negative operands")
-	}
-	if a > math.MaxInt64-b {
-		return math.MaxInt64, false
-	}
-	return a + b, true
-}
-
-// MulChecked returns a*b and true for non-negative inputs whose product fits
-// in int64, or math.MaxInt64 and false on overflow.
-func MulChecked(a, b int64) (int64, bool) {
-	if a < 0 || b < 0 {
-		panic("mathx: MulChecked requires non-negative operands")
-	}
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64, false
-	}
-	return a * b, true
 }
 
 // MaxInt64 returns the larger of a and b.

@@ -181,59 +181,6 @@ func TestAddSat(t *testing.T) {
 	}
 }
 
-func TestAddChecked(t *testing.T) {
-	cases := []struct {
-		a, b, want int64
-		ok         bool
-	}{
-		{0, 0, 0, true},
-		{3, 4, 7, true},
-		{math.MaxInt64 - 1, 1, math.MaxInt64, true},
-		{math.MaxInt64, 1, math.MaxInt64, false},
-		{math.MaxInt64, math.MaxInt64, math.MaxInt64, false},
-	}
-	for _, c := range cases {
-		got, ok := AddChecked(c.a, c.b)
-		if got != c.want || ok != c.ok {
-			t.Errorf("AddChecked(%d,%d) = %d,%v, want %d,%v", c.a, c.b, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestMulChecked(t *testing.T) {
-	cases := []struct {
-		a, b, want int64
-		ok         bool
-	}{
-		{0, math.MaxInt64, 0, true},
-		{3, 4, 12, true},
-		{math.MaxInt64, 1, math.MaxInt64, true},
-		{math.MaxInt64/2 + 1, 2, math.MaxInt64, false},
-		{math.MaxInt64, 2, math.MaxInt64, false},
-	}
-	for _, c := range cases {
-		got, ok := MulChecked(c.a, c.b)
-		if got != c.want || ok != c.ok {
-			t.Errorf("MulChecked(%d,%d) = %d,%v, want %d,%v", c.a, c.b, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestCheckedMatchesSat(t *testing.T) {
-	f := func(a, b uint16) bool {
-		x, y := int64(a), int64(b)
-		s, ok := AddChecked(x, y)
-		if s != AddSat(x, y) || !ok {
-			return false
-		}
-		p, ok := MulChecked(x, y)
-		return p == MulSat(x, y) && ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMinMaxInt64(t *testing.T) {
 	if MaxInt64(2, 3) != 3 || MaxInt64(3, 2) != 3 {
 		t.Error("MaxInt64 wrong")

@@ -198,19 +198,28 @@ func TestHanTyanAdmissionPartitionsSimulateClean(t *testing.T) {
 
 // TestHanTyanHugePeriodReturns is a regression test: the Han–Tyan folding
 // once doubled its harmonic base with h*2 ≤ T, which overflows and loops
-// forever once a period exceeds 2^62. Both entry points must return, and
-// accept the lone nearly-idle task.
+// forever once a period exceeds 2^62. Both entry points must return. The
+// bound itself still accepts the lone nearly-idle task; the partitioner
+// refuses it as outside the model's domain, and accepts the same task at
+// the domain's largest period.
 func TestHanTyanHugePeriodReturns(t *testing.T) {
-	ts := task.Set{{C: 1, T: 1<<62 + 1}}
-	done := make(chan [2]bool, 1)
+	type verdicts struct {
+		bound, huge, corner bool
+		cause               Cause
+	}
+	done := make(chan verdicts, 1)
 	go func() {
-		res := FirstFit{Admission: AdmitHanTyan}.Partition(ts, 1)
-		done <- [2]bool{bounds.HanTyanSchedulable(ts), res.OK}
+		huge := task.Set{{C: 1, T: 1<<62 + 1}}
+		res := FirstFit{Admission: AdmitHanTyan}.Partition(huge, 1)
+		v := verdicts{bound: bounds.HanTyanSchedulable(huge), huge: res.OK, cause: res.Cause}
+		v.corner = FirstFit{Admission: AdmitHanTyan}.Partition(task.Set{{C: 1, T: task.MaxTime}}, 1).OK
+		done <- v
 	}()
 	select {
 	case got := <-done:
-		if !got[0] || !got[1] {
-			t.Errorf("HanTyanSchedulable = %v, FirstFit[HT] OK = %v; want both true", got[0], got[1])
+		if !got.bound || got.huge || got.cause != CauseInvalidInput || !got.corner {
+			t.Errorf("HanTyanSchedulable = %v, FirstFit[HT] OK = %v (cause %v), at MaxTime OK = %v; want true, false (invalid-input), true",
+				got.bound, got.huge, got.cause, got.corner)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Han–Tyan test did not return for a period above 2^62")
@@ -254,19 +263,26 @@ func TestThresholdAdmissionsRefuseJustAboveTheBound(t *testing.T) {
 
 // TestHanTyanAdmissionRefusesFloatCorner is the Han–Tyan float corner: on
 // one processor {C 2^59, T 2^60} and {C 2^59+1, T 2^60} have U = 1 + 2^-60,
-// which a float sum rounds to 1, and exact RTA misses the second task by
-// one tick. The integer folding refuses it.
+// which a float sum rounds to 1. Its periods are now outside the model's
+// domain, so the partitioner refuses the set as invalid input before any
+// admission runs. Its image at the domain's largest power of two, U = 1 +
+// 2^-44, misses under exact RTA by one tick, and the integer folding
+// refuses it too.
 func TestHanTyanAdmissionRefusesFloatCorner(t *testing.T) {
 	corner := task.Set{{Name: "a", C: 1 << 59, T: 1 << 60}, {Name: "b", C: 1<<59 + 1, T: 1 << 60}}
-	list := []task.Subtask{task.Whole(0, corner[0])}
-	b := corner[1]
+	if res := (FirstFit{Admission: AdmitHanTyan}).Partition(corner, 1); res.OK || res.Cause != CauseInvalidInput {
+		t.Errorf("P-RM-FF[HT] on the 2^60 corner: OK %v cause %v, want an invalid-input refusal", res.OK, res.Cause)
+	}
+	in := task.Set{{Name: "a", C: task.MaxTime / 2, T: task.MaxTime}, {Name: "b", C: task.MaxTime/2 + 1, T: task.MaxTime}}
+	list := []task.Subtask{task.Whole(0, in[0])}
+	b := in[1]
 	if rta.SchedulableWithExtraAt(list, 1, b.C, b.T, b.T) {
-		t.Fatal("the reproducer no longer misses under exact RTA")
+		t.Fatal("the in-domain corner no longer misses under exact RTA")
 	}
 	if AdmitHanTyan.admits(list, b.C, b.T, new(Arena)) {
 		t.Error("HT admits b on [a] although exact RTA misses")
 	}
-	if res := (FirstFit{Admission: AdmitHanTyan}).Partition(corner, 1); res.OK || res.Guaranteed {
+	if res := (FirstFit{Admission: AdmitHanTyan}).Partition(in, 1); res.OK || res.Guaranteed {
 		t.Errorf("P-RM-FF[HT] accepts the set on one processor (Guaranteed %v):\n%s", res.Guaranteed, res.Assignment)
 	}
 }

@@ -3,7 +3,6 @@ package partition
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -226,11 +225,12 @@ func TestEDFTSTerminatesNearFullProcessors(t *testing.T) {
 }
 
 // FuzzEDFTSTerminates requires EDF-TS and EDF-FF to return, within a
-// deadline, on sets whose periods and execution times reach math.MaxInt64.
-// The first byte picks m (2–9); each following 25-byte group is one task:
-// 8 bytes each of period, execution time and deadline (each read as a
-// 63-bit value and folded into range: C ∈ [1, T], D ∈ [C, T]), and a right
-// shift that scales the period down, so small and huge periods mix.
+// deadline, on sets whose periods and execution times reach task.MaxTime,
+// where edfa refuses busy periods past its own 2^34 limit. The first byte
+// picks m (2–9); each following 25-byte group is one task: 8 bytes each of
+// period, execution time and deadline (each read as a 63-bit value and
+// folded into range: T ∈ [1, MaxTime], C ∈ [1, T], D ∈ [C, T]), and a
+// right shift that scales the period down, so small and huge periods mix.
 func FuzzEDFTSTerminates(f *testing.F) {
 	enc := func(m int, ts task.Set) []byte {
 		b := []byte{byte(m - 2)}
@@ -245,7 +245,7 @@ func FuzzEDFTSTerminates(f *testing.F) {
 	for _, c := range edftsHangSets {
 		f.Add(enc(c.m, c.ts))
 	}
-	f.Add(enc(3, task.Set{{C: 300, T: 1000, D: 700}, {C: math.MaxInt64, T: math.MaxInt64}, {C: 1 << 40, T: math.MaxInt64 >> 3, D: 1 << 50}}))
+	f.Add(enc(3, task.Set{{C: 300, T: 1000, D: 700}, {C: task.MaxTime, T: task.MaxTime}, {C: 1 << 40, T: task.MaxTime >> 2, D: 1 << 41}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -254,7 +254,7 @@ func FuzzEDFTSTerminates(f *testing.F) {
 		var ts task.Set
 		for data = data[1:]; len(data) >= 25 && len(ts) < 12; data = data[25:] {
 			word := func(i int) task.Time { return task.Time(binary.LittleEndian.Uint64(data[8*i:]) >> 1) }
-			T := max(word(0)>>(data[24]%63), 1)
+			T := min(max(word(0)>>(data[24]%63), 1), task.MaxTime)
 			C := 1 + word(1)%T
 			ts = append(ts, task.Task{C: C, T: T, D: C + word(2)%(T-C+1)})
 		}

@@ -76,6 +76,10 @@ type Placement struct {
 	Response task.Time
 }
 
+// errClusterFull refuses a resident past task.MaxTasks: a cluster is one
+// task set of the model's domain (DESIGN.md §13).
+var errClusterFull = fmt.Errorf("cluster already holds MaxTasks = %d residents: %w", task.MaxTasks, task.ErrDomain)
+
 // Rejection is a typed online admission rejection, reusing the batch
 // taxonomy: the cause names the admission test that fired.
 type Rejection struct {
@@ -101,6 +105,9 @@ func NewOnline(m int, policy string, surcharge task.Time) (*Online, error) {
 	}
 	if surcharge < 0 {
 		return nil, fmt.Errorf("partition: negative surcharge %d", surcharge)
+	}
+	if surcharge > task.MaxTime {
+		return nil, fmt.Errorf("partition: surcharge %d exceeds MaxTime %d: %w", surcharge, task.MaxTime, task.ErrDomain)
 	}
 	return &Online{
 		m:         m,
@@ -185,7 +192,11 @@ func (o *Online) ProbeRTA(q int, t task.Task) rta.Probe {
 // *Rejection carrying the partition.Cause that names the violated test (and
 // ticks the partition.reject.* counter, like every batch rejection).
 func (o *Online) Admit(t task.Task) (Placement, error) {
-	if err := t.Validate(); err != nil {
+	err := t.Validate()
+	if err == nil && len(o.loc) >= task.MaxTasks {
+		err = errClusterFull
+	}
+	if err != nil {
 		return o.reject(CauseInvalidInput, err.Error())
 	}
 	s := o.surcharge
@@ -294,15 +305,19 @@ func (o *Online) RestoreResident(proc int, handle uint64, c, t, d task.Time) err
 		return fmt.Errorf("partition: restore: processor %d out of range [0,%d)", proc, o.m)
 	case handle == 0:
 		return fmt.Errorf("partition: restore: zero handle")
-	case c <= 0 || t <= 0 || d < c || d > t:
-		return fmt.Errorf("partition: restore: invalid resident (c=%d t=%d d=%d)", c, t, d)
-	case c+o.surcharge > d:
+	case len(o.loc) >= task.MaxTasks:
+		return fmt.Errorf("partition: restore: %w", errClusterFull)
+	}
+	sub := task.Subtask{TaskIndex: int(d), Part: 1, C: c, T: t, Deadline: d, Offset: t - d, Tail: true}
+	if err := sub.Validate(); err != nil {
+		return fmt.Errorf("partition: restore: invalid resident (c=%d t=%d d=%d): %w", c, t, d, err)
+	}
+	if c+o.surcharge > d {
 		return fmt.Errorf("partition: restore: resident %d infeasible under surcharge %d", handle, o.surcharge)
 	}
 	if _, taken := o.loc[handle]; taken {
 		return fmt.Errorf("partition: restore: duplicate handle %d", handle)
 	}
-	sub := task.Subtask{TaskIndex: int(d), Part: 1, C: c, T: t, Deadline: d, Offset: t - d, Tail: true}
 	o.install(proc, handle, sub)
 	if handle > o.nextH {
 		o.nextH = handle

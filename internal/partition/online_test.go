@@ -344,6 +344,12 @@ func TestNewOnlineValidation(t *testing.T) {
 	if _, err := NewOnline(2, "", -1); err == nil {
 		t.Error("negative surcharge accepted")
 	}
+	if _, err := NewOnline(2, "", task.MaxTime+1); !errors.Is(err, task.ErrDomain) {
+		t.Errorf("surcharge past MaxTime: %v, want a domain error", err)
+	}
+	if _, err := NewOnline(2, "", task.MaxTime); err != nil {
+		t.Errorf("surcharge at MaxTime: %v", err)
+	}
 	o, err := NewOnline(2, "", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -477,5 +483,30 @@ func TestOnlineRestoreValidation(t *testing.T) {
 	}
 	if pl, err := o.Admit(task.Task{C: 1, T: 100}); err != nil || pl.Handle != 10 {
 		t.Errorf("post-restore admit: %+v, %v (want handle 10)", pl, err)
+	}
+}
+
+// TestOnlineClusterIsOneTaskSet pins the resident cap: a cluster is one
+// task set of the model's domain, so once it holds task.MaxTasks residents
+// the next admission is an invalid-input rejection and the next restore an
+// error, both wrapping task.ErrDomain.
+func TestOnlineClusterIsOneTaskSet(t *testing.T) {
+	const m = 256
+	o, err := NewOnline(m, OnlineRTAFirstFit, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := uint64(1); h <= task.MaxTasks; h++ {
+		if err := o.RestoreResident(int(h%m), h, 1, 1<<20, 1<<20); err != nil {
+			t.Fatalf("restore %d: %v", h, err)
+		}
+	}
+	_, err = o.Admit(task.Task{C: 1, T: 1 << 20})
+	var rej *Rejection
+	if !errors.As(err, &rej) || rej.Cause != CauseInvalidInput || !errors.Is(errClusterFull, task.ErrDomain) {
+		t.Errorf("admission past MaxTasks: %v, want an invalid-input rejection", err)
+	}
+	if err := o.RestoreResident(0, task.MaxTasks+1, 1, 10, 10); !errors.Is(err, task.ErrDomain) {
+		t.Errorf("restore past MaxTasks: %v, want a domain error", err)
 	}
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 
+	"repro/internal/mathx"
 	"repro/internal/rta"
 	"repro/internal/task"
 )
@@ -48,8 +49,8 @@ func surcharged(list []task.Subtask, s task.Time) []task.Subtask {
 	out := make([]task.Subtask, len(list))
 	for i, sub := range list {
 		// The surcharge may push a fragment's viewed demand past its
-		// synthetic deadline; RTA then reports it unschedulable, which is
-		// the correct conservative outcome. The view is never validated.
+		// synthetic deadline; VerifyWithSurcharge refuses such a fragment
+		// before any RTA runs over the view.
 		sub.C += s
 		out[i] = sub
 	}
@@ -64,9 +65,17 @@ func surcharged(list []task.Subtask, s task.Time) []task.Subtask {
 // VerifyWithSurcharge re-checks a Result like Verify, but with every RTA
 // term surcharged by s per fragment — the independent check matching
 // overhead-aware admission. VerifyWithSurcharge(res, 0) is Verify(res).
+//
+// A fragment with C + s > Δ misses at its own position: its response is
+// at least C + s. That refusal is exact and runs before RTA reaches the
+// fragment, so every interferer RTA evaluates has met its deadline and
+// satisfies C + s ≤ Δ ≤ T, the premise of DESIGN.md §13.
 func VerifyWithSurcharge(res *Result, s task.Time) error {
 	if res == nil || res.Assignment == nil {
 		return fmt.Errorf("partition: nil result")
+	}
+	if s < 0 {
+		return fmt.Errorf("partition: negative surcharge %d", s)
 	}
 	if !res.OK {
 		return fmt.Errorf("partition: result reports failure: %s", res.Reason)
@@ -83,7 +92,10 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 	// Exact RTA of every subtask on its processor.
 	for q, list := range asg.Procs {
 		sur := surcharged(list, s)
-		for i := range sur {
+		for i, sub := range list {
+			if s > sub.Deadline-sub.C {
+				return fmt.Errorf("partition: processor %d: %s has response %d%s exceeding synthetic deadline %d", q, sub, mathx.AddSat(sub.C, s), under, sub.Deadline)
+			}
 			if r, ok := rta.SubtaskResponse(sur, i); !ok {
 				return fmt.Errorf("partition: processor %d: %s has response %d%s exceeding synthetic deadline %d", q, list[i], r, under, list[i].Deadline)
 			}

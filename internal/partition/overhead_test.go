@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -164,5 +165,33 @@ func TestVerifyWithSurchargeCatchesTightPlans(t *testing.T) {
 	}
 	if !caught {
 		t.Error("no tightly-packed plan failed the surcharged verification")
+	}
+}
+
+// TestSurchargeOutsideDomainRefused pins the surcharge edges of the model's
+// domain: a negative surcharge is invalid input to both overhead-aware
+// partitioners (it once panicked inside MaxSplit), a surcharge past every
+// T − C is surcharge-infeasible without overflowing C + s, and
+// VerifyWithSurcharge refuses both without running RTA on the view.
+func TestSurchargeOutsideDomainRefused(t *testing.T) {
+	ts := task.Set{{Name: "a", C: 3, T: 10}, {Name: "b", C: 4, T: 12}, {Name: "c", C: 5, T: 20}, {Name: "d", C: 9, T: 30}}
+	for _, tc := range []struct {
+		s    task.Time
+		want Cause
+	}{{-2, CauseInvalidInput}, {math.MaxInt64, CauseSurchargeInfeasible}} {
+		for _, alg := range []Algorithm{&RMTS{Surcharge: tc.s}, RMTSLight{Surcharge: tc.s}} {
+			if res := alg.Partition(ts, 2); res.OK || res.Cause != tc.want {
+				t.Errorf("%s with surcharge %d: OK %v cause %v, want %v", alg.Name(), tc.s, res.OK, res.Cause, tc.want)
+			}
+		}
+	}
+	res := (&RMTS{}).Partition(ts, 2)
+	if !res.OK {
+		t.Fatalf("setup: %s", res.Reason)
+	}
+	for _, s := range []task.Time{-1, math.MaxInt64} {
+		if err := VerifyWithSurcharge(res, s); err == nil {
+			t.Errorf("VerifyWithSurcharge(%d) accepted", s)
+		}
 	}
 }

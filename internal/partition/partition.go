@@ -14,6 +14,7 @@ package partition
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/rta"
@@ -240,18 +241,23 @@ func requireImplicit(sorted task.Set, asg *task.Assignment, who string) *Result 
 		who+" requires implicit deadlines (D = T); use the RTA-based algorithms for constrained deadlines")
 }
 
-// surchargeFeasible reports the first task that cannot possibly meet its
-// deadline under a per-fragment surcharge s (C + s > T: even alone on a
-// processor, its surcharged demand exceeds the deadline, and splitting
-// only multiplies the surcharge), or -1 if all are feasible.
-func surchargeFeasible(sorted task.Set, s task.Time) int {
-	if s <= 0 {
-		return -1
+// refuseSurcharge fails res, and reports true, when the per-fragment
+// surcharge s leaves the model's domain (s < 0) or some task cannot meet
+// its deadline under it even alone on a processor (C + s > T; splitting
+// only multiplies the surcharge).
+func refuseSurcharge(res *Result, sorted task.Set, s task.Time, tr *obs.Trace) bool {
+	if s < 0 {
+		failWith(res, CauseInvalidInput, -1, fmt.Sprintf("negative surcharge %d", s))
+		traceFail(tr, -1, res.Reason)
+		return true
 	}
 	for i, t := range sorted {
-		if t.C+s > t.T {
-			return i
+		if s > t.T-t.C { // C + s > T without overflow for any s
+			failWith(res, CauseSurchargeInfeasible, i,
+				"τ"+strconv.Itoa(i)+" cannot meet its deadline under the overhead surcharge (C+s > T)")
+			traceFail(tr, i, res.Reason)
+			return true
 		}
 	}
-	return -1
+	return false
 }

@@ -12,7 +12,8 @@ import (
 // scalar RTA must find the surcharged post-insert processor schedulable —
 // for the candidate's own period and for the tightest period t = d, so for
 // every t ≥ d. The first byte picks the surcharge (0–2), the second a shared
-// left shift that scales every magnitude up to ~2^50; each following 4-byte
+// left shift that scales every magnitude up to ~2^43, inside the model's
+// domain (task.MaxTime); each following 4-byte
 // group is one subtask (priority selector, period, execution share,
 // deadline share) with a constrained deadline C ≤ d ≤ T. Priorities come
 // from the selector, not the deadlines, so post-insert orders are often not
@@ -29,7 +30,7 @@ func FuzzPrefilterSound(f *testing.F) {
 			return
 		}
 		s := task.Time(data[0] % 3)
-		shift := uint(data[1] % 41)
+		shift := uint(data[1] % 34)
 		data = data[2:]
 		if len(data) > 64 {
 			data = data[:64]

@@ -50,10 +50,7 @@ func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	states := ar.procStates(m, a.Surcharge)
 	res := ar.result("")
 	tr := a.Trace
-	if i := surchargeFeasible(sorted, a.Surcharge); i >= 0 {
-		failWith(res, CauseSurchargeInfeasible, i,
-			"τ"+strconv.Itoa(i)+" cannot meet its deadline under the overhead surcharge (C+s > T)")
-		traceFail(tr, i, res.Reason)
+	if refuseSurcharge(res, sorted, a.Surcharge, tr) {
 		return res
 	}
 	// Increasing priority order: lowest priority (largest index) first.
@@ -200,10 +197,7 @@ func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	lambda := bounds.EffectiveRMTSScratch(p, sorted, &ar.bsc)
 	res := ar.result("")
 	tr := a.Trace
-	if i := surchargeFeasible(sorted, a.Surcharge); i >= 0 {
-		failWith(res, CauseSurchargeInfeasible, i,
-			"τ"+strconv.Itoa(i)+" cannot meet its deadline under the overhead surcharge (C+s > T)")
-		traceFail(tr, i, res.Reason)
+	if refuseSurcharge(res, sorted, a.Surcharge, tr) {
 		return res
 	}
 

@@ -18,7 +18,7 @@ import (
 //     C_i = T_{i+1} − T_i, at periods up to 2^40;
 //   - 1: hyperbolic-tight sets, every U_i ≈ 2^{1/n} − 1 so Π(1+U_i) ≈ 2;
 //   - 2: power-of-two harmonic chains filled to U = 1 exactly, with periods
-//     up to 2^62, where Han–Tyan's U ≤ 1 is tight;
+//     up to task.MaxTime = 2^44, where Han–Tyan's U ≤ 1 is tight;
 //   - 3: raw (C, T) pairs, 8 bytes each, big-endian (the reproducers).
 //
 // Every task is implicit-deadline with 1 ≤ C ≤ T; nil means no set.
@@ -61,7 +61,7 @@ func decodeThresholdSet(data []byte) task.Set {
 			ts = append(ts, task.Task{C: c, T: p})
 		}
 	case 2:
-		top := 10 + int(scale)%53
+		top := 10 + int(scale)%35
 		k := 0
 		for i := 0; i < n; i++ {
 			if k += int(j(i)) % 3; k >= top {
@@ -117,10 +117,13 @@ func encodeRawSet(ts task.Set) []byte {
 // exact RTA at the threshold's corner: each processor that P-RM-FF under
 // LL, HB or HT, or the online engine's threshold policy, accepts must pass
 // rta.ProcessorSchedulable. The corpus holds the L&L reproducer (U − Θ(2)
-// ≈ 7.1·10⁻¹¹) and the Han–Tyan float corner (U = 1 + 2^-60).
+// ≈ 7.1·10⁻¹¹), the Han–Tyan float corner (U = 1 + 2^-60, outside the
+// model's domain, so every entry point refuses it as invalid input) and
+// its image at the domain's largest period (U = 1 + 2^-44).
 func FuzzThresholdSound(f *testing.F) {
 	f.Add(encodeRawSet(llCorner))
 	f.Add(encodeRawSet(task.Set{{C: 1 << 59, T: 1 << 60}, {C: 1<<59 + 1, T: 1 << 60}}))
+	f.Add(encodeRawSet(task.Set{{C: 1 << 43, T: 1 << 44}, {C: 1<<43 + 1, T: 1 << 44}}))
 	f.Add([]byte{0, 0, 36, 1})
 	f.Add([]byte{0, 3, 20, 0x80})
 	f.Add([]byte{1, 2, 30, 4, 1, 77, 200, 3})

@@ -43,6 +43,22 @@ var cheapPathCounters = map[string]bool{
 	"prefilter-hits/op": true,
 }
 
+// nsCeilings are absolute ns/op ceilings that lock in the hot paths'
+// speed whatever the baseline says (DESIGN.md §10): generous against
+// shared-hardware noise, far below the numbers they guard against.
+// AdmitService at 7 µs/op is ~140k admissions/s. Every diff checks the new
+// record against them (Report.Ceilings); a benchmark over its ceiling, or
+// absent from the record, fails.
+var nsCeilings = map[string]float64{
+	"E2AcceptanceGeneral":   700_000,
+	"AdmitService":          7_000,
+	"AdmitServiceJournaled": 15_000,
+}
+
+// MetricCeiling names the rows that check nsCeilings: Old is the ceiling,
+// New the measured ns/op (NaN when the benchmark is absent).
+const MetricCeiling = "ns/op ceiling"
+
 // tolerance returns the growth allowance for a metric name: +Inf for the
 // ungated cheap-path counters.
 func (t Tolerances) tolerance(metric string) float64 {
@@ -87,8 +103,11 @@ type Row struct {
 type Report struct {
 	OldMeta, NewMeta *Meta
 	Rows             []Row
-	Regressions      int
-	Warnings         int
+	// Ceilings holds one row per nsCeilings entry, in name order, judging
+	// the new record alone.
+	Ceilings    []Row
+	Regressions int
+	Warnings    int
 }
 
 // Failed reports whether the gate should reject (any hard regression).
@@ -132,7 +151,40 @@ func Diff(oldF, newF File, tol Tolerances) Report {
 			rep.Warnings++
 		}
 	}
+	rep.Ceilings = ceilingRows(newF)
+	for _, row := range rep.Ceilings {
+		if row.Status == StatusFail {
+			rep.Regressions++
+		}
+	}
 	return rep
+}
+
+// ceilingRows judges the new record against nsCeilings: a benchmark passes
+// when its ns/op is positive and at most its ceiling.
+func ceilingRows(newF File) []Row {
+	names := make([]string, 0, len(nsCeilings))
+	for name := range nsCeilings {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rows := make([]Row, 0, len(names))
+	for _, name := range names {
+		limit := nsCeilings[name]
+		row := Row{Bench: name, Metric: MetricCeiling, Old: limit, New: math.NaN(), Status: StatusFail}
+		for _, nb := range newF.Benchmarks {
+			if nb.Name == name {
+				row.New = nb.NsPerOp
+				row.DeltaPct = (nb.NsPerOp - limit) / limit * 100
+				if nb.NsPerOp > 0 && nb.NsPerOp <= limit {
+					row.Status = StatusOK
+				}
+				break
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 type metricPair struct {
@@ -212,6 +264,14 @@ func (r Report) Render(w io.Writer) {
 			formatDelta(row.DeltaPct), tol, row.Status,
 		})
 	}
+	for _, row := range r.Ceilings {
+		if math.IsNaN(row.New) {
+			rows = append(rows, []string{row.Bench, row.Metric, formatValue(row.Old), "-", "-", "-", row.Status + " (absent)"})
+			continue
+		}
+		rows = append(rows, []string{row.Bench, row.Metric, formatValue(row.Old), formatValue(row.New),
+			formatDelta(row.DeltaPct), "-", row.Status})
+	}
 	widths := make([]int, len(rows[0]))
 	for _, cells := range rows {
 		for i, c := range cells {
@@ -227,8 +287,8 @@ func (r Report) Render(w io.Writer) {
 		}
 		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
-	fmt.Fprintf(w, "%d metrics compared, %d regressions, %d warnings\n",
-		len(r.Rows), r.Regressions, r.Warnings)
+	fmt.Fprintf(w, "%d metrics compared, %d ceilings checked, %d regressions, %d warnings\n",
+		len(r.Rows), len(r.Ceilings), r.Regressions, r.Warnings)
 }
 
 func formatValue(v float64) string {

@@ -16,6 +16,10 @@ func baseFile() File {
 			{Name: "PartitionRMTSArena", Iterations: 80000, NsPerOp: 15866.2, BytesPerOp: 230, AllocsPerOp: 3,
 				Extra: map[string]float64{"rta-iters/op": 100, "splits/op": 10}},
 			{Name: "RTAProcessor", Iterations: 2e6, NsPerOp: 509.0, BytesPerOp: 403, AllocsPerOp: 4},
+			// The benchmarks nsCeilings judges, each under its ceiling.
+			{Name: "E2AcceptanceGeneral", Iterations: 3000, NsPerOp: 320415.6, BytesPerOp: 1100, AllocsPerOp: 0},
+			{Name: "AdmitService", Iterations: 5e5, NsPerOp: 2281.3, BytesPerOp: 120, AllocsPerOp: 1},
+			{Name: "AdmitServiceJournaled", Iterations: 2e5, NsPerOp: 6188.1, BytesPerOp: 300, AllocsPerOp: 2},
 		},
 	}
 }
@@ -150,10 +154,56 @@ func TestCheapPathCountersUngated(t *testing.T) {
 	}
 }
 
+// TestNsCeilings pins the absolute ns/op ceilings every diff checks on the
+// new record: at the ceiling passes, one ns over it fails, and so does a
+// ceiling benchmark absent from the record or reporting no time — even
+// with ns/op demoted to warn-only and a baseline just as slow.
+func TestNsCeilings(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(f *File)
+		fails []string
+	}{
+		{"under", func(f *File) {}, nil},
+		{"at the ceiling", func(f *File) { setNs(f, "AdmitService", 7000) }, nil},
+		{"over", func(f *File) { setNs(f, "E2AcceptanceGeneral", 700001) }, []string{"E2AcceptanceGeneral"}},
+		{"zero time", func(f *File) { setNs(f, "AdmitServiceJournaled", 0) }, []string{"AdmitServiceJournaled"}},
+		{"absent", func(f *File) { f.Benchmarks = f.Benchmarks[:len(f.Benchmarks)-1] }, []string{"AdmitServiceJournaled"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := baseFile()
+			tc.edit(&f)
+			rep := Diff(f, f, Tolerances{WarnOnly: map[string]bool{MetricNs: true}})
+			var failed []string
+			for _, row := range rep.Ceilings {
+				if row.Metric != MetricCeiling || row.Old != nsCeilings[row.Bench] {
+					t.Errorf("malformed ceiling row %+v", row)
+				}
+				if row.Status == StatusFail {
+					failed = append(failed, row.Bench)
+				}
+			}
+			if len(rep.Ceilings) != len(nsCeilings) || strings.Join(failed, ",") != strings.Join(tc.fails, ",") ||
+				rep.Failed() != (len(tc.fails) > 0) {
+				t.Fatalf("ceilings failed %v (report failed %v), want %v: %+v", failed, rep.Failed(), tc.fails, rep.Ceilings)
+			}
+		})
+	}
+}
+
+func setNs(f *File, name string, ns float64) {
+	for i := range f.Benchmarks {
+		if f.Benchmarks[i].Name == name {
+			f.Benchmarks[i].NsPerOp = ns
+		}
+	}
+}
+
 // TestMissingBenchmarksWarn checks both directions of benchmark set drift.
 func TestMissingBenchmarksWarn(t *testing.T) {
 	oldF, newF := baseFile(), baseFile()
-	newF.Benchmarks = newF.Benchmarks[:1]
+	newF.Benchmarks = append(newF.Benchmarks[:1:1], newF.Benchmarks[2:]...) // drop RTAProcessor
 	rep := Diff(oldF, newF, Tolerances{})
 	if rep.Failed() || rep.Warnings != 1 {
 		t.Fatalf("dropped benchmark: regressions=%d warnings=%d", rep.Regressions, rep.Warnings)

@@ -9,14 +9,12 @@
 //  1. the interference mirror — the residents as a struct-of-arrays
 //     BatchState (parallel C/T/deadline/response slices, see batch.go), kept
 //     in priority order so the higher-priority set of position i is a pair
-//     of slice prefixes, with zero allocation per probe; probes run the
-//     batch kernel (one overflow precheck per probe, then the unchecked
-//     branch-free fast loop) instead of per-term checked arithmetic;
+//     of slice prefixes, with zero allocation per probe;
 //  2. the response cache — the last converged response time per resident.
 //     Partitioners only ever ADD load, and the demand function is monotone
 //     in added interference, so an old fixed point is a valid lower bound
 //     on the new one; the fixed-point iteration converges to the same
-//     least fixed point from any lower bound (see fixpointChecked), so
+//     least fixed point from any lower bound (see fixpoint), so
 //     warm starts are exact, not approximate;
 //  3. the affected-range skip — a candidate inserted at priority position
 //     pos adds interference only to residents at positions ≥ pos; the
@@ -28,9 +26,8 @@
 // response value equals the from-scratch scalar list analysis of the same
 // surcharged view (rta.go), because the least fixed point is unique; only
 // the iteration counts (rta.iterations, rta.iters_per_call) are smaller.
-// Both run the kernels of batch.go on the same cs/ts layout — ProcState the
-// fast ones wherever the overflow precheck allows, the list API always the
-// checked ones. The rta fuzz targets pin ProcState, BatchState and the list
+// Both run the one kernel per quantity of batch.go on the same cs/ts
+// layout. The rta fuzz targets pin ProcState, BatchState and the list
 // API against the array-of-structs references in reference_test.go, and
 // the partition package's fingerprint digest and the experiments golden
 // test pin the decisions built on them.
@@ -178,16 +175,18 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 //
 // The probe materializes the post-insert view once — candidate spliced into
 // the scratch arrays (pcs, pts) at pos — so position k's interferers are
-// plain prefixes and one batchSafe precheck over the whole view licenses
-// the unchecked kernel for every fixed point of the probe. Each position's
-// fixed point is independent of the others (same view, same limit), so the
-// verdict is their AND in any order and the probe visits them cheapest
-// refusal first (DESIGN.md §13): the lowest-priority position n, which
-// carries the most interference and is where a refused probe almost always
-// fails, then pos…n−1, returning at the first refusal. A resident below
-// the candidate starts from max(cold bound, r + c′·⌈r/t⌉), with r its
-// cached response and c′ the surcharged candidate (see warmStart). The
-// verdict and the staged responses equal the from-scratch ones.
+// plain prefixes. The caller must have refused c + Surcharge > d (the
+// candidate's own "no", fitsWhole does it first), so every interferer of
+// the view satisfies C′ ≤ T and no demand leaves int64 (DESIGN.md §13).
+// Each position's fixed point is independent of the others (same view,
+// same limit), so the verdict is their AND in any order and the probe
+// visits them cheapest refusal first (DESIGN.md §13): the lowest-priority
+// position n, which carries the most interference and is where a refused
+// probe almost always fails, then pos…n−1, returning at the first refusal.
+// A resident below the candidate starts from max(cold bound, r + c′·⌈r/t⌉),
+// with r its cached response and c′ the surcharged candidate (see
+// warmStart). The verdict and the staged responses equal the from-scratch
+// ones.
 func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	cand := c + ps.Surcharge
 	pos := ps.PosFor(prio)
@@ -197,7 +196,7 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 		ps.staged = make([]task.Time, n+1)
 	}
 	staged := ps.staged[:n+1]
-	pcs, pts, fast := ps.splice(pos, cand, t, d)
+	pcs, pts := ps.splice(pos, cand, t)
 
 	// prefix is the classic cold-start bound's running sum over positions
 	// above k (the bound for position k is sum(pcs[:k]) + pcs[k]); limits
@@ -206,19 +205,13 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 		cSkippedHP.Add(int64(pos))
 	}
 	copy(staged[:pos], ps.b.resp[:pos])
-	prefix := task.Time(0)
-	for _, cv := range pcs[:pos] {
-		prefix = mathx.AddSat(prefix, cv)
-	}
-	total := prefix
-	for _, cv := range pcs[pos:] {
-		total = mathx.AddSat(total, cv)
-	}
+	prefix := sum(pcs[:pos])
+	total := prefix + sum(pcs[pos:])
 	limit, start := d, total
 	if n > pos {
-		limit, start = ps.b.dls[n-1], ps.warmStart(n-1, total, cand, t, fast)
+		limit, start = ps.b.dls[n-1], ps.warmStart(n-1, total, cand, t)
 	}
-	r, v, iters := fixpoint(pcs[n], pcs[:n], pts[:n], limit, start, fast)
+	r, v, iters := fixpoint(pcs[n], pcs[:n], pts[:n], limit, start)
 	account(v, iters)
 	if v != VerdictFits {
 		return false
@@ -226,17 +219,17 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 	staged[n] = r
 	for k := pos; k < n; k++ {
 		own := pcs[k]
-		limit, start := d, mathx.AddSat(prefix, own)
+		limit, start := d, prefix+own
 		if k > pos {
-			limit, start = ps.b.dls[k-1], ps.warmStart(k-1, start, cand, t, fast)
+			limit, start = ps.b.dls[k-1], ps.warmStart(k-1, start, cand, t)
 		}
-		r, v, iters := fixpoint(own, pcs[:k], pts[:k], limit, start, fast)
+		r, v, iters := fixpoint(own, pcs[:k], pts[:k], limit, start)
 		account(v, iters)
 		if v != VerdictFits {
 			return false
 		}
 		staged[k] = r
-		prefix = mathx.AddSat(prefix, own)
+		prefix += own
 	}
 
 	ps.stagedValid = true
@@ -255,18 +248,12 @@ func (ps *ProcState) AdmitAt(prio int, c, t, d task.Time) bool {
 // pre-insert demand: r is at most the pre-insert least fixed point R ≤ R′,
 // and f(r) ≥ r for every r ≤ R (Knaster–Tarski), so r + cand·⌈r/t⌉ ≤
 // f(r) + cand·⌈r/t⌉ ≤ R′ by monotonicity. Fixed points started there
-// count as warm starts. On the fast path the start is at most the demand
-// f(r) + cand·⌈r/t⌉ at an iterate r no larger than the resident's deadline,
-// which the probe's precheck bounds below MaxInt64, so it cannot wrap; the
-// checked path saturates.
-func (ps *ProcState) warmStart(i int, cold, cand, t task.Time, fast bool) task.Time {
+// count as warm starts. The start is at most the demand f(r) + cand·⌈r/t⌉
+// at an iterate r no larger than the resident's deadline, which stays in
+// int64 on the model's domain (DESIGN.md §13).
+func (ps *ProcState) warmStart(i int, cold, cand, t task.Time) task.Time {
 	r := ps.b.resp[i]
-	var w task.Time
-	if fast {
-		w = r + cand*mathx.CeilDivU(r, t)
-	} else {
-		w = mathx.AddSat(r, mathx.MulSat(cand, mathx.CeilDiv(r, t)))
-	}
+	w := r + cand*mathx.CeilDivU(r, t)
 	if w <= cold {
 		return cold
 	}
@@ -277,10 +264,9 @@ func (ps *ProcState) warmStart(i int, cold, cand, t task.Time, fast bool) task.T
 }
 
 // splice materializes the post-insert view of a candidate (surcharged
-// execution cand, period t, deadline d) at priority position pos into the
-// probe scratch, and runs the one overflow precheck that licenses the
-// unchecked kernel for every fixed point evaluated over that view.
-func (ps *ProcState) splice(pos int, cand, t, d task.Time) (pcs, pts []task.Time, fast bool) {
+// execution cand, period t) at priority position pos into the probe
+// scratch.
+func (ps *ProcState) splice(pos int, cand, t task.Time) (pcs, pts []task.Time) {
 	n := ps.b.len()
 	pcs = growTimes(&ps.pcs, n+1)
 	pts = growTimes(&ps.pts, n+1)
@@ -290,20 +276,16 @@ func (ps *ProcState) splice(pos int, cand, t, d task.Time) (pcs, pts []task.Time
 	copy(pts, ps.b.ts[:pos])
 	pts[pos] = t
 	copy(pts[pos+1:], ps.b.ts[pos:])
+	return pcs, pts
+}
 
-	maxL := d
-	maxC := cand
-	for _, dl := range ps.b.dls {
-		if dl > maxL {
-			maxL = dl
-		}
+// sum returns Σ cs, the classic cold-start bound's running sum.
+func sum(cs []task.Time) task.Time {
+	s := task.Time(0)
+	for _, c := range cs {
+		s += c
 	}
-	for _, cv := range pcs {
-		if cv > maxC {
-			maxC = cv
-		}
-	}
-	return pcs, pts, batchSafe(maxC, pcs, pts, maxL)
+	return s
 }
 
 // Probe is the exact-RTA evidence of one candidate on one processor (see
@@ -328,28 +310,27 @@ type Probe struct {
 // the from-scratch scalar analysis of the same inputs (ResponseTimeVerdict,
 // with the candidate among the interferers of every resident below it),
 // value for value. The probe leaves the response cache and the staged
-// adoption state untouched.
+// adoption state untouched. The candidate may miss its own deadline, but
+// it must satisfy c + Surcharge ≤ t (the online engine refuses anything
+// else first), so it interferes within the bounds of DESIGN.md §13.
 func (ps *ProcState) ProbeAt(prio int, c, t, d task.Time) Probe {
 	pos := ps.PosFor(prio)
-	pcs, pts, fast := ps.splice(pos, c+ps.Surcharge, t, d)
-	sum := task.Time(0)
-	for _, cv := range pcs[:pos] {
-		sum = mathx.AddSat(sum, cv)
-	}
+	pcs, pts := ps.splice(pos, c+ps.Surcharge, t)
+	prefix := sum(pcs[:pos])
 	own := pcs[pos]
-	r, v, iters := fixpoint(own, pcs[:pos], pts[:pos], d, mathx.AddSat(sum, own), fast)
+	r, v, iters := fixpoint(own, pcs[:pos], pts[:pos], d, prefix+own)
 	account(v, iters)
 	p := Probe{OwnResponse: r, OwnVerdict: v, Blocked: -1}
-	sum = mathx.AddSat(sum, own)
+	prefix += own
 	for k := pos + 1; k < len(pcs); k++ {
 		own = pcs[k]
-		r, v, iters = fixpoint(own, pcs[:k], pts[:k], ps.b.dls[k-1], mathx.AddSat(sum, own), fast)
+		r, v, iters = fixpoint(own, pcs[:k], pts[:k], ps.b.dls[k-1], prefix+own)
 		account(v, iters)
 		if v != VerdictFits {
 			p.Blocked, p.BlockedResponse, p.BlockedVerdict = k-1, r, v
 			break
 		}
-		sum = mathx.AddSat(sum, own)
+		prefix += own
 	}
 	return p
 }
@@ -421,20 +402,14 @@ func (ps *ProcState) MaxOwnLoadAt(pos int, d task.Time) task.Time {
 // fragment of a fresh split (equation (1)'s R term).
 func (ps *ProcState) ResponseAt(pos int, limit task.Time) (task.Time, bool) {
 	own := ps.b.cs[pos]
-	start := own
-	for _, cv := range ps.b.cs[:pos] {
-		start = mathx.AddSat(start, cv)
-	}
+	start := own + sum(ps.b.cs[:pos])
 	if ps.b.resp[pos] > start {
 		start = ps.b.resp[pos]
 		if obs.On() {
 			cWarmStarts.Inc()
 		}
 	}
-	// Every iterate at demand time satisfies r ≤ limit (over-limit iterates
-	// return first), so limit bounds the precheck.
-	fast := batchSafe(own, ps.b.cs[:pos], ps.b.ts[:pos], limit)
-	r, v, iters := fixpoint(own, ps.b.cs[:pos], ps.b.ts[:pos], limit, start, fast)
+	r, v, iters := fixpoint(own, ps.b.cs[:pos], ps.b.ts[:pos], limit, start)
 	account(v, iters)
 	if v != VerdictFits {
 		return r, false

@@ -119,21 +119,17 @@ func TestWarmStartConvergesToSameFixedPoint(t *testing.T) {
 		}
 		c := task.Time(1 + r.Intn(100))
 		limit := task.Time(50 + r.Intn(5000))
-		cold := coldStart(c, cs)
-		rCold, vCold, _ := fixpointChecked(c, cs, ts, limit, cold)
+		cold := c + sum(cs)
+		rCold, vCold, _ := fixpoint(c, cs, ts, limit, cold)
 		if vCold != VerdictFits {
 			continue
 		}
-		// Any start in [coldStart, lfp] must converge to the same value,
-		// on both kernels.
+		// Any start in [cold, lfp] must converge to the same value.
 		for _, start := range []task.Time{rCold, rCold - 1, (cold + rCold) / 2} {
 			if start < cold {
 				start = cold
 			}
-			rWarm, vWarm, _ := fixpointChecked(c, cs, ts, limit, start)
-			if rFast, vFast, _ := fixpointFast(c, cs, ts, limit, start); rFast != rWarm || vFast != vWarm {
-				t.Fatalf("trial %d: fast kernel from %d gave (%d,%v), checked (%d,%v)", trial, start, rFast, vFast, rWarm, vWarm)
-			}
+			rWarm, vWarm, _ := fixpoint(c, cs, ts, limit, start)
 			if rWarm != rCold || vWarm != VerdictFits {
 				t.Fatalf("trial %d: warm from %d gave (%d,%v), cold gave %d", trial, start, rWarm, vWarm, rCold)
 			}

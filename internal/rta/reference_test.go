@@ -13,6 +13,26 @@ import (
 // struct per higher-priority load. Production holds interferers only as
 // parallel cs/ts slices (batch.go); these bodies are kept verbatim as the
 // independent oracle FuzzBatchVsScalarRTA checks every kernel against.
+// Their arithmetic stays checked or saturating, so a production kernel that
+// wrapped on some input would diverge from them there.
+
+// addChecked returns a+b for non-negative a, b, and false (with
+// math.MaxInt64) when the sum leaves int64.
+func addChecked(a, b int64) (int64, bool) {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64, false
+	}
+	return a + b, true
+}
+
+// mulChecked returns a*b for non-negative a, b, and false (with
+// math.MaxInt64) when the product leaves int64.
+func mulChecked(a, b int64) (int64, bool) {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64, false
+	}
+	return a * b, true
+}
 
 // Interference is a higher-priority load source: a task releasing jobs of
 // length C every T ticks.
@@ -71,8 +91,8 @@ func iterate(c task.Time, hp []Interference, extraC, extraT, limit, start task.T
 		ok := true
 		for _, j := range hp {
 			var contrib task.Time
-			if contrib, ok = mathx.MulChecked(mathx.CeilDiv(r, j.T), j.C); ok {
-				next, ok = mathx.AddChecked(next, contrib)
+			if contrib, ok = mulChecked(mathx.CeilDiv(r, j.T), j.C); ok {
+				next, ok = addChecked(next, contrib)
 			}
 			if !ok {
 				break
@@ -80,8 +100,8 @@ func iterate(c task.Time, hp []Interference, extraC, extraT, limit, start task.T
 		}
 		if ok && extraT > 0 {
 			var contrib task.Time
-			if contrib, ok = mathx.MulChecked(mathx.CeilDiv(r, extraT), extraC); ok {
-				next, ok = mathx.AddChecked(next, contrib)
+			if contrib, ok = mulChecked(mathx.CeilDiv(r, extraT), extraC); ok {
+				next, ok = addChecked(next, contrib)
 			}
 		}
 		iters++
@@ -147,7 +167,7 @@ func slackCore(c, d task.Time, hp []Interference, t task.Time) task.Time {
 			// Checked multiply: an overflowing testing point m·T lies past
 			// every deadline, and with MulSat alone the saturated x never
 			// passes a d of MaxInt64, looping forever.
-			x, ok := mathx.MulChecked(m, j.T)
+			x, ok := mulChecked(m, j.T)
 			if !ok || x > d {
 				break
 			}
@@ -155,7 +175,7 @@ func slackCore(c, d task.Time, hp []Interference, t task.Time) task.Time {
 		}
 	}
 	for m := task.Time(1); ; m++ {
-		x, ok := mathx.MulChecked(m, t)
+		x, ok := mulChecked(m, t)
 		if !ok || x > d {
 			break
 		}
@@ -199,7 +219,7 @@ func refMaxOwnLoad(hp []Interference, d task.Time) task.Time {
 	check(d)
 	for _, j := range hp {
 		for m := task.Time(1); ; m++ {
-			x, ok := mathx.MulChecked(m, j.T)
+			x, ok := mulChecked(m, j.T)
 			if !ok || x > d {
 				break
 			}

@@ -22,14 +22,22 @@
 //
 // This file is the scalar list API: from-scratch analysis of one
 // priority-sorted subtask list. Each function copies the list's execution
-// times and periods into a cs/ts pair (Mirror) and runs the checked kernels
-// of batch.go, exact on every int64 input. ProcState (cache.go) is the
-// incremental engine the partitioners use; it runs the same kernels on the
-// same layout, taking the fast ones wherever an overflow precheck allows.
+// times and periods into a cs/ts pair (Mirror) and runs the kernels of
+// batch.go. ProcState (cache.go) is the incremental engine the
+// partitioners use; it runs the same kernels on the same layout.
+//
+// Every function here requires its inputs in the model's domain
+// (DESIGN.md §13): at most task.MaxTasks + 1 subtasks or loads, values at
+// most task.MaxTime (a surcharge included at most twice that), and every
+// interferer with C ≤ T. Validated subtasks satisfy C ≤ T; in a surcharged
+// view, so does every subtask above a position that met its deadline,
+// which is all the functions that stop at the first miss ever evaluate.
+// Out-of-domain inputs are refused at the program's edges, never here.
 package rta
 
 import (
-	"repro/internal/mathx"
+	"math"
+
 	"repro/internal/obs"
 	"repro/internal/task"
 )
@@ -109,12 +117,12 @@ func (v Verdict) String() string {
 // only VerdictExceedsLimit is an exact answer.
 //
 // The iteration starts at c plus one job of every interferer, a lower bound
-// on the fixed point, and runs the checked kernel (fixpointChecked), so it
-// is exact on every int64 input. The interferers may come in any order:
-// saturating cold starts and checked sums of non-negative terms do not
-// depend on it, so neither do responses, verdicts or iteration counts.
+// on the fixed point, and runs the one fixed-point kernel (fixpoint). The
+// interferers may come in any order: sums of non-negative terms do not
+// depend on it, so neither do responses, verdicts or iteration counts. Each
+// interferer must satisfy C_j ≤ T_j (DESIGN.md §13).
 func ResponseTimeVerdict(c task.Time, cs, ts []task.Time, limit task.Time) (task.Time, Verdict) {
-	r, v, iters := fixpointChecked(c, cs, ts, limit, coldStart(c, cs))
+	r, v, iters := fixpoint(c, cs, ts, limit, c+sum(cs))
 	account(v, iters)
 	return r, v
 }
@@ -129,17 +137,6 @@ func account(v Verdict, iters int64) {
 			cAborts.Inc()
 		}
 	}
-}
-
-// coldStart returns the classic lower bound on the least fixed point used
-// when no cached response is available: the task's own demand plus one job
-// of every interferer.
-func coldStart(c task.Time, cs []task.Time) task.Time {
-	r := c
-	for _, cj := range cs {
-		r = mathx.AddSat(r, cj)
-	}
-	return r
 }
 
 // Mirror copies the execution times and periods of a priority-sorted
@@ -246,19 +243,20 @@ func SchedulableWithExtraAt(list []task.Subtask, prio int, c, t, d task.Time) bo
 //	∃ x ∈ (0, d]:  c + Σ_j ⌈x/T_j⌉C_j + ⌈x/t⌉·e ≤ x
 //
 // over the exact testing set {m·T_j ≤ d} ∪ {m·t ≤ d} ∪ {d} and returns the
-// maximum feasible e (0 if none; math.MaxInt64 if unbounded, which cannot
-// happen for t ≤ d since ⌈x/t⌉ ≥ 1). It runs the checked kernel
-// (slackCheckedBatch), exact on every int64 input.
+// maximum feasible e (0 if none; ⌈x/t⌉ ≥ 1 bounds it by d). It runs the slack kernel (slackBatchCapped)
+// uncapped, over a frontier scratch on the stack for up to 63 interferers.
 func Slack(c, d task.Time, cs, ts []task.Time, t task.Time) task.Time {
-	return slackCheckedBatch(c, d, cs, ts, t)
+	var arr [64]task.Time
+	nm := arr[:0]
+	return slackBatchCapped(c, d, cs, ts, t, math.MaxInt64, &nm)
 }
 
 // MaxOwnLoad returns the largest execution time c such that a task under
 // the interferers (cs, ts) has a response time at most d, i.e. the largest
 // c with ∃ x ∈ (0, d]: c + Σ_j ⌈x/T_j⌉C_j ≤ x. It evaluates the exact
-// testing set {m·T_j ≤ d} ∪ {d} with the checked kernel
-// (maxOwnLoadCheckedBatch). Returns 0 when even an infinitesimal task would
-// miss d.
+// testing set {m·T_j ≤ d} ∪ {d} with the max-own-load kernel
+// (maxOwnLoadBatch). Returns 0 when even an infinitesimal task would miss
+// d.
 func MaxOwnLoad(cs, ts []task.Time, d task.Time) task.Time {
-	return maxOwnLoadCheckedBatch(cs, ts, d)
+	return maxOwnLoadBatch(cs, ts, d)
 }

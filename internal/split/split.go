@@ -7,10 +7,11 @@
 //
 // The testing-point method the paper cites from [22] evaluates the RTA
 // slack of each resident subtask at the points where the interference step
-// functions change. It comes in two forms: MaxPortionState on a
-// processor's incremental analysis state (the partitioners' path, fast
-// kernels) and MaxPortion/MaxPortionScratch/MaxPortionAt on a subtask list
-// (from-scratch, checked kernels). MaxPortionBinary is the binary-search
+// functions change. It comes in two forms over the same rta kernels:
+// MaxPortionState on a processor's incremental analysis state (the
+// partitioners' path) and MaxPortion/MaxPortionScratch/MaxPortionAt on a
+// subtask list (from scratch; the list must lie in the model's domain, see
+// package rta). MaxPortionBinary is the binary-search
 // method the paper sketches ("performing a binary search over [0, C^k]"),
 // kept because the split-ablation experiment measures it against the
 // testing-point method. All are exact on the integer time domain and are

@@ -25,6 +25,26 @@ import (
 // Time is a discrete instant or duration in ticks.
 type Time = int64
 
+// The model's domain (DESIGN.md §13). Every execution time, period,
+// deadline, synthetic deadline, offset and surcharge lies in [0, MaxTime]
+// ticks, and a task set holds at most MaxTasks tasks. Task.Validate,
+// Subtask.Validate and Set.Validate refuse anything outside it, so every
+// exact-RTA demand the analyses evaluate stays far inside int64 and each
+// analysis quantity needs one unchecked kernel. MaxTime is about 4.9 hours
+// at 1 ns ticks and 203 days at 1 µs ticks.
+const (
+	MaxTime  Time = 1 << 44
+	MaxTasks      = 1 << 16
+)
+
+// ErrDomain marks a value outside the model's domain (see MaxTime).
+var ErrDomain = errors.New("outside the model's domain")
+
+// domainError reports value v of the named quantity above MaxTime.
+func domainError(who, what string, v Time) error {
+	return fmt.Errorf("%s: %s %d exceeds MaxTime %d: %w", who, what, v, MaxTime, ErrDomain)
+}
+
 // Task is a sporadic task: worst-case execution time C, period T, and an
 // optional constrained relative deadline D. The paper's model (§II) is the
 // implicit-deadline Liu & Layland task (D = T), written by leaving D zero;
@@ -68,11 +88,14 @@ func (t Task) Density() float64 {
 }
 
 // Validate reports an error if the task parameters are not a valid
-// constrained sporadic task (0 < C ≤ D ≤ T, with D = T when unset).
+// constrained sporadic task (0 < C ≤ D ≤ T ≤ MaxTime, with D = T when
+// unset). An error for T > MaxTime wraps ErrDomain.
 func (t Task) Validate() error {
 	switch {
 	case t.T <= 0:
 		return fmt.Errorf("task %q: period %d is not positive", t.Name, t.T)
+	case t.T > MaxTime:
+		return domainError(fmt.Sprintf("task %q", t.Name), "period", t.T)
 	case t.C <= 0:
 		return fmt.Errorf("task %q: execution time %d is not positive", t.Name, t.C)
 	case t.D < 0:
@@ -189,10 +212,14 @@ func (s Set) Implicit() bool {
 	return true
 }
 
-// Validate checks every task and reports the first error found.
+// Validate checks every task and reports the first error found. A set of
+// more than MaxTasks tasks is refused with an error wrapping ErrDomain.
 func (s Set) Validate() error {
 	if len(s) == 0 {
 		return errors.New("task set is empty")
+	}
+	if len(s) > MaxTasks {
+		return fmt.Errorf("task set of %d tasks exceeds MaxTasks %d: %w", len(s), MaxTasks, ErrDomain)
 	}
 	for i, t := range s {
 		if err := t.Validate(); err != nil {
@@ -314,7 +341,9 @@ func (s Subtask) Utilization() float64 {
 	return float64(s.C) / float64(s.T)
 }
 
-// Validate reports an error if the subtask's bookkeeping is inconsistent.
+// Validate reports an error if the subtask's bookkeeping is inconsistent
+// or leaves the model's domain (T > MaxTime, wrapping ErrDomain; C, the
+// synthetic deadline and the offset are bounded by T).
 func (s Subtask) Validate() error {
 	switch {
 	case s.TaskIndex < 0:
@@ -325,6 +354,8 @@ func (s Subtask) Validate() error {
 		return fmt.Errorf("subtask %d.%d: execution time %d is not positive", s.TaskIndex, s.Part, s.C)
 	case s.T <= 0:
 		return fmt.Errorf("subtask %d.%d: period %d is not positive", s.TaskIndex, s.Part, s.T)
+	case s.T > MaxTime:
+		return domainError(fmt.Sprintf("subtask %d.%d", s.TaskIndex, s.Part), "period", s.T)
 	case s.Deadline <= 0:
 		return fmt.Errorf("subtask %d.%d: synthetic deadline %d is not positive", s.TaskIndex, s.Part, s.Deadline)
 	case s.Deadline > s.T:

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -212,4 +213,32 @@ func TestNormalizedUtilizationPanicsOnBadM(t *testing.T) {
 		}
 	}()
 	Set{{C: 1, T: 2}}.NormalizedUtilization(0)
+}
+
+// TestDomainEdge pins the model's domain at every Validate: the largest
+// in-domain task, subtask and set are accepted, and one tick or one task
+// more is refused with an error wrapping ErrDomain.
+func TestDomainEdge(t *testing.T) {
+	if err := (Task{C: MaxTime, T: MaxTime, D: MaxTime}).Validate(); err != nil {
+		t.Errorf("task at MaxTime: %v", err)
+	}
+	if err := (Task{C: 1, T: MaxTime + 1}).Validate(); !errors.Is(err, ErrDomain) {
+		t.Errorf("task past MaxTime: %v, want ErrDomain", err)
+	}
+	if err := Whole(0, Task{C: MaxTime, T: MaxTime}).Validate(); err != nil {
+		t.Errorf("subtask at MaxTime: %v", err)
+	}
+	if err := Whole(0, Task{C: 1, T: MaxTime + 1}).Validate(); !errors.Is(err, ErrDomain) {
+		t.Errorf("subtask past MaxTime: %v, want ErrDomain", err)
+	}
+	set := make(Set, MaxTasks+1)
+	for i := range set {
+		set[i] = Task{C: 1, T: 10}
+	}
+	if err := set[:MaxTasks].Validate(); err != nil {
+		t.Errorf("set of MaxTasks: %v", err)
+	}
+	if err := set.Validate(); !errors.Is(err, ErrDomain) {
+		t.Errorf("set of MaxTasks+1: %v, want ErrDomain", err)
+	}
 }

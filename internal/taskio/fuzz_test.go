@@ -15,6 +15,8 @@ func FuzzParseRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"tasks":[{"name":"a","c":2,"t":10},{"c":1,"t":5,"d":4}]}`))
 	f.Add([]byte("{"))
 	f.Add([]byte("9223372036854775807 9223372036854775807\n"))
+	f.Add([]byte("17592186044416 17592186044416 17592186044416\n")) // C, T, D at task.MaxTime
+	f.Add([]byte("1 17592186044417\n"))                             // T at task.MaxTime+1
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, err := Parse(data)

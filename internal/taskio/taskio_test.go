@@ -2,6 +2,7 @@ package taskio
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,5 +114,29 @@ func TestSaveIsIndented(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "\n  ") {
 		t.Error("output not indented")
+	}
+}
+
+// TestParseDomainEdge pins the model's domain at the task-file edge: C, T
+// and D at task.MaxTime parse, one tick more is refused with an error
+// wrapping task.ErrDomain, in both formats and in a plan's fragments.
+func TestParseDomainEdge(t *testing.T) {
+	if _, err := Parse([]byte("top 17592186044416 17592186044416 17592186044416\n")); err != nil {
+		t.Fatalf("text at MaxTime: %v", err)
+	}
+	if _, err := Parse([]byte(`{"tasks":[{"c":17592186044416,"t":17592186044416}]}`)); err != nil {
+		t.Fatalf("JSON at MaxTime: %v", err)
+	}
+	for _, in := range []string{
+		"past 1 17592186044417\n",
+		`{"tasks":[{"c":1,"t":17592186044417}]}`,
+	} {
+		if _, err := Parse([]byte(in)); !errors.Is(err, task.ErrDomain) {
+			t.Errorf("Parse(%q) = %v, want a domain error", in, err)
+		}
+	}
+	plan := `{"tasks":[{"c":1,"t":10}],"processors":[[{"task":0,"part":1,"c":1,"t":17592186044417,"deadline":17592186044417,"tail":true}]]}`
+	if _, _, err := ParsePlan([]byte(plan)); !errors.Is(err, task.ErrDomain) {
+		t.Errorf("ParsePlan with a fragment past MaxTime = %v, want a domain error", err)
 	}
 }

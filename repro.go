@@ -119,6 +119,11 @@ func Verify(res *Result) error { return partition.Verify(res) }
 // ProcessorSchedulable reports whether a priority-sorted subtask list meets
 // all (synthetic) deadlines under preemptive fixed-priority scheduling on
 // one processor — the exact test at the heart of RM-TS (§IV-A).
+//
+// The list must lie in the model's domain (README, "Limits"): at most
+// 65,536 subtasks, each passing Subtask.Validate, which bounds C ≤ Δ ≤ T
+// by 2^44 ticks. The analysis runs unchecked int64 arithmetic that is exact
+// there (DESIGN.md §13); outside it the answer is unspecified.
 func ProcessorSchedulable(list []Subtask) bool { return rta.ProcessorSchedulable(list) }
 
 // Partitioning algorithms (see internal/partition for details).
