@@ -106,10 +106,19 @@ func BenchmarkRTAProcessor(b *testing.B) {
 		}
 		lists = append(lists, list)
 	}
+	// rta.ProcessorSchedulable's work on one reused state: load the list,
+	// then each position's cold fixed point up to the first miss.
+	var ps rta.ProcState
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rta.ProcessorSchedulable(lists[i%len(lists)])
+		list := lists[i%len(lists)]
+		ps.Load(list)
+		for pos := range list {
+			if _, ok := ps.ResponseAt(pos, list[pos].Deadline); !ok {
+				break
+			}
+		}
 	}
 }
 
@@ -154,14 +163,17 @@ func BenchmarkBatchRTAKernel(b *testing.B) {
 }
 
 func BenchmarkMaxSplitTestingPoint(b *testing.B) {
-	benchMaxSplit(b, split.MaxPortion)
+	benchMaxSplit(b, split.MaxPortionState)
 }
 
 func BenchmarkMaxSplitBinarySearch(b *testing.B) {
 	benchMaxSplit(b, split.MaxPortionBinary)
 }
 
-func benchMaxSplit(b *testing.B, f func([]task.Subtask, task.Time, task.Time, task.Time) task.Time) {
+// benchMaxSplit runs one MaxSplit method per op on a reused state loaded
+// with the op's resident list; priority index 0 inserts the new load above
+// every resident (their indices start at 1).
+func benchMaxSplit(b *testing.B, f func(*rta.ProcState, int, task.Time, task.Time, task.Time) task.Time) {
 	r := rand.New(rand.NewSource(3))
 	type inst struct {
 		list []task.Subtask
@@ -184,11 +196,13 @@ func benchMaxSplit(b *testing.B, f func([]task.Subtask, task.Time, task.Time, ta
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	obs.Reset()
+	var ps rta.ProcState
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := cases[i%len(cases)]
-		f(c.list, c.t, c.t, c.t)
+		ps.Load(c.list)
+		f(&ps, 0, c.t, c.t, c.t)
 	}
 	b.ReportMetric(float64(obs.Value("split.bin.probes"))/float64(b.N), "bin-probes/op")
 	b.ReportMetric(float64(obs.Value("rta.slack.points"))/float64(b.N), "slack-points/op")

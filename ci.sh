@@ -8,9 +8,10 @@
 # mid-sweep cancellation; DESIGN.md §9), short fuzz smokes for the invariant
 # checker, RM-TS against its RM-TS/light twin on light sets, the cached
 # per-processor utilization against a fresh in-order sum, the task-set
-# parser, the warm-state removal invalidation, every RTA kernel and the
-# scalar list API against the array-of-structs reference analysis (and
-# the responses an admitted insert adopts against a cold analysis), every
+# parser, the warm-state removal invalidation, every RTA kernel on
+# incremental and list-loaded ProcStates against the array-of-structs
+# reference analysis (and the responses an admitted insert adopts against
+# a cold analysis), every
 # utilization bound's scratch evaluation against its slice-based
 # reference, every utilization bound's soundness against exact RTA
 # (FuzzPUBSound), the integer Han–Tyan test against its former float

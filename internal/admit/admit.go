@@ -436,8 +436,9 @@ func (s *Service) CanonicalState() []byte {
 // would push past U = 1 (partition.OverUtilized) was refused without RTA, and
 // its detail is that utilization room (explain.ProbeUtilization). Every
 // other processor gets an RTA probe on the engine's own mirror
-// (Online.ProbeRTA), cold-started so every response equals the scalar
-// explain.ProbeRTA over the surcharged resident list — its test oracle.
+// (Online.ProbeRTA), cold-started so every response equals a from-scratch
+// analysis of the surcharged resident list (FuzzEvidenceVsProbeRTA holds it
+// to a scalar oracle kept in the test).
 // Each value kind lives in one backing slice, so a rejection allocates the
 // same handful of times at any M.
 func (c *Cluster) evidence(cause partition.Cause, t task.Task) []ProcEvidence {

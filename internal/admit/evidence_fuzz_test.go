@@ -16,10 +16,10 @@ import (
 )
 
 // FuzzEvidenceVsProbeRTA pins rejection evidence computed on the engine's
-// mirror (Online.ProbeRTA, one backing slice per value kind) to the scalar
-// oracle it replaced: explain.ProbeRTA over a surcharged copy of each
-// processor's resident list, and explain.ProbeThreshold over the copy's
-// surcharged utilization. A processor the candidate would push past U = 1
+// mirror (Online.ProbeRTA, one backing slice per value kind) to a scalar
+// oracle: scalarEvidence over a surcharged copy of each processor's
+// resident list, and explain.ProbeThreshold over the copy's surcharged
+// utilization. A processor the candidate would push past U = 1
 // (partition.OverUtilized) instead carries exactly the utilization room
 // 1 − Utilization(q), and the scalar oracle must confirm the refusal there:
 // the candidate's own verdict is not fits, or a resident is blocked.
@@ -112,7 +112,7 @@ func FuzzEvidenceVsProbeRTA(f *testing.F) {
 				u += float64(list[i].C+s) / float64(list[i].T)
 				list[i].C += s
 			}
-			want := explain.ProbeRTA(list, int(d), cand.C+s, cand.T, d, false)
+			want := scalarEvidence(list, int(d), cand.C+s, cand.T, d)
 			if partition.OverUtilized(eng.Utilization(q), cand.Utilization()) {
 				if want.OwnVerdict == rta.VerdictFits.String() && want.Blocked == nil {
 					t.Fatalf("proc %d refused by utilization (u=%v + %v), but the scalar RTA fits (s=%d cand=%v residents=%v)",
@@ -135,4 +135,59 @@ func FuzzEvidenceVsProbeRTA(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scalarEvidence is the oracle of FuzzEvidenceVsProbeRTA: the RTA evidence
+// of a load (c, t, d) with priority key prio on a priority-sorted resident
+// list whose C already carry the surcharge — the load's own fixed point
+// against d and the first resident below it whose deadline breaks — from
+// its own fixed-point loop over a spliced list copy, with neither
+// rta.ProcState nor the rta kernels. Like them it cold-starts each fixed
+// point at the sum of the executions in view and gives up after
+// rta.MaxIters demand evaluations.
+func scalarEvidence(list []task.Subtask, prio int, c, t, d task.Time) *explain.ProcEvidence {
+	pos := 0
+	for pos < len(list) && list[pos].TaskIndex <= prio {
+		pos++
+	}
+	post := append(append(append([]task.Subtask(nil), list[:pos]...), task.Subtask{C: c, T: t}), list[pos:]...)
+	response := func(k int, limit task.Time) (task.Time, rta.Verdict) {
+		own := post[k].C
+		if own > limit {
+			return own, rta.VerdictExceedsLimit
+		}
+		r := own
+		for _, hp := range post[:k] {
+			r += hp.C
+		}
+		for iters := int64(0); ; iters++ {
+			if r > limit {
+				return r, rta.VerdictExceedsLimit
+			}
+			if iters >= rta.MaxIters {
+				return r, rta.VerdictAborted
+			}
+			next := own
+			for _, hp := range post[:k] {
+				next += mathx.CeilDiv(r, hp.T) * hp.C
+			}
+			if next == r {
+				return r, rta.VerdictFits
+			}
+			r = next
+		}
+	}
+	r, v := response(pos, d)
+	ev := &explain.ProcEvidence{OwnResponse: r, OwnVerdict: v.String()}
+	for i := pos; i < len(list); i++ {
+		if rr, rv := response(i+1, list[i].Deadline); rv != rta.VerdictFits {
+			ev.Blocked = &explain.BlockedResident{
+				Task: list[i].TaskIndex, Part: list[i].Part,
+				C: list[i].C, Deadline: list[i].Deadline,
+				Response: rr, Verdict: rv.String(),
+			}
+			break
+		}
+	}
+	return ev
 }

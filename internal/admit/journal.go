@@ -627,9 +627,6 @@ func (s *Service) SnapshotNow() error {
 	return first
 }
 
-// Journaled reports whether the service has a durability layer attached.
-func (s *Service) Journaled() bool { return s.j != nil }
-
 // Close makes the service durable at rest and releases the journal: it
 // stops the flusher, writes a final snapshot of every shard (which also
 // captures the volatile traffic counters, so a clean restart restores

@@ -47,12 +47,19 @@ func SplitAblation(cfg Config) ([]Table, error) {
 		cases = append(cases, inst{list: list, t: T, budget: T, d: T})
 	}
 
+	// Each call loads its instance into one reused analysis state, and
+	// priority index 0 puts the new load above every resident (their
+	// indices start at 1), the paper's top insertion.
+	var ps rta.ProcState
+	maxSplit := func(c inst, method func(*rta.ProcState, int, task.Time, task.Time, task.Time) task.Time) task.Time {
+		ps.Load(c.list)
+		return method(&ps, 0, c.t, c.budget, c.d)
+	}
+
 	// Agreement pass (also warms both paths).
 	agree := 0
 	for _, c := range cases {
-		a := split.MaxPortion(c.list, c.t, c.budget, c.d)
-		b := split.MaxPortionBinary(c.list, c.t, c.budget, c.d)
-		if a == b {
+		if maxSplit(c, split.MaxPortionState) == maxSplit(c, split.MaxPortionBinary) {
 			agree++
 		}
 	}
@@ -60,14 +67,14 @@ func SplitAblation(cfg Config) ([]Table, error) {
 	start := time.Now()
 	var sinkA task.Time
 	for _, c := range cases {
-		sinkA += split.MaxPortion(c.list, c.t, c.budget, c.d)
+		sinkA += maxSplit(c, split.MaxPortionState)
 	}
 	effTime := time.Since(start)
 
 	start = time.Now()
 	var sinkB task.Time
 	for _, c := range cases {
-		sinkB += split.MaxPortionBinary(c.list, c.t, c.budget, c.d)
+		sinkB += maxSplit(c, split.MaxPortionBinary)
 	}
 	binTime := time.Since(start)
 

@@ -60,13 +60,17 @@ func AnalysisPessimism(cfg Config) ([]Table, error) {
 		var out []sample
 		asg := res.Assignment
 		ws.frags.Build(asg)
+		ws.states = rta.ResetProcStates(ws.states, m, 0)
+		for q, list := range asg.Procs {
+			ws.states[q].Load(list)
+		}
 		for idx := range asg.Set {
 			frags := ws.frags.Of(idx)
 			// Certified job-response bound: offsets of the tail plus its
 			// RTA response on its processor.
 			tail := frags[len(frags)-1]
 			list, pos := asg.Procs[tail.Proc], tail.Pos
-			rt, ok := rta.SubtaskResponse(list, pos)
+			rt, ok := ws.states[tail.Proc].ResponseAt(pos, tail.Sub.Deadline)
 			if !ok {
 				errs[s] = fmt.Errorf("verified partition fails RTA re-check")
 				return

@@ -42,9 +42,11 @@ type Workspace struct {
 	memoC  []task.Time
 	memoOK []bool
 	// frags indexes a partitioning's fragments by task for E13's
-	// deflation and E17's per-task bounds; deflOrig, deflSet and deflated
-	// are E13's deflation buffers (deflateAssignment).
+	// deflation and E17's per-task bounds; states are E17's from-scratch
+	// per-processor analyses; deflOrig, deflSet and deflated are E13's
+	// deflation buffers (deflateAssignment).
 	frags    task.FragmentIndex
+	states   []rta.ProcState
 	deflOrig task.Set
 	deflSet  task.Set
 	deflated task.Assignment
@@ -57,16 +59,9 @@ type Workspace struct {
 func (ws *Workspace) Gen() *gen.Scratch { return &ws.gen }
 
 // Partition runs alg on (ts, m) drawing all working storage from the
-// workspace arena. The result borrows the workspace. An algorithm without
-// arena support gets a plain Partition call; the verdict and every Result
-// field are identical either way (the arena equivalence tests pin this).
+// workspace arena. The result borrows the workspace.
 func (ws *Workspace) Partition(alg partition.Algorithm, ts task.Set, m int) *partition.Result {
-	var res *partition.Result
-	if ap, ok := alg.(partition.ArenaPartitioner); ok {
-		res = ap.PartitionArena(ts, m, &ws.arena)
-	} else {
-		res = alg.Partition(ts, m)
-	}
+	res := alg.PartitionArena(ts, m, &ws.arena)
 	// Paranoid mode: re-prove every successful result from scratch. The
 	// panic is deliberate — parEach's isolation converts it into a
 	// seed-reproducible SampleError naming this exact sample.

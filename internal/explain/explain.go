@@ -8,7 +8,7 @@
 // The Explanation is derived from three sources: the partition.Result (the
 // verdict, cause tag and assignment), the obs.Trace decision events (the
 // final fragment's exact shape when the failure happened mid-split), and
-// fresh analysis probes (rta.ResponseTimeVerdict, split.MaxPortionAt,
+// fresh analysis probes (rta.ProcState.ProbeAt, split.MaxPortionState,
 // the bounds package) that recompute the rejected admission on each
 // processor so the report can show not just *that* the test said no but
 // *what it measured*. Everything is recomputed from the inputs — nothing
@@ -142,8 +142,8 @@ type ProcEvidence struct {
 	OwnResponse int64  `json:"ownResponse,omitempty"`
 	OwnVerdict  string `json:"ownVerdict,omitempty"`
 	// Blocked is the highest-priority resident whose own deadline breaks
-	// when the fragment is forced on (rta.ResponseTimeVerdict with the
-	// fragment among its interferers); nil when no resident breaks.
+	// when the fragment is forced on (its fixed point with the fragment
+	// among its interferers); nil when no resident breaks.
 	Blocked *BlockedResident `json:"blocked,omitempty"`
 	// MaxPortion is the largest admissible prefix MaxSplit would take
 	// (splitting algorithms only; 0 means the processor is full for this
@@ -413,38 +413,25 @@ func ProbeUtilization(u float64) *ProcEvidence {
 // deadline breaks once the load interferes, and — when withMaxPortion is
 // set (splitting algorithms) — the largest admissible MaxSplit prefix. The
 // list must carry any analysis surcharge already (the batch explain path
-// passes assignment lists, which are raw because their surcharge is zero).
-// The admission service computes the same evidence on its engine's mirror
-// (rta.ProcState.ProbeAt); this scalar form is that probe's test oracle.
+// passes assignment lists, which are raw because their surcharge is zero),
+// and c ≤ t. It loads the list into a from-scratch rta.ProcState and takes
+// the path the admission service's evidence takes on its engine's mirror
+// (rta.ProcState.ProbeAt), plus split.MaxPortionState.
 func ProbeRTA(list []task.Subtask, prio int, c, t, d task.Time, withMaxPortion bool) *ProcEvidence {
-	ev := &ProcEvidence{}
-	// Position the load at its priority among the residents and mirror
-	// the post-insert view: the load's interferers are the pos residents
-	// that outrank it, and resident i ≥ pos sits at i+1 below the load.
-	pos := 0
-	for pos < len(list) && list[pos].TaskIndex <= prio {
-		pos++
-	}
-	post := append(append(append([]task.Subtask(nil), list[:pos]...), task.Subtask{C: c, T: t}), list[pos:]...)
-	cs, ts := rta.Mirror(post, new([]task.Time))
-	r, v := rta.ResponseTimeVerdict(c, cs[:pos], ts[:pos], d)
-	ev.OwnResponse = r
-	ev.OwnVerdict = v.String()
-	// First resident below the load whose deadline breaks once it
-	// interferes.
-	for i := pos; i < len(list); i++ {
-		rr, rv := rta.ResponseTimeVerdict(list[i].C, cs[:i+1], ts[:i+1], list[i].Deadline)
-		if rv != rta.VerdictFits {
-			ev.Blocked = &BlockedResident{
-				Task: list[i].TaskIndex, Part: list[i].Part,
-				C: list[i].C, Deadline: list[i].Deadline,
-				Response: rr, Verdict: rv.String(),
-			}
-			break
+	var ps rta.ProcState
+	ps.Load(list)
+	p := ps.ProbeAt(prio, c, t, d)
+	ev := &ProcEvidence{OwnResponse: p.OwnResponse, OwnVerdict: p.OwnVerdict.String()}
+	if p.Blocked >= 0 {
+		b := list[p.Blocked]
+		ev.Blocked = &BlockedResident{
+			Task: b.TaskIndex, Part: b.Part,
+			C: b.C, Deadline: b.Deadline,
+			Response: p.BlockedResponse, Verdict: p.BlockedVerdict.String(),
 		}
 	}
 	if withMaxPortion {
-		ev.MaxPortion = split.MaxPortionAt(list, prio, t, c, d)
+		ev.MaxPortion = split.MaxPortionState(&ps, prio, t, c, d)
 		ev.HasMaxPortion = true
 	}
 	return ev

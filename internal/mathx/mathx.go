@@ -106,11 +106,3 @@ func AddSat(a, b int64) int64 {
 	}
 	return a + b
 }
-
-// MaxInt64 returns the larger of a and b.
-func MaxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

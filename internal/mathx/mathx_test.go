@@ -181,12 +181,6 @@ func TestAddSat(t *testing.T) {
 	}
 }
 
-func TestMinMaxInt64(t *testing.T) {
-	if MaxInt64(2, 3) != 3 || MaxInt64(3, 2) != 3 {
-		t.Error("MaxInt64 wrong")
-	}
-}
-
 func TestCeilDivMatchesFloat(t *testing.T) {
 	f := func(a int32, b int16) bool {
 		if a < 0 || b <= 0 {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rta"
 	"repro/internal/sim"
+	"repro/internal/split"
 	"repro/internal/task"
 )
 
@@ -40,7 +41,7 @@ func TestAdmissionHierarchy(t *testing.T) {
 		prio := newPos
 		ll := AdmitLL.admits(list, C, T, nil)
 		hb := AdmitHyperbolic.admits(list, C, T, nil)
-		rtaOK := rta.SchedulableWithExtraAt(list, prio, C, T, T)
+		rtaOK := fitsAt(list, prio, C, T, T)
 		if ll && !hb {
 			t.Fatalf("trial %d: LL accepted but hyperbolic rejected", trial)
 		}
@@ -48,6 +49,29 @@ func TestAdmissionHierarchy(t *testing.T) {
 			t.Fatalf("trial %d: hyperbolic accepted but RTA rejected (list=%v, C=%d, T=%d)", trial, list, C, T)
 		}
 	}
+}
+
+// fitsAt is the from-scratch admission check: whether list stays
+// schedulable with a load (c, t, deadline d) merged in at priority index
+// prio, below every resident whose index is at most prio (the tie rule of
+// task.Assignment.Add), judged on the whole merged list by
+// rta.ProcessorSchedulable.
+func fitsAt(list []task.Subtask, prio int, c, t, d task.Time) bool {
+	pos := 0
+	for pos < len(list) && list[pos].TaskIndex <= prio {
+		pos++
+	}
+	merged := append(append(append([]task.Subtask(nil), list[:pos]...),
+		task.Subtask{TaskIndex: prio, Part: 1, C: c, T: t, Deadline: d, Offset: t - d, Tail: true}), list[pos:]...)
+	return rta.ProcessorSchedulable(merged)
+}
+
+// maxPortionOf is MaxSplit on a from-scratch analysis state loaded from
+// list (its C already surcharged, if any).
+func maxPortionOf(list []task.Subtask, prio int, t, budget, d task.Time) task.Time {
+	var ps rta.ProcState
+	ps.Load(list)
+	return split.MaxPortionState(&ps, prio, t, budget, d)
 }
 
 func sortTimes(v []task.Time) {
@@ -238,7 +262,7 @@ func TestThresholdAdmissionsRefuseJustAboveTheBound(t *testing.T) {
 	a := task.Whole(0, llCorner[0])
 	list := []task.Subtask{a}
 	b := llCorner[1]
-	if rta.SchedulableWithExtraAt(list, 1, b.C, b.T, b.T) {
+	if fitsAt(list, 1, b.C, b.T, b.T) {
 		t.Fatal("the reproducer no longer misses under exact RTA")
 	}
 	for _, adm := range []Admission{AdmitLL, AdmitHyperbolic} {
@@ -276,7 +300,7 @@ func TestHanTyanAdmissionRefusesFloatCorner(t *testing.T) {
 	in := task.Set{{Name: "a", C: task.MaxTime / 2, T: task.MaxTime}, {Name: "b", C: task.MaxTime/2 + 1, T: task.MaxTime}}
 	list := []task.Subtask{task.Whole(0, in[0])}
 	b := in[1]
-	if rta.SchedulableWithExtraAt(list, 1, b.C, b.T, b.T) {
+	if fitsAt(list, 1, b.C, b.T, b.T) {
 		t.Fatal("the in-domain corner no longer misses under exact RTA")
 	}
 	if AdmitHanTyan.admits(list, b.C, b.T, new(Arena)) {

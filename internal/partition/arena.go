@@ -58,31 +58,9 @@ type Arena struct {
 	budget   []task.Time
 }
 
-// ArenaPartitioner is implemented by every algorithm in this package: a
-// Partition that draws all working storage from a caller-owned Arena.
-// PartitionArena(ts, m, nil) is identical to Partition(ts, m); with a
-// reused arena the verdict, assignment and every Result field are
-// byte-identical (the arena only changes where the memory comes from —
-// the equivalence fuzz test pins this), and the Result borrows the arena
-// per the Arena ownership rules.
-type ArenaPartitioner interface {
-	Algorithm
-	PartitionArena(ts task.Set, m int, ar *Arena) *Result
-}
-
-// Compile-time checks: every algorithm supports arena-backed partitioning.
-var (
-	_ ArenaPartitioner = RMTSLight{}
-	_ ArenaPartitioner = (*RMTS)(nil)
-	_ ArenaPartitioner = SPA1{}
-	_ ArenaPartitioner = SPA2{}
-	_ ArenaPartitioner = FirstFitRTA{}
-	_ ArenaPartitioner = WorstFitRTA{}
-	_ ArenaPartitioner = FirstFit{}
-	_ ArenaPartitioner = EDFFirstFit{}
-	_ ArenaPartitioner = EDFWorstFit{}
-	_ ArenaPartitioner = EDFTS{}
-)
+// ArenaPartitioner is Algorithm under its former name, kept while the
+// benchmark harness still names it.
+type ArenaPartitioner = Algorithm
 
 // prepare is the arena-backed counterpart of the former package prepare:
 // copy the input into the arena's working set, DM-sort it, validate, and

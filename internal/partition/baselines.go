@@ -60,7 +60,7 @@ func (a FirstFitRTA) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a FirstFitRTA) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	return fitPartitionAdmit(ts, m, a.Order, false, AdmitRTA, a.Trace, ar)
 }
@@ -83,7 +83,7 @@ func (a WorstFitRTA) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a WorstFitRTA) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	return fitPartitionAdmit(ts, m, a.Order, true, AdmitRTA, a.Trace, ar)
 }
@@ -201,7 +201,7 @@ func (a FirstFit) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a FirstFit) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	return fitPartitionAdmit(ts, m, a.Order, false, a.Admission, a.Trace, ar)
 }

@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/rta"
-	"repro/internal/split"
 	"repro/internal/task"
 )
 
@@ -170,7 +168,7 @@ func FuzzBatchUtilRuleSound(f *testing.F) {
 		}
 		prio := 2 * (slot % (len(raw) + 1))
 		if OverUtilized(uq, float64(c)/float64(T)) {
-			if rta.SchedulableWithExtraAt(sur, prio, c+s, T, d) {
+			if fitsAt(sur, prio, c+s, T, d) {
 				t.Fatalf("over-utilized (%v + %v) but exact RTA accepts %d/%d/%d at %d over %v",
 					uq, float64(c)/float64(T), c+s, T, d, prio, sur)
 			}
@@ -181,8 +179,8 @@ func FuzzBatchUtilRuleSound(f *testing.F) {
 				}
 			}
 		}
-		want := split.MaxPortionAt(sur, prio, T, c+s, d)
-		if got := split.MaxPortionAt(sur, prio, T, utilRoomBudget(uq, c, T, s), d); got != want {
+		want := maxPortionOf(sur, prio, T, c+s, d)
+		if got := maxPortionOf(sur, prio, T, utilRoomBudget(uq, c, T, s), d); got != want {
 			t.Fatalf("room-capped MaxSplit = %d, uncapped %d (U_q %v, c %d, T %d, Δ %d, s %d, prio %d, list %v)",
 				got, want, uq, c, T, d, s, prio, sur)
 		}

@@ -66,9 +66,11 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestMaxPortionStateMatchesMaxPortionAt cross-checks the ProcState-backed
-// split search against the slice-based one on processor states an actual
-// partitioner run produces.
+// TestMaxPortionStateMatchesMaxPortionAt cross-checks the testing-point
+// split search on processor states an actual partitioner run produces
+// against the binary search over full admission probes
+// (split.MaxPortionBinary) on a from-scratch state loaded from the same
+// list.
 func TestMaxPortionStateMatchesMaxPortionAt(t *testing.T) {
 	r := rand.New(rand.NewSource(100))
 	for trial := 0; trial < 300; trial++ {
@@ -96,9 +98,11 @@ func TestMaxPortionStateMatchesMaxPortionAt(t *testing.T) {
 			T := task.Time(10 + r.Intn(1000))
 			budget := task.Time(1 + r.Intn(200))
 			d := task.Time(1 + r.Intn(int(T)))
-			want := split.MaxPortionAt(procs, prio, T, budget, d)
+			var fresh rta.ProcState
+			fresh.Load(procs)
+			want := split.MaxPortionBinary(&fresh, prio, T, budget, d)
 			if got := split.MaxPortionState(ps, prio, T, budget, d); got != want {
-				t.Fatalf("trial %d proc %d: MaxPortionState=%d MaxPortionAt=%d (procs=%v prio=%d T=%d budget=%d d=%d)",
+				t.Fatalf("trial %d proc %d: MaxPortionState=%d MaxPortionBinary=%d (procs=%v prio=%d T=%d budget=%d d=%d)",
 					trial, q, got, want, procs, prio, T, budget, d)
 			}
 		}

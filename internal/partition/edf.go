@@ -36,7 +36,7 @@ func (a EDFFirstFit) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a EDFFirstFit) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	return edfFit(ts, m, a.Order, false, ar)
 }
@@ -55,7 +55,7 @@ func (a EDFWorstFit) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a EDFWorstFit) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	return edfFit(ts, m, a.Order, true, ar)
 }

@@ -36,7 +36,7 @@ func (a EDFTS) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a EDFTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)

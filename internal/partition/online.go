@@ -163,8 +163,8 @@ func (o *Online) SurchargedUtilization(q int) float64 {
 }
 
 // Residents returns a copy of processor q's resident subtasks in priority
-// order (raw C) — the input of the scalar explain.ProbeRTA oracle that the
-// mirror probe (ProbeRTA) is tested against.
+// order (raw C) — the input of the scalar oracles that the mirror probe
+// (ProbeRTA) and the engine's decisions are tested against.
 func (o *Online) Residents(q int) []task.Subtask {
 	out := make([]task.Subtask, len(o.procs[q]))
 	for i, r := range o.procs[q] {

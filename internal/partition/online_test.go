@@ -98,7 +98,7 @@ func (m *onlineModel) admit(t task.Task) int {
 			}
 			continue
 		}
-		if d >= t.C+m.s && rta.SchedulableWithExtraAt(onlineSurView(m.list(q), m.s), prio, t.C+m.s, t.T, d) {
+		if d >= t.C+m.s && fitsAt(onlineSurView(m.list(q), m.s), prio, t.C+m.s, t.T, d) {
 			return q
 		}
 	}
@@ -141,15 +141,13 @@ func checkOnlineColdEquivalence(t *testing.T, o *Online, m *onlineModel, ctx str
 		if len(got) != len(want) {
 			t.Fatalf("%s: proc %d has %d residents, model %d", ctx, q, len(got), len(want))
 		}
-		sur := onlineSurView(want, m.s)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: proc %d resident %d = %+v, model %+v", ctx, q, i, got[i], want[i])
 			}
-			rc, okc := rta.SubtaskResponse(sur, i)
-			if !okc {
-				t.Fatalf("%s: proc %d resident %d unschedulable in cold re-analysis — invariant broken (r=%d)", ctx, q, i, rc)
-			}
+		}
+		if !rta.ProcessorSchedulable(onlineSurView(want, m.s)) {
+			t.Fatalf("%s: proc %d unschedulable in cold re-analysis — invariant broken", ctx, q)
 		}
 	}
 }

@@ -40,23 +40,6 @@ import (
 // in the analysis, so a successful partitioning executes the original
 // workload and the runtime charges fit in the reserved margin.
 
-// surcharged returns a view of the resident list with every execution time
-// increased by s. For s = 0 it returns the list itself.
-func surcharged(list []task.Subtask, s task.Time) []task.Subtask {
-	if s == 0 {
-		return list
-	}
-	out := make([]task.Subtask, len(list))
-	for i, sub := range list {
-		// The surcharge may push a fragment's viewed demand past its
-		// synthetic deadline; VerifyWithSurcharge refuses such a fragment
-		// before any RTA runs over the view.
-		sub.C += s
-		out[i] = sub
-	}
-	return out
-}
-
 // The per-fragment surcharge rides inside rta.ProcState: assignOrSplit
 // mirrors every resident and candidate with C+s, so one code path serves
 // both the zero-overhead and overhead-aware analyses (see
@@ -66,10 +49,13 @@ func surcharged(list []task.Subtask, s task.Time) []task.Subtask {
 // term surcharged by s per fragment — the independent check matching
 // overhead-aware admission. VerifyWithSurcharge(res, 0) is Verify(res).
 //
-// A fragment with C + s > Δ misses at its own position: its response is
-// at least C + s. That refusal is exact and runs before RTA reaches the
-// fragment, so every interferer RTA evaluates has met its deadline and
-// satisfies C + s ≤ Δ ≤ T, the premise of DESIGN.md §13.
+// Each processor's list is loaded into a from-scratch rta.ProcState with
+// Surcharge s, and each fragment's response is computed once there and
+// reused by the split-chain check. A fragment with C + s > Δ misses at its
+// own position: its response is at least C + s. That refusal is exact and
+// runs before RTA reaches the fragment, so every interferer RTA evaluates
+// has met its deadline and satisfies C + s ≤ Δ ≤ T, the premise of
+// DESIGN.md §13.
 func VerifyWithSurcharge(res *Result, s task.Time) error {
 	if res == nil || res.Assignment == nil {
 		return fmt.Errorf("partition: nil result")
@@ -90,15 +76,20 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 		under = fmt.Sprintf(" under surcharge %d", s)
 	}
 	// Exact RTA of every subtask on its processor.
+	ps := rta.ProcState{Surcharge: s}
+	resp := make([][]task.Time, len(asg.Procs))
 	for q, list := range asg.Procs {
-		sur := surcharged(list, s)
+		ps.Load(list)
+		resp[q] = make([]task.Time, len(list))
 		for i, sub := range list {
 			if s > sub.Deadline-sub.C {
 				return fmt.Errorf("partition: processor %d: %s has response %d%s exceeding synthetic deadline %d", q, sub, mathx.AddSat(sub.C, s), under, sub.Deadline)
 			}
-			if r, ok := rta.SubtaskResponse(sur, i); !ok {
-				return fmt.Errorf("partition: processor %d: %s has response %d%s exceeding synthetic deadline %d", q, list[i], r, under, list[i].Deadline)
+			r, ok := ps.ResponseAt(i, sub.Deadline)
+			if !ok {
+				return fmt.Errorf("partition: processor %d: %s has response %d%s exceeding synthetic deadline %d", q, sub, r, under, sub.Deadline)
 			}
+			resp[q][i] = r
 		}
 	}
 	// Synthetic deadlines must cover the accumulated response times of the
@@ -110,11 +101,7 @@ func VerifyWithSurcharge(res *Result, s task.Time) error {
 			if sub.Offset < acc {
 				return fmt.Errorf("partition: task %d part %d: offset %d is below accumulated response %d%s", idx, sub.Part, sub.Offset, acc, under)
 			}
-			r, ok := rta.SubtaskResponse(surcharged(asg.Procs[f.Proc], s), f.Pos)
-			if !ok {
-				return fmt.Errorf("partition: task %d part %d unschedulable on processor %d%s", idx, sub.Part, f.Proc, under)
-			}
-			acc = sub.Offset + r
+			acc = sub.Offset + resp[f.Proc][f.Pos]
 		}
 		if acc > asg.Set[idx].T {
 			return fmt.Errorf("partition: task %d: accumulated response %d%s exceeds its deadline %d", idx, acc, under, asg.Set[idx].T)

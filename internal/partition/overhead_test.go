@@ -6,24 +6,27 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/rta"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
 
+// TestSurchargedView pins the analysis view VerifyWithSurcharge loads: a
+// ProcState with Surcharge s mirrors every C as C + s and leaves the
+// assignment's list untouched.
 func TestSurchargedView(t *testing.T) {
 	list := []task.Subtask{
 		{TaskIndex: 0, Part: 1, C: 2, T: 10, Deadline: 10, Tail: true},
 		{TaskIndex: 1, Part: 2, C: 3, T: 20, Deadline: 15, Offset: 5, Tail: true},
 	}
-	same := surcharged(list, 0)
-	if &same[0] != &list[0] {
-		t.Error("zero surcharge should not copy")
+	for _, s := range []task.Time{0, 4} {
+		ps := rta.ProcState{Surcharge: s}
+		ps.Load(list)
+		if ps.OwnC(0) != 2+s || ps.OwnC(1) != 3+s {
+			t.Errorf("surcharge %d: viewed Cs = %d, %d", s, ps.OwnC(0), ps.OwnC(1))
+		}
 	}
-	sur := surcharged(list, 4)
-	if sur[0].C != 6 || sur[1].C != 7 {
-		t.Errorf("surcharged Cs = %d, %d", sur[0].C, sur[1].C)
-	}
-	if list[0].C != 2 {
+	if list[0].C != 2 || list[1].C != 3 {
 		t.Error("surcharge mutated the original")
 	}
 }

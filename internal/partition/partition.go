@@ -103,6 +103,13 @@ type Algorithm interface {
 	// Partition attempts to place every task of ts onto m processors. The
 	// input set is not modified; it is cloned and RM-sorted internally.
 	Partition(ts task.Set, m int) *Result
+	// PartitionArena is Partition drawing all working storage from a
+	// caller-owned Arena. PartitionArena(ts, m, nil) is identical to
+	// Partition(ts, m); with a reused arena the verdict, assignment and
+	// every Result field are byte-identical (the arena only changes where
+	// the memory comes from — the equivalence fuzz test pins this), and
+	// the Result borrows the arena per the Arena ownership rules.
+	PartitionArena(ts task.Set, m int, ar *Arena) *Result
 }
 
 // fragment is the not-yet-assigned remainder of the task currently being

@@ -14,7 +14,8 @@
 // larger than the surrogate's; DM order equals the surrogate's RM order.
 // Hence prefilter-yes ⟹ exact-RTA-yes, so skipping the RTA probe never
 // changes an admission verdict — only rta.iterations and the probe cost
-// change. FuzzPrefilterSound checks the implication against the scalar RTA.
+// change. FuzzPrefilterSound checks the implication against exact RTA of
+// the post-insert list (rta.ProcessorSchedulable).
 //
 // OverUtilized is the necessary side of the same pairing: a processor
 // whose utilization would pass 1 is refused before any test runs. fitsWhole
@@ -67,8 +68,9 @@ func prefilterAdmit(ps *rta.ProcState, prio int, c, d task.Time) bool {
 // so the predicate only holds when the true utilization exceeds 1. It
 // ignores any surcharge, which can only raise the load, so it is sound
 // under every surcharge. FuzzBatchUtilRuleSound and FuzzUtilSkipSound
-// check it against the scalar RTA. The admission service's rejection
-// evidence and cmd/explain report this test for the processors it refuses.
+// check it against exact RTA of the post-insert list. The admission
+// service's rejection evidence and cmd/explain report this test for the
+// processors it refuses.
 func OverUtilized(uq, u float64) bool { return uq+u > 1+utilEps }
 
 // wholeTest names the test that decided a whole placement.

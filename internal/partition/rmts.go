@@ -37,7 +37,7 @@ func (a RMTSLight) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a RMTSLight) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)
@@ -179,7 +179,7 @@ func (a *RMTS) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a *RMTS) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)

@@ -43,7 +43,7 @@ func (a SPA1) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a SPA1) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)
@@ -170,7 +170,7 @@ func (a SPA2) Partition(ts task.Set, m int) *Result {
 	return a.PartitionArena(ts, m, nil)
 }
 
-// PartitionArena implements ArenaPartitioner.
+// PartitionArena implements Algorithm.
 func (a SPA2) PartitionArena(ts task.Set, m int, ar *Arena) *Result {
 	if ar == nil {
 		ar = new(Arena)

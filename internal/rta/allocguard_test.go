@@ -7,7 +7,7 @@ import (
 	"repro/internal/task"
 )
 
-// Alloc guards: the scratch-taking probe paths must not allocate once their
+// Alloc guards: the ProcState probe paths must not allocate once their
 // buffers are warm. These pins back the zero-allocation hot-path contract —
 // a regression here silently reintroduces per-sample garbage across every
 // experiment sweep. Run with `go test -run AllocGuard ./...`.
@@ -21,18 +21,6 @@ func guardList(seed int64, n int) []task.Subtask {
 		list = append(list, task.Subtask{TaskIndex: i, Part: 1, C: C, T: T, Deadline: T, Tail: true})
 	}
 	return list
-}
-
-func TestAllocGuardProcessorSchedulableScratch(t *testing.T) {
-	list := guardList(2, 12)
-	var buf []task.Time
-	_, buf = ProcessorSchedulableScratch(list, buf) // warm the buffer
-	allocs := testing.AllocsPerRun(200, func() {
-		_, buf = ProcessorSchedulableScratch(list, buf)
-	})
-	if allocs != 0 {
-		t.Errorf("ProcessorSchedulableScratch with warm buffer: %v allocs/run, want 0", allocs)
-	}
 }
 
 func TestAllocGuardProcStateAdmitRemoveCycle(t *testing.T) {

@@ -2,8 +2,7 @@
 // this package is a pair of parallel slices — execution times cs and
 // periods ts, highest priority first — so position i's higher-priority set
 // is the prefix pair cs[:i], ts[:i]. ProcState keeps its residents in this
-// layout, and the scalar list API (rta.go) carves the same pair from one
-// buffer (Mirror).
+// layout.
 //
 // Each analysis quantity has exactly one kernel:
 //
@@ -195,9 +194,16 @@ func (b *BatchState) EvaluateList(list []task.Subtask, carry bool) bool {
 	return true
 }
 
-// slackBatchCapped is the testing-point slack kernel: the slack of a task
-// (c, d) against a period-t interferer over interferers (cs, ts) (see
-// Slack), with an early exit for min-fold callers (ProcState.SlackAtMost).
+// slackBatchCapped is the testing-point slack kernel [22]: for a task with
+// execution c and deadline d under interferers (cs, ts), the largest extra
+// budget e such that a new highest-priority interferer (e, t) keeps it
+// schedulable, i.e. the largest e with
+//
+//	∃ x ∈ (0, d]:  c + Σ_j ⌈x/T_j⌉C_j + ⌈x/t⌉·e ≤ x,
+//
+// over the exact testing set {m·T_j ≤ d} ∪ {m·t ≤ d} ∪ {d} (0 if none;
+// ⌈x/t⌉ ≥ 1 bounds it by d), with an early exit for min-fold callers
+// (ProcState.SlackAtMost).
 // The slack is a running MAXIMUM over testing points, so as soon as that
 // partial maximum reaches cap the final value is known to be ≥ cap and
 // enumeration stops. Below cap the result is exact — a maximum is
@@ -280,8 +286,9 @@ func slackBatchCapped(c, d task.Time, cs, ts []task.Time, t, cap task.Time, scra
 }
 
 // maxOwnLoadBatch is the max-own-load kernel: the largest own execution
-// time admissible at deadline d under interferers (cs, ts) (see
-// MaxOwnLoad), over the testing points {m·T_j ≤ d} ∪ {d}.
+// time c admissible at deadline d under interferers (cs, ts), i.e. the
+// largest c with ∃ x ∈ (0, d]: c + Σ_j ⌈x/T_j⌉C_j ≤ x, over the testing
+// points {m·T_j ≤ d} ∪ {d}; 0 when even an infinitesimal task would miss d.
 func maxOwnLoadBatch(cs, ts []task.Time, d task.Time) task.Time {
 	if d <= 0 {
 		return 0

@@ -20,9 +20,9 @@ import (
 //     against a cold analysis of the post-insert processor;
 //   - the ProcState accessors (AdmitAt, warm-started ResponseAt,
 //     SlackAtMost capped and uncapped, MaxOwnLoadAt at every position);
-//   - the fixed-point kernel called directly, with its iteration count;
-//   - the scalar list API (SchedulableWithExtraAt, SubtaskResponse,
-//     ProcessorSchedulable, Slack, MaxOwnLoad).
+//   - the same accessors on a from-scratch state loaded from the list
+//     (Load), and ProcessorSchedulable, which runs on one;
+//   - the fixed-point kernel called directly, with its iteration count.
 func FuzzBatchVsScalarRTA(f *testing.F) {
 	f.Add([]byte{0, 40, 3, 5, 2, 80, 7, 9, 0, 33, 2, 1})
 	f.Add([]byte{1, 200, 250, 3, 3, 255, 255, 255})
@@ -34,7 +34,7 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 		s := task.Time(len(data) % 3)
 		ps := &ProcState{Surcharge: s}
 		var list []task.Subtask
-		var buf []task.Time
+		fresh := &ProcState{Surcharge: s}
 		next := 0
 		for op := 0; len(data) >= 4; op++ {
 			sel, b1, b2, b3 := data[0], data[1], data[2], data[3]
@@ -64,9 +64,6 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 			next += 2
 			pre := surchargedView(list, s)
 			want := refSchedulableWithExtraAt(pre, prio, c+s, T, d)
-			if got := SchedulableWithExtraAt(pre, prio, c+s, T, d); got != want {
-				t.Fatalf("%s: SchedulableWithExtraAt=%v, reference=%v", ctx, got, want)
-			}
 			got := ps.AdmitAt(prio, c, T, d)
 			if got != want {
 				t.Fatalf("%s: AdmitAt(%d,%d,%d,%d)=%v, from-scratch=%v", ctx, prio, c, T, d, got, want)
@@ -89,11 +86,12 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 			if got, want := ProcessorSchedulable(sur), refProcessorSchedulable(sur); got != want {
 				t.Fatalf("%s: ProcessorSchedulable=%v, reference=%v", ctx, got, want)
 			}
-			cs, ts := Mirror(sur, &buf)
+			fresh.Load(list)
+			cs, ts := fresh.b.cs, fresh.b.ts
 			for i := range list {
 				wantR, wantOK := refSubtaskResponse(sur, i)
-				if gotR, gotOK := SubtaskResponse(sur, i); gotOK != wantOK || gotR != wantR {
-					t.Fatalf("%s: SubtaskResponse(%d)=(%d,%v), reference=(%d,%v)", ctx, i, gotR, gotOK, wantR, wantOK)
+				if gotR, gotOK := fresh.ResponseAt(i, list[i].Deadline); gotOK != wantOK || gotR != wantR {
+					t.Fatalf("%s: loaded ResponseAt(%d)=(%d,%v), reference=(%d,%v)", ctx, i, gotR, gotOK, wantR, wantOK)
 				}
 				own, dl := sur[i].C, sur[i].Deadline
 				hp := hpOf(sur, i)
@@ -103,7 +101,7 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 				}
 				gotR, gotOK := ps.ResponseAt(i, list[i].Deadline)
 				if gotOK != wantOK || (gotOK && gotR != wantR) {
-					t.Fatalf("%s: ResponseAt(%d)=(%d,%v), SubtaskResponse=(%d,%v)",
+					t.Fatalf("%s: ResponseAt(%d)=(%d,%v), reference=(%d,%v)",
 						ctx, i, gotR, gotOK, wantR, wantOK)
 				}
 				// The testing-point scans enumerate ~Σ d/T_j points, which is
@@ -117,8 +115,8 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 				if got := ps.SlackAtMost(i, T, math.MaxInt64); got != exact {
 					t.Fatalf("%s: SlackAtMost(%d,%d,uncapped)=%d, reference slack=%d", ctx, i, T, got, exact)
 				}
-				if got := Slack(own, dl, cs[:i], ts[:i], T); got != exact {
-					t.Fatalf("%s: Slack(%d,%d)=%d, reference slack=%d", ctx, i, T, got, exact)
+				if got := fresh.SlackAtMost(i, T, math.MaxInt64); got != exact {
+					t.Fatalf("%s: loaded SlackAtMost(%d,%d,uncapped)=%d, reference slack=%d", ctx, i, T, got, exact)
 				}
 				// The capped scan must be exact below its cap and a valid
 				// ≥-cap witness at or above it.
@@ -134,7 +132,7 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 				}
 			}
 			// The max own load of a deadline-d load at every insertion
-			// position, through MaxOwnLoadAt and the list API.
+			// position, on the incremental and the loaded state.
 			for pos := 0; pos <= len(list); pos++ {
 				if scanPoints(ts[:pos], d) >= 1<<16 {
 					break
@@ -143,8 +141,8 @@ func FuzzBatchVsScalarRTA(f *testing.F) {
 				if got := ps.MaxOwnLoadAt(pos, d); got != want {
 					t.Fatalf("%s: MaxOwnLoadAt(%d,%d)=%d, reference=%d", ctx, pos, d, got, want)
 				}
-				if got := MaxOwnLoad(cs[:pos], ts[:pos], d); got != want {
-					t.Fatalf("%s: MaxOwnLoad(%d,%d)=%d, reference=%d", ctx, pos, d, got, want)
+				if got := fresh.MaxOwnLoadAt(pos, d); got != want {
+					t.Fatalf("%s: loaded MaxOwnLoadAt(%d,%d)=%d, reference=%d", ctx, pos, d, got, want)
 				}
 			}
 		}

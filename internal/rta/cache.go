@@ -23,14 +23,13 @@
 //     schedulable when the last admission committed).
 //
 // Equivalence contract: every admission decision, split portion and
-// response value equals the from-scratch scalar list analysis of the same
-// surcharged view (rta.go), because the least fixed point is unique; only
-// the iteration counts (rta.iterations, rta.iters_per_call) are smaller.
-// Both run the one kernel per quantity of batch.go on the same cs/ts
-// layout. The rta fuzz targets pin ProcState, BatchState and the list
-// API against the array-of-structs references in reference_test.go, and
-// the partition package's fingerprint digest and the experiments golden
-// test pin the decisions built on them.
+// response value equals a from-scratch analysis of the same surcharged view
+// (a freshly loaded state, see Load), because the least fixed point is
+// unique; only the iteration counts (rta.iterations, rta.iters_per_call)
+// are smaller. The rta fuzz targets pin ProcState and BatchState against
+// the array-of-structs references in reference_test.go, and the partition
+// package's fingerprint digest and the experiments golden test pin the
+// decisions built on them.
 package rta
 
 import (
@@ -51,9 +50,9 @@ var (
 
 // ProcState is the incremental analysis state of one processor. Create one
 // per processor at the start of a partitioning run, mirror every committed
-// subtask with Insert, and use AdmitAt / SlackAtMost / MaxOwnLoadAt /
-// ResponseAt in place of the from-scratch package functions. The zero
-// value is ready to use (empty processor, no surcharge).
+// subtask with Insert (or a whole finished list with Load), and probe it
+// with AdmitAt / ProbeAt / SlackAtMost / MaxOwnLoadAt / ResponseAt. The
+// zero value is ready to use (empty processor, no surcharge).
 //
 // A ProcState is not safe for concurrent use; partitioning runs are
 // single-goroutine per task set (the experiment harness parallelizes over
@@ -162,11 +161,30 @@ func (ps *ProcState) Insert(s task.Subtask) int {
 	return pos
 }
 
+// Load replaces the residents with list, mirrored in list order: position
+// i is priority i whatever the TaskIndex values, so PosFor places a
+// candidate correctly only when they ascend, as in every
+// task.Assignment list. Every C is surcharged and every cached response is
+// unknown, so each probe of a loaded state is a from-scratch analysis.
+func (ps *ProcState) Load(list []task.Subtask) {
+	n := len(list)
+	if cap(ps.idx) < n {
+		ps.idx = make([]int, n)
+	}
+	ps.idx = ps.idx[:n]
+	b := &ps.b
+	b.cs, b.ts, b.dls, b.resp = growTimes(&b.cs, n), growTimes(&b.ts, n), growTimes(&b.dls, n), growTimes(&b.resp, n)
+	for i, s := range list {
+		ps.idx[i] = s.TaskIndex
+		b.cs[i], b.ts[i], b.dls[i], b.resp[i] = s.C+ps.Surcharge, s.T, s.Deadline, 0
+	}
+	ps.stagedValid = false
+}
+
 // AdmitAt reports whether the processor stays schedulable when a new load
 // (c, t) with priority index prio is inserted at its priority position and
-// the new load itself meets deadline d. It is the incremental equivalent
-// of SchedulableWithExtraAt on the surcharged resident view, with c taken
-// as the RAW execution time (the surcharge is added internally).
+// the new load itself meets deadline d, with c taken as the RAW execution
+// time (the surcharge is added internally).
 //
 // Residents above the insertion position are skipped (the candidate cannot
 // interfere with them, and the processor invariant — every resident is
@@ -307,12 +325,12 @@ type Probe struct {
 // rejection evidence. Unlike AdmitAt it does not stop at the candidate's
 // own verdict, and it never warm-starts: every fixed point runs from the
 // classic cold-start bound over the spliced view, so each response equals
-// the from-scratch scalar analysis of the same inputs (ResponseTimeVerdict,
-// with the candidate among the interferers of every resident below it),
-// value for value. The probe leaves the response cache and the staged
-// adoption state untouched. The candidate may miss its own deadline, but
-// it must satisfy c + Surcharge ≤ t (the online engine refuses anything
-// else first), so it interferes within the bounds of DESIGN.md §13.
+// a from-scratch analysis of the same inputs (the candidate among the
+// interferers of every resident below it), value for value. The probe
+// leaves the response cache and the staged adoption state untouched. The
+// candidate may miss its own deadline, but it must satisfy c + Surcharge
+// ≤ t (the online engine refuses anything else first), so it interferes
+// within the bounds of DESIGN.md §13.
 func (ps *ProcState) ProbeAt(prio int, c, t, d task.Time) Probe {
 	pos := ps.PosFor(prio)
 	pcs, pts := ps.splice(pos, c+ps.Surcharge, t)
@@ -376,8 +394,10 @@ func (ps *ProcState) Remove(pos int) {
 func (ps *ProcState) TaskAt(pos int) int { return ps.idx[pos] }
 
 // SlackAtMost returns the testing-point slack of resident i against a new
-// period-t interferer (see Slack), evaluated on the mirrored surcharged
-// view without allocation, for callers that only consume it through
+// period-t interferer (see slackBatchCapped): the largest extra execution e
+// such that a new highest-priority interferer (e, t) keeps resident i
+// schedulable, evaluated on the mirrored surcharged view without
+// allocation, for callers that only consume it through
 // min(cap, slack) — the MaxSplit scan over lower-priority residents. It
 // returns the exact slack whenever that is below cap; once the running
 // point maximum reaches cap the enumeration stops and the partial maximum
@@ -391,7 +411,8 @@ func (ps *ProcState) SlackAtMost(i int, t, cap task.Time) task.Time {
 
 // MaxOwnLoadAt returns the largest execution time a new load inserted at
 // priority position pos could have while meeting deadline d (see
-// MaxOwnLoad), evaluated on the mirror without allocation.
+// maxOwnLoadBatch), evaluated on the mirror without allocation; 0 when even
+// an infinitesimal load would miss d.
 func (ps *ProcState) MaxOwnLoadAt(pos int, d task.Time) task.Time {
 	return maxOwnLoadBatch(ps.b.cs[:pos], ps.b.ts[:pos], d)
 }

@@ -33,8 +33,8 @@ func mirror(list []task.Subtask, surcharge task.Time) *ProcState {
 	return ps
 }
 
-// TestAdmitAtMatchesFromScratch fuzzes AdmitAt against the scalar
-// SchedulableWithExtraAt on the equivalent (surcharged) list view — the
+// TestAdmitAtMatchesFromScratch fuzzes AdmitAt against the reference
+// refSchedulableWithExtraAt on the equivalent (surcharged) list view — the
 // decision-equivalence contract of the incremental engine. Each state is
 // probed twice, so the second probe also runs over the first one's staging.
 func TestAdmitAtMatchesFromScratch(t *testing.T) {
@@ -61,7 +61,7 @@ func TestAdmitAtMatchesFromScratch(t *testing.T) {
 		if !ProcessorSchedulable(sur) {
 			continue
 		}
-		want := SchedulableWithExtraAt(sur, prio, c+s, T, d)
+		want := refSchedulableWithExtraAt(sur, prio, c+s, T, d)
 
 		for probe := 0; probe < 2; probe++ {
 			if got := ps.AdmitAt(prio, c, T, d); got != want {
@@ -75,7 +75,7 @@ func TestAdmitAtMatchesFromScratch(t *testing.T) {
 // TestInsertAdoptsStagedResponses checks the probe-then-commit staging: a
 // successful AdmitAt immediately followed by the matching Insert reuses the
 // probe's converged fixed points, and later warm-started evaluations return
-// the responses the scalar SubtaskResponse computes from scratch.
+// the responses the reference computes from scratch.
 func TestInsertAdoptsStagedResponses(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 500; trial++ {
@@ -96,9 +96,9 @@ func TestInsertAdoptsStagedResponses(t *testing.T) {
 		}
 		for i := range list {
 			rw, okw := ps.ResponseAt(i, ps.Deadline(i))
-			rc, okc := SubtaskResponse(list, i)
+			rc, okc := refSubtaskResponse(list, i)
 			if rw != rc || okw != okc {
-				t.Fatalf("trial %d pos %d: ResponseAt (%d,%v) vs SubtaskResponse (%d,%v)", trial, i, rw, okw, rc, okc)
+				t.Fatalf("trial %d pos %d: ResponseAt (%d,%v) vs reference (%d,%v)", trial, i, rw, okw, rc, okc)
 			}
 		}
 	}
@@ -142,32 +142,35 @@ func TestVerdictAborted(t *testing.T) {
 	MaxIters = 4
 	defer func() { MaxIters = old }()
 	// Slow convergence: interference climbs by one tick per iteration.
-	cs, ts := []task.Time{1}, []task.Time{1}
-	_, v := ResponseTimeVerdict(1, cs, ts, 1<<40)
+	_, v := responseOf(1, []Interference{{C: 1, T: 1}}, 1<<40)
 	if v != VerdictAborted {
 		t.Fatalf("verdict = %v, want aborted", v)
 	}
 	if v.String() != "aborted" {
 		t.Fatalf("String() = %q", v.String())
 	}
-	// The abort is still treated as unschedulable by the list API.
+	// The abort is still treated as unschedulable by ResponseAt and
+	// ProcessorSchedulable.
 	list := subs([3]task.Time{1, 1, 1}, [3]task.Time{1, 1 << 41, 1 << 40})
-	if _, ok := SubtaskResponse(list, 1); ok {
+	if _, ok := subtaskResponse(list, 1); ok {
 		t.Fatal("aborted evaluation reported schedulable")
+	}
+	if ProcessorSchedulable(list) {
+		t.Fatal("aborted evaluation made the processor schedulable")
 	}
 }
 
 func TestVerdictExceedsLimitIsExact(t *testing.T) {
 	// C alone over the limit: exceeds-limit without any iteration.
-	if _, v := ResponseTimeVerdict(10, nil, nil, 5); v != VerdictExceedsLimit {
+	if _, v := responseOf(10, nil, 5); v != VerdictExceedsLimit {
 		t.Fatalf("verdict = %v, want exceeds-limit", v)
 	}
 	// Interference pushes past the limit: still exact.
-	cs, ts := []task.Time{5}, []task.Time{10}
-	if _, v := ResponseTimeVerdict(6, cs, ts, 10); v != VerdictExceedsLimit {
+	hp := []Interference{{C: 5, T: 10}}
+	if _, v := responseOf(6, hp, 10); v != VerdictExceedsLimit {
 		t.Fatalf("verdict = %v, want exceeds-limit", v)
 	}
-	if _, v := ResponseTimeVerdict(4, cs, ts, 10); v != VerdictFits {
+	if _, v := responseOf(4, hp, 10); v != VerdictFits {
 		t.Fatalf("verdict = %v, want fits", v)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // reference_test.go, where a wrapped demand would show as a divergence.
 
 func TestResponseTimeHugePeriodNoWrap(t *testing.T) {
-	r, v := ResponseTimeVerdict(1, []task.Time{1}, []task.Time{task.MaxTime}, task.MaxTime)
+	r, v := responseOf(1, []Interference{{C: 1, T: task.MaxTime}}, task.MaxTime)
 	if v != VerdictFits || r != 2 {
 		t.Fatalf("got r=%d v=%v, want r=2 fits", r, v)
 	}
@@ -37,8 +37,7 @@ func TestResponseTimeNearMaxParameters(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cs, ts := columns(c.hp)
-			r, v := ResponseTimeVerdict(c.c, cs, ts, c.limit)
+			r, v := responseOf(c.c, c.hp, c.limit)
 			wr, wv := refResponseTimeVerdict(c.c, c.hp, c.limit)
 			if r != wr || v != wv {
 				t.Fatalf("got (%d, %v), checked reference (%d, %v)", r, v, wr, wv)
@@ -60,8 +59,7 @@ func TestOverflowingDemandIsExceedsLimit(t *testing.T) {
 		hp[j] = Interference{C: 1, T: 1}
 	}
 	own := (task.MaxTime - n*n) / (n + 1)
-	cs, ts := columns(hp)
-	r, v := ResponseTimeVerdict(own, cs, ts, task.MaxTime)
+	r, v := responseOf(own, hp, task.MaxTime)
 	wr, wv := refResponseTimeVerdict(own, hp, task.MaxTime)
 	if r != wr || v != wv {
 		t.Fatalf("got (%d, %v), checked reference (%d, %v)", r, v, wr, wv)
@@ -77,22 +75,23 @@ func TestSlackHugePeriodTerminates(t *testing.T) {
 	const M = task.MaxTime
 	list := []task.Subtask{{TaskIndex: 0, Part: 1, C: 10, T: M, Deadline: M, Tail: true}}
 	if got, want := listSlack(list, 0, M/2), refSlack(list, 0, M/2); got != want {
-		t.Fatalf("Slack = %d, checked reference %d", got, want)
+		t.Fatalf("SlackAtMost = %d, checked reference %d", got, want)
 	}
 	list2 := []task.Subtask{
 		{TaskIndex: 0, Part: 1, C: 5, T: M / 2, Deadline: M / 2, Tail: true},
 		{TaskIndex: 1, Part: 1, C: 10, T: M, Deadline: M, Tail: true},
 	}
 	if got, want := listSlack(list2, 1, M/3), refSlack(list2, 1, M/3); got != want {
-		t.Fatalf("Slack with huge hp = %d, checked reference %d", got, want)
+		t.Fatalf("SlackAtMost with huge hp = %d, checked reference %d", got, want)
 	}
 }
 
 func TestMaxOwnLoadHugeDeadlineTerminates(t *testing.T) {
 	const M = task.MaxTime
-	got := MaxOwnLoad([]task.Time{1}, []task.Time{M / 2}, M)
-	if want := refMaxOwnLoad([]Interference{{C: 1, T: M / 2}}, M); got != want || got <= 0 {
-		t.Fatalf("MaxOwnLoad = %d, checked reference %d (want positive)", got, want)
+	hp := []Interference{{C: 1, T: M / 2}}
+	got := hpState(hp).MaxOwnLoadAt(1, M)
+	if want := refMaxOwnLoad(hp, M); got != want || got <= 0 {
+		t.Fatalf("MaxOwnLoadAt = %d, checked reference %d (want positive)", got, want)
 	}
 }
 

@@ -41,17 +41,6 @@ type Interference struct {
 	T task.Time
 }
 
-// columns splits an interference set into the parallel cs/ts layout the
-// production kernels take.
-func columns(hp []Interference) (cs, ts []task.Time) {
-	cs = make([]task.Time, len(hp))
-	ts = make([]task.Time, len(hp))
-	for j, h := range hp {
-		cs[j], ts[j] = h.C, h.T
-	}
-	return cs, ts
-}
-
 // refColdStart is the cold-start lower bound over an interference set plus
 // the optional extra interferer.
 func refColdStart(c task.Time, hp []Interference, extraC task.Time) task.Time {
@@ -230,7 +219,7 @@ func refMaxOwnLoad(hp []Interference, d task.Time) task.Time {
 }
 
 // The list-level references, built on the bodies above exactly as the
-// package's list API was.
+// package's former list API was.
 
 func refResponseTimeVerdict(c task.Time, hp []Interference, limit task.Time) (task.Time, Verdict) {
 	r, v, _ := iterate(c, hp, 0, 0, limit, refColdStart(c, hp, 0))
@@ -271,8 +260,10 @@ func refSlack(list []task.Subtask, i int, t task.Time) task.Time {
 	return slackCore(list[i].C, list[i].Deadline, hpOf(list, i), t)
 }
 
-// listSlack is the production list-level slack: Slack over list's mirror.
+// listSlack is the production slack of list position i: the uncapped
+// SlackAtMost of a freshly loaded state.
 func listSlack(list []task.Subtask, i int, t task.Time) task.Time {
-	cs, ts := Mirror(list, new([]task.Time))
-	return Slack(list[i].C, list[i].Deadline, cs[:i], ts[:i], t)
+	ps := ProcState{}
+	ps.Load(list)
+	return ps.SlackAtMost(i, t, math.MaxInt64)
 }

@@ -49,7 +49,7 @@ func checkColdEquivalence(t *testing.T, ps *ProcState, list []task.Subtask, s ta
 				ps.TaskAt(i), ps.OwnC(i), ps.Deadline(i), sur[i].TaskIndex, sur[i].C, sur[i].Deadline)
 		}
 		rw, okw := ps.ResponseAt(i, ps.Deadline(i))
-		rc, okc := SubtaskResponse(sur, i)
+		rc, okc := refSubtaskResponse(sur, i)
 		if rw != rc || okw != okc {
 			t.Fatalf("%s: resident %d warm response (%d,%v), from-scratch (%d,%v) [set=%v s=%d]",
 				ctx, i, rw, okw, rc, okc, list, s)
@@ -59,7 +59,7 @@ func checkColdEquivalence(t *testing.T, ps *ProcState, list []task.Subtask, s ta
 
 // stepChurn performs one random admit-or-remove step against both the warm
 // mirror and the explicit model list, checking the admission verdict against
-// SchedulableWithExtraAt on the surcharged surviving set.
+// the reference refSchedulableWithExtraAt on the surcharged surviving set.
 func stepChurn(t *testing.T, r *rand.Rand, ps *ProcState, list []task.Subtask, next *int, ctx string) []task.Subtask {
 	t.Helper()
 	if len(list) > 0 && r.Intn(3) == 0 {
@@ -78,7 +78,7 @@ func stepChurn(t *testing.T, r *rand.Rand, ps *ProcState, list []task.Subtask, n
 	if d < c {
 		d = c
 	}
-	want := SchedulableWithExtraAt(surchargedView(list, ps.Surcharge), prio, c+ps.Surcharge, T, d)
+	want := refSchedulableWithExtraAt(surchargedView(list, ps.Surcharge), prio, c+ps.Surcharge, T, d)
 	got := ps.AdmitAt(prio, c, T, d)
 	if got != want {
 		t.Fatalf("%s: AdmitAt(%d,%d,%d,%d)=%v, from-scratch=%v [set=%v s=%d]",
@@ -148,7 +148,7 @@ func FuzzProcStateRemove(f *testing.F) {
 				if d < c {
 					d = c
 				}
-				want := SchedulableWithExtraAt(surchargedView(list, s), prio, c+s, T, d)
+				want := refSchedulableWithExtraAt(surchargedView(list, s), prio, c+s, T, d)
 				got := ps.AdmitAt(prio, c, T, d)
 				if got != want {
 					t.Fatalf("%s: AdmitAt(%d,%d,%d,%d)=%v, from-scratch=%v", ctx, prio, c, T, d, got, want)

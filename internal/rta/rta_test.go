@@ -17,13 +17,44 @@ func subs(tuples ...[3]task.Time) []task.Subtask {
 	return out
 }
 
+// loaded returns a from-scratch analysis state of list under surcharge s
+// (ProcState.Load), the production path of every list-level analysis.
+func loaded(list []task.Subtask, s task.Time) *ProcState {
+	ps := &ProcState{Surcharge: s}
+	ps.Load(list)
+	return ps
+}
+
+// hpState loads an interference set, in order, as the residents of a
+// from-scratch analysis state.
+func hpState(hp []Interference) *ProcState {
+	list := make([]task.Subtask, len(hp))
+	for j, h := range hp {
+		list[j] = task.Subtask{TaskIndex: j, Part: 1, C: h.C, T: h.T, Deadline: h.T, Tail: true}
+	}
+	return loaded(list, 0)
+}
+
+// responseOf runs one fixed point the way production does: a load with
+// execution c probed against limit below the interferers hp (ProbeAt on a
+// loaded state, cold-started).
+func responseOf(c task.Time, hp []Interference, limit task.Time) (task.Time, Verdict) {
+	p := hpState(hp).ProbeAt(len(hp), c, max(c, limit), limit)
+	return p.OwnResponse, p.OwnVerdict
+}
+
+// subtaskResponse is position i's response on a freshly loaded list.
+func subtaskResponse(list []task.Subtask, i int) (task.Time, bool) {
+	return loaded(list, 0).ResponseAt(i, list[i].Deadline)
+}
+
 func TestResponseTimeClassicExample(t *testing.T) {
 	// Classic textbook example: τ1=(1,4), τ2=(2,6), τ3=(3,13).
 	// R1=1, R2=3, R3 = 3 + 2·1 + 1·2 ... fixed point: R3=10.
 	list := subs([3]task.Time{1, 4, 4}, [3]task.Time{2, 6, 6}, [3]task.Time{3, 13, 13})
 	wants := []task.Time{1, 3, 10}
 	for i, want := range wants {
-		r, ok := SubtaskResponse(list, i)
+		r, ok := subtaskResponse(list, i)
 		if !ok || r != want {
 			t.Errorf("R%d = %d (ok=%v), want %d", i+1, r, ok, want)
 		}
@@ -50,7 +81,7 @@ func TestResponseTimeUnschedulable(t *testing.T) {
 	if ProcessorSchedulable(list) {
 		t.Error("overloaded set accepted")
 	}
-	r, ok := SubtaskResponse(list, 1)
+	r, ok := subtaskResponse(list, 1)
 	if ok {
 		t.Errorf("lowest-priority response %d reported schedulable", r)
 	}
@@ -72,27 +103,40 @@ func TestSyntheticDeadlineRespected(t *testing.T) {
 	if ProcessorSchedulable(list) {
 		t.Error("deadline below response time accepted")
 	}
+	// List order is priority order whatever the TaskIndex values: ranked
+	// by index, (1, 4, Δ1) would fall below (2, 10) and miss.
+	unsorted := []task.Subtask{
+		{TaskIndex: 9, Part: 1, C: 1, T: 4, Deadline: 1, Offset: 3, Tail: true},
+		{TaskIndex: 0, Part: 1, C: 2, T: 10, Deadline: 10, Tail: true},
+	}
+	if !ProcessorSchedulable(unsorted) || !refProcessorSchedulable(unsorted) {
+		t.Error("list with descending TaskIndex not analysed in list order")
+	}
+	if r, ok := subtaskResponse(unsorted, 1); !ok || r != 3 {
+		t.Errorf("second resident: R = %d (ok=%v), want 3 under the first", r, ok)
+	}
 }
 
 func TestResponseTimeZeroInterference(t *testing.T) {
-	r, v := ResponseTimeVerdict(5, nil, nil, 10)
+	r, v := responseOf(5, nil, 10)
 	if v != VerdictFits || r != 5 {
 		t.Errorf("R = %d, verdict %v", r, v)
 	}
-	if _, v = ResponseTimeVerdict(11, nil, nil, 10); v == VerdictFits {
+	if _, v = responseOf(11, nil, 10); v == VerdictFits {
 		t.Error("C beyond limit accepted")
 	}
 }
 
 func TestSchedulableWithExtraMatchesManualInsert(t *testing.T) {
 	list := subs([3]task.Time{2, 10, 10}, [3]task.Time{3, 15, 15})
-	// Insert a new top-priority load (2, 5): manual check.
+	// Insert a new top-priority load (2, 5) — priority index -1 ranks
+	// above every resident: manual check.
 	manual := subs([3]task.Time{2, 5, 5}, [3]task.Time{2, 10, 10}, [3]task.Time{3, 15, 15})
-	if got, want := SchedulableWithExtra(list, 2, 5, 5), ProcessorSchedulable(manual); got != want {
-		t.Errorf("SchedulableWithExtra = %v, manual = %v", got, want)
+	if got, want := loaded(list, 0).AdmitAt(-1, 2, 5, 5), ProcessorSchedulable(manual); got != want {
+		t.Errorf("AdmitAt = %v, manual = %v", got, want)
 	}
 	// An extra load that breaks the lowest-priority task.
-	if SchedulableWithExtra(list, 4, 5, 5) {
+	if loaded(list, 0).AdmitAt(-1, 4, 5, 5) {
 		t.Error("overload accepted")
 	}
 }
@@ -105,12 +149,12 @@ func TestSchedulableWithExtraAtInsertsAtPriority(t *testing.T) {
 	}
 	// (6, 12): R = 6 + 2·⌈R/5⌉ → R=10 ≤ 12; τ2: R = 2+2·⌈R/5⌉+6·⌈R/12⌉ →
 	// iterate: 10 → 2+4+6=12 → 2+2·3+6=14 → 2+2·3+12=20 → 2+2·4+12=22 > 20.
-	if SchedulableWithExtraAt(list, 1, 6, 12, 12) {
+	if loaded(list, 0).AdmitAt(1, 6, 12, 12) {
 		t.Error("mid-priority insert that overloads τ2 accepted")
 	}
 	// (3, 12): new R = 3+2⌈R/5⌉ → 5... iterate: 5 → 3+2=5 ✓; τ2: R =
 	// 2+2⌈R/5⌉+3⌈R/12⌉: 7 → 2+4+3=9 → 2+4+3=9 ✓ ≤ 20.
-	if !SchedulableWithExtraAt(list, 1, 3, 12, 12) {
+	if !loaded(list, 0).AdmitAt(1, 3, 12, 12) {
 		t.Error("feasible mid-priority insert rejected")
 	}
 }
@@ -154,8 +198,7 @@ func binarySlack(list []task.Subtask, i int, t task.Time) task.Time {
 		if e > 0 {
 			hp = append(hp, Interference{C: e, T: t})
 		}
-		cs, ts := columns(hp)
-		_, v := ResponseTimeVerdict(list[i].C, cs, ts, list[i].Deadline)
+		_, v := refResponseTimeVerdict(list[i].C, hp, list[i].Deadline)
 		return v == VerdictFits
 	}
 	if !feasible(0) {
@@ -183,14 +226,13 @@ func TestMaxOwnLoadMatchesBinarySearch(t *testing.T) {
 			hp[i] = Interference{C: task.Time(1 + r.Intn(int(T)/2)), T: T}
 		}
 		d := task.Time(1 + r.Intn(120))
-		cs, ts := columns(hp)
-		got := MaxOwnLoad(cs, ts, d)
+		got := hpState(hp).MaxOwnLoadAt(n, d)
 		// Reference: binary search the largest c with a feasible response.
 		feasible := func(c task.Time) bool {
 			if c == 0 {
 				return true
 			}
-			_, v := ResponseTimeVerdict(c, cs, ts, d)
+			_, v := refResponseTimeVerdict(c, hp, d)
 			return v == VerdictFits
 		}
 		lo, hi := task.Time(0), d+1
@@ -203,20 +245,20 @@ func TestMaxOwnLoadMatchesBinarySearch(t *testing.T) {
 			}
 		}
 		if got != lo {
-			t.Fatalf("trial %d: MaxOwnLoad = %d, want %d (hp=%v, d=%d)", trial, got, lo, hp, d)
+			t.Fatalf("trial %d: MaxOwnLoadAt = %d, want %d (hp=%v, d=%d)", trial, got, lo, hp, d)
 		}
 	}
 }
 
 func TestResponseTimeMonotoneInC(t *testing.T) {
-	cs, ts := []task.Time{2, 3}, []task.Time{7, 11}
+	hp := []Interference{{C: 2, T: 7}, {C: 3, T: 11}}
 	f := func(a, b uint8) bool {
 		c1, c2 := task.Time(a%50)+1, task.Time(b%50)+1
 		if c1 > c2 {
 			c1, c2 = c2, c1
 		}
-		r1, v1 := ResponseTimeVerdict(c1, cs, ts, 100000)
-		r2, v2 := ResponseTimeVerdict(c2, cs, ts, 100000)
+		r1, v1 := responseOf(c1, hp, 100000)
+		r2, v2 := responseOf(c2, hp, 100000)
 		if v1 != VerdictFits || v2 != VerdictFits {
 			return true
 		}
@@ -229,9 +271,9 @@ func TestResponseTimeMonotoneInC(t *testing.T) {
 
 func TestResponseTimeMonotoneInInterference(t *testing.T) {
 	f := func(a, b, c uint8) bool {
-		cs, ts := []task.Time{task.Time(a%5) + 1}, []task.Time{task.Time(b%20) + 6}
-		r1, v1 := ResponseTimeVerdict(4, cs, ts, 100000)
-		r2, v2 := ResponseTimeVerdict(4, append(cs, task.Time(c%5)+1), append(ts, 13), 100000)
+		hp := []Interference{{C: task.Time(a%5) + 1, T: task.Time(b%20) + 6}}
+		r1, v1 := responseOf(4, hp, 100000)
+		r2, v2 := responseOf(4, append(hp, Interference{C: task.Time(c%5) + 1, T: 13}), 100000)
 		if v1 != VerdictFits || v2 != VerdictFits {
 			return true
 		}

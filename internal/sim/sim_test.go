@@ -304,8 +304,10 @@ func FuzzSimVsRTA(f *testing.F) {
 		if !rep.Ok() {
 			t.Fatalf("RTA-schedulable %v missed in simulation: %v", ts, rep.Misses)
 		}
+		var ps rta.ProcState
+		ps.Load(list)
 		for i := range list {
-			want, _ := rta.SubtaskResponse(list, i)
+			want, _ := ps.ResponseAt(i, list[i].Deadline)
 			if got := rep.WorstResponse[i]; got != want {
 				t.Fatalf("%v: τ%d simulated worst response %d, RTA %d", ts, i, got, want)
 			}
@@ -320,7 +322,9 @@ func rtaSchedulable(a *task.Assignment) bool {
 func rtaResponse(a *task.Assignment, idx int) (task.Time, bool) {
 	for i, s := range a.Procs[0] {
 		if s.TaskIndex == idx {
-			return rta.SubtaskResponse(a.Procs[0], i)
+			var ps rta.ProcState
+			ps.Load(a.Procs[0])
+			return ps.ResponseAt(i, s.Deadline)
 		}
 	}
 	return 0, false

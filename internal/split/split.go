@@ -5,17 +5,16 @@
 // processor with a bottleneck — and return the remainder for the next
 // assignment step.
 //
-// The testing-point method the paper cites from [22] evaluates the RTA
-// slack of each resident subtask at the points where the interference step
-// functions change. It comes in two forms over the same rta kernels:
-// MaxPortionState on a processor's incremental analysis state (the
-// partitioners' path) and MaxPortion/MaxPortionScratch/MaxPortionAt on a
-// subtask list (from scratch; the list must lie in the model's domain, see
-// package rta). MaxPortionBinary is the binary-search
-// method the paper sketches ("performing a binary search over [0, C^k]"),
-// kept because the split-ablation experiment measures it against the
-// testing-point method. All are exact on the integer time domain and are
-// cross-checked against each other by property tests.
+// Both methods run on a processor's analysis state (rta.ProcState), the
+// partitioners' incremental one or a from-scratch one loaded from a subtask
+// list (rta.ProcState.Load). MaxPortionState is the testing-point method
+// the paper cites from [22]: it evaluates the RTA slack of each resident
+// subtask at the points where the interference step functions change.
+// MaxPortionBinary is the binary-search method the paper sketches
+// ("performing a binary search over [0, C^k]"), kept because the
+// split-ablation experiment measures it against the testing-point method.
+// Both are exact on the integer time domain; the property tests check them
+// against each other and against a list-level binary search.
 package split
 
 import (
@@ -35,96 +34,24 @@ var (
 	cBinProbes = obs.NewCounter("split.bin.probes")
 )
 
-// MaxPortion returns the largest c' in [0, budget] such that adding a new
-// highest-priority load (c', t) to the priority-sorted resident list keeps
-// every resident subtask schedulable and c' itself fits within deadline d
-// (the synthetic deadline the new body fragment would have).
-//
-// It minimizes, over the resident subtasks, the exact RTA slack with
-// respect to a period-t interferer.
-func MaxPortion(list []task.Subtask, t, budget, d task.Time) task.Time {
-	portion, _ := MaxPortionScratch(list, t, budget, d, nil)
-	return portion
-}
-
-// MaxPortionScratch is MaxPortion with a caller-provided mirror buffer: the
-// resident mirror is built once (rta.Mirror) and each resident's
-// higher-priority set is a prefix of it, so a call allocates nothing once
-// buf has capacity. The (possibly grown) buffer is returned for reuse.
-func MaxPortionScratch(list []task.Subtask, t, budget, d task.Time, buf []task.Time) (task.Time, []task.Time) {
-	cTPCalls.Inc()
-	if budget <= 0 {
-		return 0, buf
-	}
-	best := budget
-	if d < best {
-		best = d
-	}
-	if best <= 0 {
-		return 0, buf
-	}
-	cs, ts := rta.Mirror(list, &buf)
-	for i := range list {
-		if s := rta.Slack(list[i].C, list[i].Deadline, cs[:i], ts[:i], t); s < best {
-			best = s
-		}
-		if best == 0 {
-			return 0, buf
-		}
-	}
-	return best, buf
-}
-
-// MaxPortionAt generalizes MaxPortion to an arbitrary priority position:
-// the new load (c', t) is inserted with priority index prio into the
-// priority-sorted resident list, below every resident whose task index is
-// at most prio (the tie rule of task.Assignment.Add, rta.ProcState.PosFor
-// and rta.SchedulableWithExtraAt). It returns the largest c' in
-// [0, budget] such that the new fragment's own response time stays within
-// d and every lower-priority resident stays schedulable. Residents with
-// higher priority are unaffected by construction.
+// MaxPortionState returns the largest c' in [0, budget] such that a new
+// load (c', t) inserted with priority index prio at its position on ps
+// (below every resident whose task index is at most prio, the tie rule of
+// task.Assignment.Add and rta.ProcState.PosFor) keeps its own response
+// within d and every lower-priority resident schedulable. Residents with
+// higher priority are unaffected by construction. It takes the max own
+// load at the insertion position and minimizes it with the exact RTA slack
+// of every resident below, with respect to a period-t interferer.
 //
 // The paper's algorithms only insert at the top (assignment in increasing
-// priority order guarantees it, Lemma 2); the general form is needed for
-// RM-TS phase 3, where a processor may already host a pre-assigned task of
-// either priority relative to the incoming one.
-func MaxPortionAt(list []task.Subtask, prio int, t, budget, d task.Time) task.Time {
-	cTPCalls.Inc()
-	if budget <= 0 || d <= 0 {
-		return 0
-	}
-	pos := 0
-	for pos < len(list) && list[pos].TaskIndex <= prio {
-		pos++
-	}
-	cs, ts := rta.Mirror(list, new([]task.Time))
-	best := rta.MaxOwnLoad(cs[:pos], ts[:pos], d)
-	if budget < best {
-		best = budget
-	}
-	if best <= 0 {
-		return 0
-	}
-	for i := pos; i < len(list); i++ {
-		if s := rta.Slack(list[i].C, list[i].Deadline, cs[:i], ts[:i], t); s < best {
-			best = s
-		}
-		if best == 0 {
-			return 0
-		}
-	}
-	return best
-}
-
-// MaxPortionState is MaxPortionAt evaluated on a processor's incremental
-// analysis state instead of a fresh subtask slice: the interference view
-// (including any analysis surcharge) is the state's reused mirror, so a
-// probe allocates nothing. The budget is in the state's surcharged units —
-// callers with a per-fragment surcharge s pass budget+s and subtract s from
-// the result, exactly as with a surcharged list view.
+// priority order guarantees it, Lemma 2); the general position is needed
+// for RM-TS phase 3, where a processor may already host a pre-assigned task
+// of either priority relative to the incoming one.
 //
-// Decision-equivalent to MaxPortionAt on the equivalent list view; the
-// property test in the partition package pins this.
+// The interference view (including any analysis surcharge) is the state's
+// reused mirror, so a probe allocates nothing. The budget and the result
+// are in the state's surcharged units — callers with a per-fragment
+// surcharge s pass budget+s and subtract s from the result.
 func MaxPortionState(ps *rta.ProcState, prio int, t, budget, d task.Time) task.Time {
 	cTPCalls.Inc()
 	if budget <= 0 || d <= 0 {
@@ -152,11 +79,12 @@ func MaxPortionState(ps *rta.ProcState, prio int, t, budget, d task.Time) task.T
 	return best
 }
 
-// MaxPortionBinary is the reference implementation of MaxPortion: it binary
-// searches the largest feasible c' in [0, min(budget, d)], using the full
-// admission check at each probe. Schedulability is monotone in c' (a larger
-// fragment only adds interference), so the search is exact.
-func MaxPortionBinary(list []task.Subtask, t, budget, d task.Time) task.Time {
+// MaxPortionBinary is the binary-search reference for MaxPortionState, in
+// the same surcharged units: it searches the largest feasible c' in
+// [0, min(budget, d)], probing each candidate with the full admission check
+// (ps.AdmitAt at priority index prio). Schedulability is monotone in c' (a
+// larger fragment only adds interference), so the search is exact.
+func MaxPortionBinary(ps *rta.ProcState, prio int, t, budget, d task.Time) task.Time {
 	cBinCalls.Inc()
 	hi := budget
 	if d < hi {
@@ -167,10 +95,7 @@ func MaxPortionBinary(list []task.Subtask, t, budget, d task.Time) task.Time {
 	}
 	feasible := func(c task.Time) bool {
 		cBinProbes.Inc()
-		if c == 0 {
-			return true
-		}
-		return rta.SchedulableWithExtra(list, c, t, d)
+		return c == 0 || ps.AdmitAt(prio, c-ps.Surcharge, t, d)
 	}
 	if feasible(hi) {
 		return hi

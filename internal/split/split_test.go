@@ -29,6 +29,20 @@ func randomProcessor(r *rand.Rand, base int) []task.Subtask {
 	}
 }
 
+// loaded returns a from-scratch analysis state of list.
+func loaded(list []task.Subtask) *rta.ProcState {
+	ps := &rta.ProcState{}
+	ps.Load(list)
+	return ps
+}
+
+// maxPortion is the paper's top insertion on a freshly loaded list:
+// priority index 0 ranks above every resident of a randomProcessor(r, 1)
+// list.
+func maxPortion(list []task.Subtask, t, budget, d task.Time) task.Time {
+	return MaxPortionState(loaded(list), 0, t, budget, d)
+}
+
 func TestMaxPortionAgainstBinary(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 400; trial++ {
@@ -36,10 +50,10 @@ func TestMaxPortionAgainstBinary(t *testing.T) {
 		T := task.Time(4 + r.Intn(60))
 		budget := task.Time(1 + r.Intn(int(T)))
 		d := T - task.Time(r.Intn(int(T)/2+1))
-		got := MaxPortion(list, T, budget, d)
-		want := MaxPortionBinary(list, T, budget, d)
+		got := maxPortion(list, T, budget, d)
+		want := MaxPortionBinary(loaded(list), 0, T, budget, d)
 		if got != want {
-			t.Fatalf("trial %d: MaxPortion = %d, binary = %d (T=%d budget=%d d=%d list=%v)",
+			t.Fatalf("trial %d: MaxPortionState = %d, MaxPortionBinary = %d (T=%d budget=%d d=%d list=%v)",
 				trial, got, want, T, budget, d, list)
 		}
 	}
@@ -55,15 +69,19 @@ func TestMaxPortionAtAgainstBinary(t *testing.T) {
 			list[i].TaskIndex = i * 2
 		}
 		// Even draws tie with a resident's index: the newcomer then goes
-		// below that resident, in both MaxPortionAt and the reference.
+		// below that resident, in MaxPortionState, MaxPortionBinary and the
+		// reference.
 		prio := r.Intn(len(list)*2 + 2)
 		T := task.Time(4 + r.Intn(60))
 		budget := task.Time(1 + r.Intn(int(T)))
 		d := T - task.Time(r.Intn(int(T)/2+1))
-		got := MaxPortionAt(list, prio, T, budget, d)
 		want := maxPortionAtBinary(list, prio, T, budget, d)
-		if got != want {
-			t.Fatalf("trial %d: MaxPortionAt = %d, binary = %d (prio=%d T=%d budget=%d d=%d list=%v)",
+		if got := MaxPortionState(loaded(list), prio, T, budget, d); got != want {
+			t.Fatalf("trial %d: MaxPortionState = %d, binary = %d (prio=%d T=%d budget=%d d=%d list=%v)",
+				trial, got, want, prio, T, budget, d, list)
+		}
+		if got := MaxPortionBinary(loaded(list), prio, T, budget, d); got != want {
+			t.Fatalf("trial %d: MaxPortionBinary = %d, reference = %d (prio=%d T=%d budget=%d d=%d list=%v)",
 				trial, got, want, prio, T, budget, d, list)
 		}
 	}
@@ -79,12 +97,12 @@ func TestMaxPortionIsMaximal(t *testing.T) {
 		T := task.Time(4 + r.Intn(60))
 		budget := T // uncapped in practice
 		d := T
-		p := MaxPortion(list, T, budget, d)
-		if p > 0 && !rta.SchedulableWithExtra(list, p, T, d) {
+		p := maxPortion(list, T, budget, d)
+		if p > 0 && !withExtraAt(list, 0, p, T, d) {
 			t.Fatalf("trial %d: portion %d reported feasible but RTA rejects it", trial, p)
 		}
 		if p < budget && p < d {
-			if rta.SchedulableWithExtra(list, p+1, T, d) {
+			if withExtraAt(list, 0, p+1, T, d) {
 				t.Fatalf("trial %d: portion %d not maximal (p+1 feasible)", trial, p)
 			}
 		}
@@ -93,20 +111,20 @@ func TestMaxPortionIsMaximal(t *testing.T) {
 
 func TestMaxPortionEdgeCases(t *testing.T) {
 	list := []task.Subtask{{TaskIndex: 1, Part: 1, C: 2, T: 10, Deadline: 10, Tail: true}}
-	if got := MaxPortion(list, 5, 0, 5); got != 0 {
+	if got := maxPortion(list, 5, 0, 5); got != 0 {
 		t.Errorf("zero budget: %d", got)
 	}
-	if got := MaxPortion(list, 5, 3, 0); got != 0 {
+	if got := maxPortion(list, 5, 3, 0); got != 0 {
 		t.Errorf("zero deadline: %d", got)
 	}
-	if got := MaxPortion(list, 5, 3, -4); got != 0 {
+	if got := maxPortion(list, 5, 3, -4); got != 0 {
 		t.Errorf("negative deadline: %d", got)
 	}
-	if got := MaxPortion(nil, 5, 3, 5); got != 3 {
+	if got := maxPortion(nil, 5, 3, 5); got != 3 {
 		t.Errorf("empty processor should grant the whole budget: %d", got)
 	}
 	// Budget larger than deadline is capped by the deadline.
-	if got := MaxPortion(nil, 5, 10, 4); got != 4 {
+	if got := maxPortion(nil, 5, 10, 4); got != 4 {
 		t.Errorf("deadline cap: %d", got)
 	}
 }
@@ -115,7 +133,7 @@ func TestMaxPortionSaturatedProcessor(t *testing.T) {
 	// A processor at 100% with a harmonic resident has no room at all for
 	// an interferer whose period does not divide.
 	list := []task.Subtask{{TaskIndex: 1, Part: 1, C: 10, T: 10, Deadline: 10, Tail: true}}
-	if got := MaxPortion(list, 7, 7, 7); got != 0 {
+	if got := maxPortion(list, 7, 7, 7); got != 0 {
 		t.Errorf("fully loaded processor granted %d", got)
 	}
 }
@@ -124,12 +142,26 @@ func TestMaxPortionHarmonicExact(t *testing.T) {
 	// Resident (2,8,Δ8); newcomer period 4. Demand at x=8: 2 + 2·p ≤ 8 →
 	// p ≤ 3. At x=4: 2 + p ≤ 4 → p ≤ 2. Best is 3.
 	list := []task.Subtask{{TaskIndex: 1, Part: 1, C: 2, T: 8, Deadline: 8, Tail: true}}
-	if got := MaxPortion(list, 4, 8, 4); got != 3 {
+	if got := maxPortion(list, 4, 8, 4); got != 3 {
 		t.Errorf("harmonic slack = %d, want 3", got)
 	}
 }
 
-// maxPortionAtBinary is the binary-search reference for MaxPortionAt: the
+// withExtraAt reports whether list stays schedulable with a new load
+// (c, t, deadline d) merged in at priority index prio, below every resident
+// whose index is at most prio: the whole merged list through
+// rta.ProcessorSchedulable, no slack or max-own-load kernel involved.
+func withExtraAt(list []task.Subtask, prio int, c, t, d task.Time) bool {
+	pos := 0
+	for pos < len(list) && list[pos].TaskIndex <= prio {
+		pos++
+	}
+	merged := append(append(append([]task.Subtask(nil), list[:pos]...),
+		task.Subtask{TaskIndex: prio, Part: 1, C: c, T: t, Deadline: d, Offset: t - d, Tail: true}), list[pos:]...)
+	return rta.ProcessorSchedulable(merged)
+}
+
+// maxPortionAtBinary is the binary-search reference for MaxPortionState: the
 // largest feasible c' in [0, min(budget, d)], probing each candidate with
 // the full admission check at priority index prio. Schedulability is
 // monotone in c', so the search is exact.
@@ -142,7 +174,7 @@ func maxPortionAtBinary(list []task.Subtask, prio int, t, budget, d task.Time) t
 		return 0
 	}
 	feasible := func(c task.Time) bool {
-		return c == 0 || rta.SchedulableWithExtraAt(list, prio, c, t, d)
+		return c == 0 || withExtraAt(list, prio, c, t, d)
 	}
 	if feasible(hi) {
 		return hi
@@ -217,7 +249,7 @@ func TestMaxPortionThenBottleneck(t *testing.T) {
 		list := randomProcessor(r, 1)
 		T := task.Time(4 + r.Intn(60))
 		d := T
-		p := MaxPortion(list, T, T, d)
+		p := maxPortion(list, T, T, d)
 		if p == 0 || p == T {
 			continue // nothing assigned, or no split happened
 		}
