@@ -2,7 +2,9 @@
 # Tier-1 verification gate (see ROADMAP.md): formatting, vet, build, full
 # test suite, a race-detector pass over the concurrent packages (the
 # experiment harness fans out over workers; the obs counters are shared
-# atomics), a one-iteration bench smoke so
+# atomics; xrand's once-guarded first use), an import-graph check (only
+# cmd/admitd links net/http, internal/obs imports nothing under net/, and
+# the perfbench module still vets), a one-iteration bench smoke so
 # every benchmark keeps compiling and running, a fault-injection pass over
 # the hardened pipeline (injected sample panics and RTA aborts, plus
 # mid-sweep cancellation; DESIGN.md §9), short fuzz smokes for the invariant
@@ -73,7 +75,28 @@ go test ./...
 echo "== go test -race (concurrency-sensitive packages) =="
 # The experiments race pass exercises the reuse path: pooled
 # per-worker workspaces with arenas and persistent RNGs under -race.
-go test -race -short repro/internal/experiments repro/internal/obs repro/internal/partition repro/internal/admit
+go test -race -short repro/internal/experiments repro/internal/obs repro/internal/obs/obshttp repro/internal/partition repro/internal/admit
+# Alone, this test is the process's first xrand.Seed: 8 goroutines race
+# into the once-guarded table recovery and self-check.
+go test -race -count=1 -run '^TestConcurrentFirstUse$' repro/internal/xrand
+
+echo "== import graph (only cmd/admitd links net/http; obs imports nothing under net/) =="
+# Every command links obs; the HTTP surface lives in obs/obshttp so the
+# commands that serve nothing start without net/http, crypto/tls and x509.
+for pkg in $(go list ./cmd/...); do
+    [ "$pkg" = repro/cmd/admitd ] && continue
+    if go list -deps "$pkg" | grep -qx 'net/http'; then
+        echo "$pkg links net/http; only repro/cmd/admitd may" >&2
+        exit 1
+    fi
+done
+if go list -deps repro/internal/obs | grep -q '^net\(/\|$\)'; then
+    echo "repro/internal/obs depends on a net package:" >&2
+    go list -deps repro/internal/obs | grep '^net\(/\|$\)' >&2
+    exit 1
+fi
+# The benchmark module builds against this tree; it must keep compiling.
+(cd perfbench && GOPROXY=off go vet .)
 
 echo "== alloc guards (hot paths must stay zero-allocation) =="
 go test -run AllocGuard repro/internal/rta repro/internal/split repro/internal/partition repro/internal/gen repro/internal/admit repro/internal/edfa repro/internal/global repro/internal/sim repro/internal/experiments

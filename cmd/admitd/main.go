@@ -68,6 +68,7 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 )
 
 func main() {
@@ -226,8 +227,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range routes {
 		routes[i].Handler = readyGuard(routes[i].Handler)
 	}
-	routes = append(routes, obs.Route{Pattern: "GET /debug/requests", Handler: ring.Handler()})
-	srv, err := obs.ServeOpts(*listen, obs.Default, obs.ServeOptions{
+	routes = append(routes, obshttp.Route{Pattern: "GET /debug/requests", Handler: obshttp.RequestsHandler(ring)})
+	srv, err := obshttp.ServeOpts(*listen, obs.Default, obshttp.ServeOptions{
 		ReadHeaderTimeout: disabledIfZero(*readHeadTO),
 		ReadTimeout:       disabledIfZero(*readTO),
 		WriteTimeout:      disabledIfZero(*writeTO),

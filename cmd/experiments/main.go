@@ -86,9 +86,13 @@ func run() int {
 	flag.Parse()
 
 	if *list {
+		// One write for the whole listing, not a write syscall per line:
+		// -list does no other work, so its cost is the start and the output.
+		var b strings.Builder
 		for _, e := range experiments.Registry() {
-			fmt.Printf("%-22s %s\n", e.Key, e.Title)
+			fmt.Fprintf(&b, "%-22s %s\n", e.Key, e.Title)
 		}
+		os.Stdout.WriteString(b.String())
 		return 0
 	}
 	fail := func(format string, args ...interface{}) {

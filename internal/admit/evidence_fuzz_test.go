@@ -106,7 +106,10 @@ func FuzzEvidenceVsProbeRTA(f *testing.F) {
 		rtaEv := cl.evidence(partition.CauseRTADeadlineMiss, cand)
 		thrEv := cl.evidence(partition.CauseThresholdExhausted, cand)
 		for q := 0; q < m; q++ {
-			list := eng.Residents(q)
+			list := make([]task.Subtask, eng.ProcLen(q))
+			for i := range list {
+				list[i] = eng.ResidentAt(q, i)
+			}
 			u := 0.0
 			for i := range list {
 				u += float64(list[i].C+s) / float64(list[i].T)

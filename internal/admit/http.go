@@ -13,12 +13,12 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/task"
 )
 
 // HTTP/JSON surface of the service (mounted by cmd/admitd, typically next
-// to the obs status routes):
+// to the obshttp status routes):
 //
 //	POST   /v1/clusters               {"name","m","policy","surcharge"}  → 201 Status
 //	GET    /v1/clusters                                                  → 200 {"clusters":[Status...]}
@@ -71,7 +71,7 @@ type RemoveRequest struct {
 }
 
 // Handler returns the service's HTTP mux. The routes are also exported via
-// Routes for mounting beside other handlers (the obs status server).
+// Routes for mounting beside other handlers (the obshttp status server).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, r := range s.Routes() {
@@ -81,13 +81,13 @@ func (s *Service) Handler() http.Handler {
 }
 
 // Routes lists the service's endpoints (Go 1.22 method+path patterns) as
-// obs routes, so cmd/admitd can mount them beside the status routes with
-// obs.ServeOpts and the "/" index names them. Every route is wrapped in the
+// obshttp routes, so cmd/admitd can mount them beside the status routes
+// with obshttp.ServeOpts and the "/" index names them. Every route is wrapped in the
 // tracing layer (trace.go), with the tracer *outside* the gate on the
 // admission routes — a 429 shed must still echo the request ID and count in
 // the route's RED metrics.
-func (s *Service) Routes() []obs.Route {
-	return []obs.Route{
+func (s *Service) Routes() []obshttp.Route {
+	return []obshttp.Route{
 		{Pattern: "POST /v1/clusters", Handler: s.traced("create", http.HandlerFunc(s.handleCreate))},
 		{Pattern: "GET /v1/clusters", Handler: s.traced("list", http.HandlerFunc(s.handleList))},
 		{Pattern: "GET /v1/clusters/{name}", Handler: s.traced("status", http.HandlerFunc(s.handleStatus))},

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 )
 
 // recordE2Events runs acceptance-general at quick scale with an event
@@ -175,7 +176,7 @@ func TestStatusEndpointsDuringRun(t *testing.T) {
 	defer obs.SetEnabled(false)
 	obs.Reset()
 
-	srv := httptest.NewServer(obs.StatusHandlerWith(obs.Default))
+	srv := httptest.NewServer(obshttp.StatusHandlerWith(obs.Default))
 	defer srv.Close()
 
 	e, _ := Find("acceptance-general")

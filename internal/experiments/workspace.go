@@ -29,7 +29,7 @@ type Workspace struct {
 	rng      *rand.Rand
 	paranoid bool
 
-	// carry is the breakdown bisections' cross-scale warm-start state: the
+	// carry is uniBreakdown's (E18) cross-scale warm-start state: the
 	// converged responses of the last accepted scale of the CURRENT sample
 	// (see rta.BatchState.EvaluateList). Reset at the start of each sample.
 	carry rta.BatchState

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/task"
 )
@@ -82,9 +83,25 @@ const nameCacheSize = 1024
 var uniformNames, harmonicNames [nameCacheSize]string
 
 func init() {
-	for i := 0; i < nameCacheSize; i++ {
-		uniformNames[i] = fmt.Sprintf("t%d", i)
-		harmonicNames[i] = fmt.Sprintf("h%d", i)
+	internNames(&uniformNames, 't')
+	internNames(&harmonicNames, 'h')
+}
+
+// internNames fills names[i] with prefix followed by i in decimal, all
+// sliced from one backing string, so the table costs two allocations
+// instead of one formatted string per name.
+func internNames(names *[nameCacheSize]string, prefix byte) {
+	var ends [nameCacheSize]int
+	buf := make([]byte, 0, 5*nameCacheSize) // "x1023" is the longest name
+	for i := range names {
+		buf = append(buf, prefix)
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all, start := string(buf), 0
+	for i, end := range ends {
+		names[i] = all[start:end]
+		start = end
 	}
 }
 

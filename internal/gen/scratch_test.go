@@ -73,3 +73,17 @@ func TestScratchMatchesNil(t *testing.T) {
 		}
 	}
 }
+
+// TestInternedNames pins the interned name tables to the formatting they
+// replace: every cached name, and the first names past the cache that fall
+// back to Sprintf, must equal fmt.Sprintf("t%d"/"h%d", i).
+func TestInternedNames(t *testing.T) {
+	for i := 0; i <= nameCacheSize+1; i++ {
+		if got, want := uniformName(i), fmt.Sprintf("t%d", i); got != want {
+			t.Fatalf("uniformName(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := harmonicName(i), fmt.Sprintf("h%d", i); got != want {
+			t.Fatalf("harmonicName(%d) = %q, want %q", i, got, want)
+		}
+	}
+}

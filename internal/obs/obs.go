@@ -16,7 +16,15 @@
 //
 // The Default registry collects every metric created via NewCounter /
 // NewHistogram; Default.Snapshot() returns a name-sorted, render-ready view
-// and Reset() rearms it between experiments.
+// (aligned text, schema-versioned JSON, Prometheus text) and Reset() rearms
+// it between experiments. Beside the registry the package keeps the JSONL
+// run-event and access logs, the process readiness state and the ring of
+// recent slow or errored requests.
+//
+// obs imports nothing under net/: every command links it, and only
+// cmd/admitd serves HTTP. The endpoints that expose this state (/metrics,
+// /healthz, /readyz, /debug/pprof/, /debug/requests) live in
+// internal/obs/obshttp.
 package obs
 
 import (

@@ -1,4 +1,9 @@
-package obs
+// Package obshttp is the HTTP surface of internal/obs: the status mux
+// (/metrics, /healthz, /readyz, /debug/pprof/), the listener that serves it
+// beside extra routes, and the /debug/requests view of an obs.RequestRing.
+// Only cmd/admitd serves HTTP, so only it and internal/admit import this
+// package; every other command links obs without net/http.
+package obshttp
 
 import (
 	"context"
@@ -13,6 +18,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // StatusServer is the read-only live view of a running process: current
@@ -22,7 +29,7 @@ import (
 // perturbation from profiling aside, which is exactly what pprof is for).
 //
 //	GET /metrics   — registry snapshot; JSON (schema-versioned
-//	                 SnapshotExport) when the Accept header prefers
+//	                 obs.SnapshotExport) when the Accept header prefers
 //	                 application/json, aligned text otherwise
 //	GET /healthz   — liveness probe: 200 with the build identity (go
 //	                 version, GOMAXPROCS, git revision) under the same
@@ -70,10 +77,10 @@ func timeoutOr(v, def time.Duration) time.Duration {
 // admission API and the observability surface from one listener. Extra
 // routes appear on the "/" index alongside the built-in ones. The returned
 // server reports its bound address via Addr and is shut down with Close.
-func ServeOpts(addr string, reg *Registry, opts ServeOptions, extra ...Route) (*StatusServer, error) {
+func ServeOpts(addr string, reg *obs.Registry, opts ServeOptions, extra ...Route) (*StatusServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("obshttp: listen %s: %w", addr, err)
 	}
 	s := &StatusServer{lis: lis}
 	s.srv = &http.Server{
@@ -117,11 +124,11 @@ type Route struct {
 	Handler http.Handler
 }
 
-// StatusHandlerWith builds the read-only status mux over reg (nil means the
-// Default registry) with extra routes mounted beside the built-in ones. The
+// StatusHandlerWith builds the read-only status mux over reg (nil means
+// obs.Default) with extra routes mounted beside the built-in ones. The
 // "/" index is generated from the full route list, so it stays truthful no
 // matter what is mounted.
-func StatusHandlerWith(reg *Registry, extra ...Route) http.Handler {
+func StatusHandlerWith(reg *obs.Registry, extra ...Route) http.Handler {
 	routes := append(statusRoutes(reg), extra...)
 	mux := http.NewServeMux()
 	for _, rt := range routes {
@@ -158,10 +165,10 @@ func routePaths(routes []Route) []string {
 }
 
 // statusRoutes lists the built-in read-only endpoints over reg (nil means
-// the Default registry).
-func statusRoutes(reg *Registry) []Route {
+// obs.Default).
+func statusRoutes(reg *obs.Registry) []Route {
 	if reg == nil {
-		reg = Default
+		reg = obs.Default
 	}
 	metrics := func(w http.ResponseWriter, r *http.Request) {
 		snap := reg.Snapshot()
@@ -186,13 +193,41 @@ func statusRoutes(reg *Registry) []Route {
 	return []Route{
 		{"/metrics", http.HandlerFunc(metrics)},
 		{"/healthz", http.HandlerFunc(healthz)},
-		{"/readyz", http.HandlerFunc(readyzHandler)},
+		{"/readyz", http.HandlerFunc(readyz)},
 		{"/debug/pprof/", http.HandlerFunc(pprof.Index)},
 		{"/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline)},
 		{"/debug/pprof/profile", http.HandlerFunc(pprof.Profile)},
 		{"/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol)},
 		{"/debug/pprof/trace", http.HandlerFunc(pprof.Trace)},
 	}
+}
+
+// readyz serves GET /readyz: 200 {"ready":true,...} only in the serving
+// state (obs.CurrentReadiness), 503 otherwise, always naming the state so an
+// operator curling the endpoint sees *why* traffic is parked.
+func readyz(w http.ResponseWriter, r *http.Request) {
+	st := obs.CurrentReadiness()
+	code := http.StatusOK
+	if st != obs.ReadyServing {
+		code = http.StatusServiceUnavailable
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(struct {
+		Ready bool   `json:"ready"`
+		State string `json:"state"`
+	}{Ready: st == obs.ReadyServing, State: st.String()})
+}
+
+// RequestsHandler serves rr for GET /debug/requests as JSON
+// (obs.RequestRing.WriteJSON); a nil ring serves an empty document.
+func RequestsHandler(rr *obs.RequestRing) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = rr.WriteJSON(w)
+	})
 }
 
 // wantsJSON implements the /metrics content negotiation: JSON when the

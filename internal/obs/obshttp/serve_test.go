@@ -1,4 +1,4 @@
-package obs
+package obshttp
 
 import (
 	"encoding/json"
@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func get(t *testing.T, srv *httptest.Server, path, accept string) (int, string) {
@@ -34,11 +37,11 @@ func get(t *testing.T, srv *httptest.Server, path, accept string) (int, string) 
 // pprof index and /healthz through httptest against a registry with live
 // data.
 func TestStatusHandlerEndpoints(t *testing.T) {
-	reg := NewRegistry()
-	SetEnabled(true)
+	reg := obs.NewRegistry()
+	obs.SetEnabled(true)
 	reg.Counter("rta.calls").Add(11)
 	reg.Histogram("rta.iters", 1, 2, 4).Observe(3)
-	SetEnabled(false)
+	obs.SetEnabled(false)
 
 	srv := httptest.NewServer(StatusHandlerWith(reg))
 	defer srv.Close()
@@ -52,14 +55,14 @@ func TestStatusHandlerEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics json: code %d", code)
 	}
-	var exp SnapshotExport
+	var exp obs.SnapshotExport
 	if err := json.Unmarshal([]byte(body), &exp); err != nil {
 		t.Fatalf("/metrics json: %v\n%s", err, body)
 	}
-	if exp.Schema != SnapshotSchemaVersion {
-		t.Errorf("/metrics schema %d, want %d", exp.Schema, SnapshotSchemaVersion)
+	if exp.Schema != obs.SnapshotSchemaVersion {
+		t.Errorf("/metrics schema %d, want %d", exp.Schema, obs.SnapshotSchemaVersion)
 	}
-	if (Snapshot{Counters: exp.Counters}).Get("rta.calls") != 11 {
+	if (obs.Snapshot{Counters: exp.Counters}).Get("rta.calls") != 11 {
 		t.Errorf("/metrics json counters wrong: %s", body)
 	}
 	if len(exp.Histograms) != 1 || exp.Histograms[0].P99 != 4 {
@@ -76,7 +79,7 @@ func TestStatusHandlerEndpoints(t *testing.T) {
 	if !strings.Contains(prom, `rta_iters_bucket{le="+Inf"} 1`) {
 		t.Errorf("/metrics prometheus lacks histogram buckets: %q", prom)
 	}
-	if n, err := ValidatePrometheusText(strings.NewReader(prom)); err != nil || n < 2 {
+	if n, err := obs.ValidatePrometheusText(strings.NewReader(prom)); err != nil || n < 2 {
 		t.Errorf("/metrics prometheus invalid (%d families): %v", n, err)
 	}
 	code, prom2 := get(t, srv, "/metrics?format=prometheus", "")
@@ -118,7 +121,7 @@ func TestStatusHandlerEndpoints(t *testing.T) {
 // TestServeBindsAndCloses covers the socket path: ServeOpts on :0, hit the
 // bound address, Close tears it down.
 func TestServeBindsAndCloses(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	s, err := ServeOpts("127.0.0.1:0", reg, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +147,7 @@ func TestServeBindsAndCloses(t *testing.T) {
 // list it is generated from: every registered path — including /healthz,
 // which the index used to omit — and any extra mounted route must appear.
 func TestStatusIndexNamesEveryRoute(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	extra := Route{"POST /v1/clusters/{name}/admit", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})}
 	srv := httptest.NewServer(StatusHandlerWith(reg, extra))
 	defer srv.Close()
@@ -169,7 +172,7 @@ func TestStatusIndexNamesEveryRoute(t *testing.T) {
 // client complete. The old Close (http.Server.Close) reset the connection
 // mid-body.
 func TestCloseWaitsForInflightResponse(t *testing.T) {
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	inHandler := make(chan struct{})
 	release := make(chan struct{})
 	slow := Route{"/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -220,5 +223,78 @@ func TestCloseWaitsForInflightResponse(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + s.Addr() + "/slow"); err == nil {
 		t.Error("server still reachable after Close")
+	}
+}
+
+// TestServeOptionsDefaults pins the zero-value/negative semantics of the
+// timeout knobs: zero means the documented default, negative means disabled.
+func TestServeOptionsDefaults(t *testing.T) {
+	cases := []struct {
+		v, def, want time.Duration
+	}{
+		{0, 5 * time.Second, 5 * time.Second},
+		{0, 0, 0},
+		{-1, 30 * time.Second, 0},
+		{7 * time.Second, 5 * time.Second, 7 * time.Second},
+	}
+	for _, tc := range cases {
+		if got := timeoutOr(tc.v, tc.def); got != tc.want {
+			t.Errorf("timeoutOr(%v, %v) = %v, want %v", tc.v, tc.def, got, tc.want)
+		}
+	}
+
+	s, err := ServeOpts("127.0.0.1:0", obs.NewRegistry(), ServeOptions{
+		ReadHeaderTimeout: time.Second,
+		WriteTimeout:      -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.srv.ReadHeaderTimeout != time.Second {
+		t.Errorf("ReadHeaderTimeout = %v", s.srv.ReadHeaderTimeout)
+	}
+	if s.srv.ReadTimeout != 30*time.Second {
+		t.Errorf("ReadTimeout default = %v", s.srv.ReadTimeout)
+	}
+	if s.srv.WriteTimeout != 0 {
+		t.Errorf("negative WriteTimeout should disable, got %v", s.srv.WriteTimeout)
+	}
+	if s.srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout default = %v", s.srv.IdleTimeout)
+	}
+}
+
+// TestRequestsHandler serves a ring through the /debug/requests handler:
+// a JSON response carrying the ring's records newest-first, and a
+// well-formed empty document for a nil (tracing-disabled) ring.
+func TestRequestsHandler(t *testing.T) {
+	rr := obs.NewRequestRing(2)
+	for _, id := range []string{"a", "b", "c"} {
+		rr.Record(obs.RequestRecord{ID: id, Status: 500})
+	}
+	for _, tc := range []struct {
+		ring *obs.RequestRing
+		ids  []string
+	}{{rr, []string{"c", "b"}}, {nil, []string{}}} {
+		w := httptest.NewRecorder()
+		RequestsHandler(tc.ring).ServeHTTP(w, httptest.NewRequest("GET", "/debug/requests", nil))
+		if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("code %d type %q", w.Code, w.Header().Get("Content-Type"))
+		}
+		var body struct {
+			Requests []obs.RequestRecord `json:"requests"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("body: %v\n%s", err, w.Body.String())
+		}
+		if body.Requests == nil || len(body.Requests) != len(tc.ids) {
+			t.Fatalf("requests = %+v, want ids %v", body.Requests, tc.ids)
+		}
+		for i, id := range tc.ids {
+			if body.Requests[i].ID != id {
+				t.Errorf("requests[%d] = %q, want %q", i, body.Requests[i].ID, id)
+			}
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"net/http"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Readiness is the process's load-balancer-facing state, distinct from
 // liveness: /healthz answers "is the process up" (always 200 while the
@@ -64,23 +60,4 @@ func RegisterReadinessGauge(reg *Registry) {
 	reg.GaugeFunc("process.ready_state", func() int64 {
 		return int64(CurrentReadiness())
 	})
-}
-
-// readyzHandler serves GET /readyz: 200 {"ready":true,...} only in the
-// serving state, 503 otherwise, always naming the state so an operator
-// curling the endpoint sees *why* traffic is parked.
-func readyzHandler(w http.ResponseWriter, r *http.Request) {
-	st := CurrentReadiness()
-	code := http.StatusOK
-	if st != ReadyServing {
-		code = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Ready bool   `json:"ready"`
-		State string `json:"state"`
-	}{Ready: st == ReadyServing, State: st.String()})
 }

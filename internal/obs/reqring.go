@@ -2,7 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"net/http"
+	"io"
 	"sync"
 	"time"
 )
@@ -83,33 +83,30 @@ func (rr *RequestRing) Snapshot() []RequestRecord {
 	return out
 }
 
-// Handler serves the ring as JSON for GET /debug/requests: capacity, the
-// lifetime count of recorded (not just retained) requests, and the retained
-// records newest-first.
-func (rr *RequestRing) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var (
-			recs     = rr.Snapshot()
-			capacity int
-			total    int64
-		)
-		if rr != nil {
-			rr.mu.Lock()
-			capacity = cap(rr.buf)
-			total = rr.total
-			rr.mu.Unlock()
-		}
-		if recs == nil {
-			recs = []RequestRecord{} // render [] rather than null
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Schema   int             `json:"schema"`
-			Capacity int             `json:"capacity"`
-			Total    int64           `json:"total"`
-			Requests []RequestRecord `json:"requests"`
-		}{Schema: SnapshotSchemaVersion, Capacity: capacity, Total: total, Requests: recs})
-	})
+// WriteJSON renders the ring as the GET /debug/requests body: capacity,
+// the lifetime count of recorded (not just retained) requests, and the
+// retained records newest-first. A nil ring renders an empty document.
+func (rr *RequestRing) WriteJSON(w io.Writer) error {
+	var (
+		recs     = rr.Snapshot()
+		capacity int
+		total    int64
+	)
+	if rr != nil {
+		rr.mu.Lock()
+		capacity = cap(rr.buf)
+		total = rr.total
+		rr.mu.Unlock()
+	}
+	if recs == nil {
+		recs = []RequestRecord{} // render [] rather than null
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Schema   int             `json:"schema"`
+		Capacity int             `json:"capacity"`
+		Total    int64           `json:"total"`
+		Requests []RequestRecord `json:"requests"`
+	}{Schema: SnapshotSchemaVersion, Capacity: capacity, Total: total, Requests: recs})
 }

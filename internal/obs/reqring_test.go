@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -40,41 +40,40 @@ func TestRequestRingPartial(t *testing.T) {
 }
 
 // TestRequestRingNilSafe pins the disabled-tracing path: a nil ring must
-// absorb records, snapshot to nil, and still serve a well-formed handler
-// response.
+// absorb records, snapshot to nil, and still render a well-formed
+// /debug/requests document.
 func TestRequestRingNilSafe(t *testing.T) {
 	var rr *RequestRing
 	rr.Record(RequestRecord{ID: "dropped"}) // must not panic
 	if s := rr.Snapshot(); s != nil {
 		t.Errorf("nil ring snapshot = %v, want nil", s)
 	}
-	w := httptest.NewRecorder()
-	rr.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/requests", nil))
-	if w.Code != 200 {
-		t.Fatalf("nil ring handler: code %d", w.Code)
+	var w bytes.Buffer
+	if err := rr.WriteJSON(&w); err != nil {
+		t.Fatalf("nil ring WriteJSON: %v", err)
 	}
 	var body struct {
 		Requests []RequestRecord `json:"requests"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
-		t.Fatalf("nil ring handler body: %v\n%s", err, w.Body.String())
+	if err := json.Unmarshal(w.Bytes(), &body); err != nil {
+		t.Fatalf("nil ring body: %v\n%s", err, w.String())
 	}
 	if body.Requests == nil || len(body.Requests) != 0 {
-		t.Errorf("nil ring handler requests = %v, want []", body.Requests)
+		t.Errorf("nil ring requests = %v, want []", body.Requests)
 	}
 }
 
-// TestRequestRingHandler checks the JSON envelope: schema, capacity, the
-// lifetime total (which outlives eviction), and the records themselves.
+// TestRequestRingHandler checks the JSON envelope the /debug/requests
+// handler serves: schema, capacity, the lifetime total (which outlives
+// eviction), and the records themselves.
 func TestRequestRingHandler(t *testing.T) {
 	rr := NewRequestRing(2)
 	for i := 0; i < 3; i++ {
 		rr.Record(RequestRecord{ID: fmt.Sprintf("r%d", i), Method: "POST", Route: "admit", Status: 429, DurUS: 12})
 	}
-	w := httptest.NewRecorder()
-	rr.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/requests", nil))
-	if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
-		t.Fatalf("handler: code %d type %q", w.Code, w.Header().Get("Content-Type"))
+	var w bytes.Buffer
+	if err := rr.WriteJSON(&w); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
 	var body struct {
 		Schema   int             `json:"schema"`
@@ -82,8 +81,8 @@ func TestRequestRingHandler(t *testing.T) {
 		Total    int64           `json:"total"`
 		Requests []RequestRecord `json:"requests"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
-		t.Fatalf("handler body: %v\n%s", err, w.Body.String())
+	if err := json.Unmarshal(w.Bytes(), &body); err != nil {
+		t.Fatalf("body: %v\n%s", err, w.String())
 	}
 	if body.Schema != SnapshotSchemaVersion || body.Capacity != 2 || body.Total != 3 {
 		t.Errorf("envelope = %+v, want schema %d cap 2 total 3", body, SnapshotSchemaVersion)

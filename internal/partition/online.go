@@ -162,17 +162,6 @@ func (o *Online) SurchargedUtilization(q int) float64 {
 	return u
 }
 
-// Residents returns a copy of processor q's resident subtasks in priority
-// order (raw C) — the input of the scalar oracles that the mirror probe
-// (ProbeRTA) and the engine's decisions are tested against.
-func (o *Online) Residents(q int) []task.Subtask {
-	out := make([]task.Subtask, len(o.procs[q]))
-	for i, r := range o.procs[q] {
-		out[i] = r.sub
-	}
-	return out
-}
-
 // ResidentAt returns the resident at priority position pos of processor q
 // (raw C).
 func (o *Online) ResidentAt(q, pos int) task.Subtask { return o.procs[q][pos].sub }

@@ -136,7 +136,7 @@ func (m *onlineModel) remove(h uint64) bool {
 func checkOnlineColdEquivalence(t *testing.T, o *Online, m *onlineModel, ctx string) {
 	t.Helper()
 	for q := range m.procs {
-		got := o.Residents(q)
+		got := residents(o, q)
 		want := m.list(q)
 		if len(got) != len(want) {
 			t.Fatalf("%s: proc %d has %d residents, model %d", ctx, q, len(got), len(want))
@@ -270,7 +270,7 @@ func TestOnlineAdmitRemoveReadmit(t *testing.T) {
 		{TaskIndex: 20, Part: 1, C: 10, T: 20, Deadline: 20, Tail: true},
 		{TaskIndex: 70, Part: 1, C: 7, T: 70, Deadline: 70, Tail: true},
 	}
-	got := o.Residents(0)
+	got := residents(o, 0)
 	if len(got) != len(want) {
 		t.Fatalf("residents: %v", got)
 	}
@@ -507,4 +507,15 @@ func TestOnlineClusterIsOneTaskSet(t *testing.T) {
 	if err := o.RestoreResident(0, task.MaxTasks+1, 1, 10, 10); !errors.Is(err, task.ErrDomain) {
 		t.Errorf("restore past MaxTasks: %v, want a domain error", err)
 	}
+}
+
+// residents copies processor q's resident subtasks in priority order (raw
+// C) — the input of the scalar oracles that the mirror probe (ProbeRTA) and
+// the engine's decisions are tested against.
+func residents(o *Online, q int) []task.Subtask {
+	out := make([]task.Subtask, len(o.procs[q]))
+	for i, r := range o.procs[q] {
+		out[i] = r.sub
+	}
+	return out
 }

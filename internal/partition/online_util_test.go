@@ -141,7 +141,7 @@ func FuzzUtilSkipSound(f *testing.F) {
 					if !OverUtilized(o.Utilization(q), cand.Utilization()) {
 						continue
 					}
-					post := onlineSurView(o.Residents(q), s)
+					post := onlineSurView(residents(o, q), s)
 					pos := 0
 					for pos < len(post) && post[pos].TaskIndex <= int(d) {
 						pos++
@@ -163,7 +163,7 @@ func FuzzUtilSkipSound(f *testing.F) {
 			}
 			for q := 0; q < m; q++ {
 				fresh := 0.0
-				for _, sub := range o.Residents(q) {
+				for _, sub := range residents(o, q) {
 					fresh += float64(sub.C) / float64(sub.T)
 				}
 				if got := o.Utilization(q); math.Float64bits(got) != math.Float64bits(fresh) {

@@ -157,7 +157,7 @@ func FuzzThresholdSound(f *testing.F) {
 				continue
 			}
 			for q := 0; q < m; q++ {
-				list := on.Residents(q)
+				list := residents(on, q)
 				for i := range list {
 					list[i].C += s
 				}

@@ -30,8 +30,8 @@ import (
 // BatchState is the struct-of-arrays resident mirror: parallel slices in
 // priority order (highest first). Position i's higher-priority interferers
 // are the prefixes cs[:i], ts[:i]. ProcState embeds one as its processor
-// mirror; the breakdown experiments use a standalone BatchState as a
-// cross-scale warm-start carry (EvaluateList).
+// mirror; the uniprocessor breakdown experiment (E18) uses a standalone
+// BatchState as a cross-scale warm-start carry (EvaluateList).
 type BatchState struct {
 	cs   []task.Time // execution times (surcharged when owned by a ProcState)
 	ts   []task.Time // periods
@@ -124,8 +124,8 @@ func fixpoint(own task.Time, cs, ts []task.Time, limit, start task.Time) (task.T
 // EvaluateList reports whether every subtask of the priority-sorted list
 // meets its synthetic deadline (the batch equivalent of
 // ProcessorSchedulable), using b as a warm-start carry across calls on
-// RESCALED VERSIONS OF THE SAME SET — the breakdown bisection's access
-// pattern, where only execution times change between calls.
+// RESCALED VERSIONS OF THE SAME SET — the uniprocessor breakdown
+// bisection's access pattern, where only execution times change between calls.
 //
 // Soundness of the carry (DESIGN.md §13): the cache holds the converged
 // responses of the last ACCEPTED evaluation. When the incoming list has the

@@ -34,14 +34,18 @@
 // output is documented to be stable for a given seed), which is what makes
 // mirroring it sound. Rather than embedding the 607-word additive-feedback
 // seasoning table (rngCooked, an unexported stdlib array), it is recovered
-// from observable stdlib outputs at init time and the whole construction is
-// self-verified against math/rand before first use — if any stdlib detail
-// ever shifted, init panics rather than silently diverging a golden table.
+// from observable stdlib outputs on first use (the first Seed or New) and
+// the whole construction is self-verified against math/rand before that
+// first Seed returns — if any stdlib detail ever shifted, the first Seed
+// panics rather than silently diverging a golden table. Doing this on first
+// use rather than at init keeps it off the startup of every command that
+// links the package but never draws.
 package xrand
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 const (
@@ -52,7 +56,7 @@ const (
 )
 
 // cooked mirrors math/rand's rngCooked seasoning table, recovered from
-// stdlib outputs in init (see recoverCooked): after Seed(s) the state word i
+// stdlib outputs by setup (see recoverCooked): after Seed(s) the state word i
 // is lehmerFill(s)[i] XOR cooked[i].
 var cooked [rngLen]uint64
 
@@ -139,14 +143,22 @@ func seedPrep(seed int64) uint64 {
 }
 
 // Seed resets the source to draw the exact stream rand.NewSource(seed)
-// would. The stdlib fills word i from three consecutive Lehmer draws (after
-// a 20-step warmup) as (x₁<<40 ^ x₂<<20 ^ x₃) ^ cooked[i]; word i = 4g+k is
-// thus chain triple k advanced g strides of A¹². Seed runs only the warmup
-// plus the twelve serial draws that define the stride-0 chain states, then
-// jump-multiplies them to the top of the two consumption windows; the state
-// words themselves are materialized lazily by Uint64 as each slot's first
-// read approaches (see fillSlot).
+// would. The first Seed in a process first runs setup (once, race-safe).
 func (s *Source) Seed(seed int64) {
+	setupOnce.Do(setup)
+	s.seed(seed)
+}
+
+// seed is Seed without the setup guard: setup itself seeds through it, so
+// it must not re-enter the once. The stdlib fills word i from three
+// consecutive Lehmer draws (after a 20-step warmup) as
+// (x₁<<40 ^ x₂<<20 ^ x₃) ^ cooked[i]; word i = 4g+k is thus chain triple k
+// advanced g strides of A¹². seed runs only the warmup plus the twelve
+// serial draws that define the stride-0 chain states, then jump-multiplies
+// them to the top of the two consumption windows; the state words
+// themselves are materialized lazily by Uint64 as each slot's first read
+// approaches (see fillSlot).
+func (s *Source) seed(seed int64) {
 	x := seedPrep(seed)
 	for i := 0; i < 20; i++ {
 		x = lehmer(x, lehmerA)
@@ -232,7 +244,11 @@ func (s *Source) Int63() int64 {
 	return int64(s.Uint64() &^ (1 << 63))
 }
 
-func init() {
+var setupOnce sync.Once
+
+// setup derives the stride constants, recovers the seasoning table and
+// self-checks the result. Seed runs it once, before the first seeding.
+func setup() {
 	lehmerA12 = lehmerPow(lehmerA, 12)
 	lehmerAinv12 = lehmerPow(lehmerA12, lehmerM-2)
 	lehmerJump83 = lehmerPow(lehmerA12, 83)
@@ -272,8 +288,8 @@ func recoverCooked() {
 	for k := 0; k < rngTap; k++ {
 		vec0[333-k] = outs[k] - vec0[606-k]
 	}
-	var s Source // cooked is still all-zero: Seed yields the raw Lehmer fill
-	s.Seed(probeSeed)
+	var s Source // cooked is still all-zero: seed yields the raw Lehmer fill
+	s.seed(probeSeed)
 	s.fillRest()
 	for i := range cooked {
 		cooked[i] = vec0[i] ^ uint64(s.vec[i])
@@ -283,14 +299,14 @@ func recoverCooked() {
 // selfCheck verifies the reconstruction end-to-end: for several seeds the
 // Source must emit exactly the stdlib stream, including after mid-stream
 // reseeds. The checked span covers both lazy windows draining plus a full
-// wraparound of the recurrence. Panicking here (at init, before any
-// experiment runs) is the firewall that keeps golden tables from ever
+// wraparound of the recurrence. Panicking here (in the first Seed, before
+// anything is drawn) is the firewall that keeps golden tables from ever
 // drifting silently.
 func selfCheck() {
 	s := &Source{}
 	for _, seed := range []int64{0, 1, -1, 42, 1 << 62, -(1 << 62)} {
 		ref := rand.NewSource(seed).(rand.Source64)
-		s.Seed(seed)
+		s.seed(seed)
 		for i := 0; i < rngLen+rngTap+16; i++ {
 			if got, want := s.Uint64(), ref.Uint64(); got != want {
 				panic(fmt.Sprintf("xrand: self-check diverged from math/rand at seed %d output %d: got %#x want %#x", seed, i, got, want))

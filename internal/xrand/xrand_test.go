@@ -1,8 +1,10 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -65,6 +67,50 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 				t.Fatalf("reseed(%d) output %d: %#x != %#x", seed, i, g, w)
 			}
 		}
+	}
+}
+
+// TestSelfCheck runs the construction's self-check explicitly: after setup,
+// the Source must replay math/rand's stream for the self-check seeds across
+// both lazy windows and a full wraparound. selfCheck panics on divergence.
+func TestSelfCheck(t *testing.T) {
+	setupOnce.Do(setup)
+	selfCheck()
+}
+
+// TestConcurrentFirstUse has 8 goroutines make their first Source at once.
+// Run alone (go test -race -run TestConcurrentFirstUse), it is the process's
+// first Seed, so the goroutines race into setup; each must still draw
+// math/rand's exact stream, and -race must see no unsynchronized access to
+// the recovered table.
+func TestConcurrentFirstUse(t *testing.T) {
+	const goroutines = 8
+	var (
+		start sync.WaitGroup
+		done  sync.WaitGroup
+		errs  = make(chan string, goroutines)
+	)
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		done.Add(1)
+		go func(seed int64) {
+			defer done.Done()
+			start.Wait()
+			s := New(seed)
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < rngLen+rngTap; i++ {
+				if got, want := s.Uint64(), ref.Uint64(); got != want {
+					errs <- fmt.Sprintf("seed %d output %d: %#x != %#x", seed, i, got, want)
+					return
+				}
+			}
+		}(int64(g) * 7919)
+	}
+	start.Done()
+	done.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
