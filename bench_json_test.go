@@ -67,6 +67,7 @@ func TestBenchHotpathJSON(t *testing.T) {
 		{"AdmitService", BenchmarkAdmitService},
 		{"AdmitServiceJournaled", BenchmarkAdmitServiceJournaled},
 		{"AdmitServiceReject", BenchmarkAdmitServiceReject},
+		{"AdmitServiceRejectEvidence", BenchmarkAdmitServiceRejectEvidence},
 	}
 	records := make([]benchRecord, 0, len(hot))
 	for _, h := range hot {

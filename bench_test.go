@@ -411,16 +411,28 @@ func benchAdmitService(b *testing.B, c *admit.Cluster) {
 	b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
 }
 
-// BenchmarkAdmitServiceReject measures an analyzed rejection in process:
-// an M=32 cluster prefilled to its capacity edge, offered a cycle of 4,096
+// BenchmarkAdmitServiceReject measures an analyzed rejection in process,
+// answered as admitd answers a request that does not ask for evidence: an
+// M=32 cluster prefilled to its capacity edge, offered a cycle of 4,096
 // distinct heavy candidates that every processor refuses. Every op pays the
-// engine's pass over all 32 processors and the per-processor evidence — the
-// in-process cost behind admitd's rejection responses.
-// Most processors are over-full for a heavy candidate: those are refused
-// by utilization alone and report the utilization room as evidence, so
-// only the processors with room left run exact RTA, once in the engine
-// and once for the evidence probe.
+// engine's pass over all 32 processors and returns the verdict alone.
+// Most processors are over-full for a heavy candidate and are refused by
+// utilization alone, so only the processors with room left run exact RTA.
 func BenchmarkAdmitServiceReject(b *testing.B) {
+	benchAdmitServiceReject(b, (*admit.Cluster).Admit, 0)
+}
+
+// BenchmarkAdmitServiceRejectEvidence is the same rejection on the opt-in
+// path (AdmitWithEvidence): the verdict plus one evidence record per
+// processor. The over-full processors report their utilization room, and
+// each processor with room left runs exact RTA a second time, cold, for
+// its probe. The delta against BenchmarkAdmitServiceReject is the
+// in-process cost of the evidence.
+func BenchmarkAdmitServiceRejectEvidence(b *testing.B) {
+	benchAdmitServiceReject(b, (*admit.Cluster).AdmitWithEvidence, 32)
+}
+
+func benchAdmitServiceReject(b *testing.B, admitFn func(*admit.Cluster, context.Context, task.Task) (admit.Result, error), wantRecords int) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	ctx := context.Background()
@@ -451,17 +463,17 @@ func BenchmarkAdmitServiceReject(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Admit(ctx, stream(i))
+		res, err := admitFn(c, ctx, stream(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Accepted && len(res.Evidence) == 32 {
+		if !res.Accepted && res.Cause == "rta-deadline-miss" && len(res.Evidence) == wantRecords {
 			rejected++
 		}
 	}
 	b.StopTimer()
 	if rejected != b.N {
-		b.Fatalf("%d of %d ops were analyzed rejections; the benchmark needs every op to be one", rejected, b.N)
+		b.Fatalf("%d of %d ops were analyzed rejections with %d evidence records; the benchmark needs every op to be one", rejected, b.N, wantRecords)
 	}
 }
 

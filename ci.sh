@@ -29,7 +29,9 @@
 # uniprocessor simulator against exact RTA (FuzzSimVsRTA), the partitioned
 # simulator and Assignment.Validate against the implementations they
 # replaced (FuzzSimVsReference, FuzzValidateVsReference), the admission
-# service's rejection evidence and verdict JSON (each against its oracle), the
+# service's rejection evidence and verdict JSON (each against its oracle),
+# arbitrary requests through the service's HTTP handler against an
+# in-memory mirror driven through the Go API (FuzzAdmitHTTP), the
 # global-RM simulator, the EDF-TS budget search, the EDF check interval and
 # the EDF-TS window split (each against the implementation it replaced,
 # kept in its tests), EDF-TS and EDF-FF termination on periods up to
@@ -105,7 +107,7 @@ echo "== fault injection (every injected fault must surface as a seed-reproducib
 go test repro/internal/faultinject
 go test -count=1 -run 'TestInjected|TestMidSweepCancellation' repro/internal/experiments
 
-echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, reused arena vs a fresh one, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on periods up to the domain limit) =="
+echo "== fuzz smokes (invariant checker, RM-TS vs its light twin, cached utilization vs a fresh sum, threshold admissions vs exact RTA at their corner, worst-fit tree vs scan, reused arena vs a fresh one, prefilter and utilization-refusal soundness (online and batch), online rta-ff/rta-wf vs batch P-RM-FF/WF, simulator vs exact RTA, simulator and assignment validation vs their former implementations, task-set parser round trip, removal invalidation, RTA kernels vs their reference, PUB scratch evaluation vs its reference, PUB soundness vs exact RTA, Han–Tyan vs its former implementation, journal replay, rejection evidence and verdict JSON vs their oracles, arbitrary HTTP requests vs an in-memory mirror, global simulator, EDF budget search, EDF check interval and EDF-TS window split vs their former implementations, EDF termination on periods up to the domain limit) =="
 go test -run '^$' -fuzz FuzzValidate -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzRMTSLightTwin -fuzztime 5s repro/internal/partition
 go test -run '^$' -fuzz FuzzThresholdSound -fuzztime 5s repro/internal/partition
@@ -128,6 +130,7 @@ go test -run '^$' -fuzz FuzzHanTyanVsReference -fuzztime 5s repro/internal/bound
 go test -run '^$' -fuzz FuzzJournalReplay -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzEvidenceVsProbeRTA -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzResultJSON -fuzztime 5s repro/internal/admit
+go test -run '^$' -fuzz FuzzAdmitHTTP -fuzztime 5s repro/internal/admit
 go test -run '^$' -fuzz FuzzGlobalSimVsReference -fuzztime 5s repro/internal/global
 go test -run '^$' -fuzz FuzzMaxAdditionalDemand -fuzztime 5s repro/internal/edfa
 go test -run '^$' -fuzz FuzzSchedulableInterval -fuzztime 5s repro/internal/edfa

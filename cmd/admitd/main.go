@@ -39,10 +39,15 @@
 // -access-log writes a sampled JSONL access log; -slow-ms and -trace-ring
 // size the GET /debug/requests ring of recent slow or errored requests.
 //
+// An analyzed rejection answers with its verdict (cause, causeDetail,
+// reason); an admit body with "evidence":true also gets one evidence record
+// per processor, naming the test that refused the task there.
+//
 // Check mode is a self-contained smoke client for CI: against a running
 // admitd it verifies /healthz, the "/" index, the full admit → reject →
-// remove → re-admit cycle with a typed rejection, and then drives a
-// sustained admit/remove load, reporting the achieved admissions/sec.
+// remove → re-admit cycle with a typed rejection (with evidence when asked,
+// without otherwise), and then drives a sustained admit/remove load,
+// reporting the achieved admissions/sec.
 //
 // Churn mode is the crash-recovery smoke's client: it drives a seeded
 // random create/admit/remove sequence (deterministic for a given
@@ -424,12 +429,19 @@ func runCheck(addr string, load int, stdout, stderr io.Writer) int {
 	if v, err = admit(`{"name":"b","c":4,"t":10}`); err != nil || v["accepted"] != true {
 		return fail("admit b: %v err %v", v, err)
 	}
-	rej, err := admit(`{"name":"c","c":5,"t":10}`)
+	rej, err := admit(`{"name":"c","c":5,"t":10,"evidence":true}`)
 	if err != nil || rej["accepted"] == true {
 		return fail("overload admit: %v err %v", rej, err)
 	}
 	if rej["cause"] != "rta-deadline-miss" || rej["evidence"] == nil {
-		return fail("rejection untyped: %v", rej)
+		return fail("rejection untyped or without the evidence it asked for: %v", rej)
+	}
+	// The same rejection without the opt-in is the verdict alone.
+	if rej, err = admit(`{"name":"c","c":5,"t":10}`); err != nil || rej["accepted"] == true {
+		return fail("overload admit without evidence: %v err %v", rej, err)
+	}
+	if _, has := rej["evidence"]; rej["cause"] != "rta-deadline-miss" || has {
+		return fail("rejection without the opt-in: want a typed cause and no evidence, got %v", rej)
 	}
 	handle := int64(first["handle"].(float64))
 	code, v, err = c.do("POST", "/v1/clusters/"+cluster+"/remove", fmt.Sprintf(`{"handle":%d}`, handle))

@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,8 +49,8 @@ func exitCode(t *testing.T, bin string, args ...string) (int, string) {
 
 // TestServeCheckAndShutdown is the full daemon lifecycle: boot on a free
 // port, publish the address, pass the -check client (which exercises the
-// admit → reject → remove → re-admit cycle and a load smoke), then shut
-// down gracefully on SIGTERM.
+// admit → reject → remove → re-admit cycle, the rejection with and without
+// its evidence, and a load smoke), then shut down gracefully on SIGTERM.
 func TestServeCheckAndShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test builds and runs the binary")
@@ -143,6 +147,59 @@ func TestExitCodes(t *testing.T) {
 	// An unbindable listen address is an operational error at startup.
 	if code, _ := exitCode(t, bin, "-listen", "256.256.256.256:1"); code != 2 {
 		t.Errorf("unbindable listen: exit %d, want 2", code)
+	}
+}
+
+// TestCheckPinsRejectionShapes puts a proxy that rewrites admit bodies
+// between -check and a live daemon: a daemon that drops the evidence opt-in
+// and one that answers every rejection with evidence must both fail the
+// check (exit 1), each on its own rejection shape.
+func TestCheckPinsRejectionShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test builds and runs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildAdmitd(t, dir)
+	srv, addr, out := startAdmitd(t, bin, dir)
+	defer srv.Process.Kill()
+	target, err := url.Parse("http://" + addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		rewrite    func(body string) string
+	}{
+		{"opt-in dropped", "without the evidence it asked for",
+			func(b string) string { return strings.Replace(b, `,"evidence":true`, "", 1) }},
+		{"evidence always sent", "without the opt-in",
+			func(b string) string {
+				if strings.Contains(b, `"evidence"`) {
+					return b
+				}
+				return strings.TrimSuffix(b, "}") + `,"evidence":true}`
+			}},
+	} {
+		proxy := httputil.NewSingleHostReverseProxy(target)
+		direct := proxy.Director
+		proxy.Director = func(r *http.Request) {
+			direct(r)
+			if !strings.HasSuffix(r.URL.Path, "/admit") || r.Body == nil {
+				return
+			}
+			raw, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			body := tc.rewrite(string(raw))
+			r.Body, r.ContentLength = io.NopCloser(strings.NewReader(body)), int64(len(body))
+		}
+		front := httptest.NewServer(proxy)
+		code, cout := exitCode(t, bin, "-check", strings.TrimPrefix(front.URL, "http://"), "-check-load", "10")
+		front.Close()
+		if code != 1 || !strings.Contains(cout, tc.want) {
+			t.Errorf("%s: check exit %d, want 1 with %q:\n%s\nserver:\n%s", tc.name, code, tc.want, cout, out.String())
+		}
 	}
 }
 

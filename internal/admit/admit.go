@@ -275,8 +275,9 @@ type ProcEvidence struct {
 
 // Result is the outcome of one admission attempt. On acceptance, Handle
 // names the placement for a later Remove; on rejection, Cause/Reason carry
-// the partition taxonomy and Evidence the per-processor probes (analyzed
-// rejections only — input errors carry none).
+// the partition taxonomy. Evidence holds the per-processor probes of an
+// analyzed rejection returned by AdmitWithEvidence; Admit, and every input
+// error, carry none.
 type Result struct {
 	Accepted bool   `json:"accepted"`
 	Handle   uint64 `json:"handle,omitempty"`
@@ -289,14 +290,27 @@ type Result struct {
 	Evidence    []ProcEvidence `json:"evidence,omitempty"`
 }
 
-// Admit runs one admission attempt against the cluster. The context's
-// deadline is honored at the serialization point: a request whose deadline
-// expired while it waited for the cluster lock returns ctx.Err() without
-// consulting the engine. On a journaled service an acceptance that cannot
-// be journaled is rolled back and reported as ErrDurability — it never
-// happened, durably or otherwise. A cluster concurrently deleted returns
-// ErrDeleted. Both verdicts (accept and reject) return a nil error.
+// Admit runs one admission attempt against the cluster and returns its
+// verdict; a rejection carries its cause and reason, no evidence. The
+// context's deadline is honored at the serialization point: a request whose
+// deadline expired while it waited for the cluster lock returns ctx.Err()
+// without consulting the engine. On a journaled service an acceptance that
+// cannot be journaled is rolled back and reported as ErrDurability — it
+// never happened, durably or otherwise. A cluster concurrently deleted
+// returns ErrDeleted. Both verdicts (accept and reject) return a nil error.
 func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
+	return c.admit(ctx, t, false)
+}
+
+// AdmitWithEvidence is Admit plus, on an analyzed rejection, the
+// per-processor evidence: one record per processor, probed under the
+// cluster lock in the same engine state that refused the candidate.
+func (c *Cluster) AdmitWithEvidence(ctx context.Context, t task.Task) (Result, error) {
+	return c.admit(ctx, t, true)
+}
+
+// admit is Admit's body; withEvidence attaches the rejection evidence.
+func (c *Cluster) admit(ctx context.Context, t task.Task, withEvidence bool) (Result, error) {
 	if c.jr != nil {
 		c.jr.freeze.RLock()
 		defer c.jr.freeze.RUnlock()
@@ -342,13 +356,16 @@ func (c *Cluster) Admit(ctx context.Context, t task.Task) (Result, error) {
 	cRejected.Inc()
 	cRejectByCause[rej.Cause].Inc()
 	c.stats.Rejected.Add(1)
-	return Result{
+	res := Result{
 		Proc:        -1,
 		Cause:       rej.Cause.String(),
 		CauseDetail: rej.Cause.Describe(),
 		Reason:      rej.Reason,
-		Evidence:    c.evidence(rej.Cause, t),
-	}, nil
+	}
+	if withEvidence {
+		res.Evidence = c.evidence(rej.Cause, t)
+	}
+	return res, nil
 }
 
 // Remove releases a previously admitted task, reporting whether the handle

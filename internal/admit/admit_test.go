@@ -26,6 +26,16 @@ func admitNow(tb testing.TB, c *Cluster, tk task.Task) Result {
 	return res
 }
 
+// admitEvidenceNow is admitNow on the opt-in path (AdmitWithEvidence).
+func admitEvidenceNow(tb testing.TB, c *Cluster, tk task.Task) Result {
+	tb.Helper()
+	res, err := c.AdmitWithEvidence(context.Background(), tk)
+	if err != nil {
+		tb.Fatalf("AdmitWithEvidence(%v): %v", tk, err)
+	}
+	return res
+}
+
 func removeNow(tb testing.TB, c *Cluster, h uint64) bool {
 	tb.Helper()
 	ok, err := c.Remove(context.Background(), h)
@@ -148,7 +158,8 @@ func guardCluster(tb testing.TB, m int, policy string) *Cluster {
 var onlinePolicies = []string{partition.OnlineRTAFirstFit, partition.OnlineRTAWorstFit, partition.OnlineThreshold}
 
 // TestClusterAdmitRejectShapes pins the Result surface: evidence on
-// analyzed rejections, none on input errors, handles usable for Remove.
+// analyzed rejections asked for it, none on input errors, handles usable
+// for Remove.
 func TestClusterAdmitRejectShapes(t *testing.T) {
 	s := NewService(0)
 	c, err := s.Create(context.Background(), "t", 1, partition.OnlineRTAFirstFit, 0)
@@ -161,7 +172,7 @@ func TestClusterAdmitRejectShapes(t *testing.T) {
 	}
 	// U = 0.4 + 4/7 ≤ 1, yet the candidate's response (8) exceeds its
 	// deadline (7): exact RTA refused it, and the evidence is its probe.
-	miss := admitNow(t, c, task.Task{Name: "miss", C: 4, T: 7})
+	miss := admitEvidenceNow(t, c, task.Task{Name: "miss", C: 4, T: 7})
 	if miss.Accepted || miss.Cause != "rta-deadline-miss" || miss.Proc != -1 {
 		t.Fatalf("reject result: %+v", miss)
 	}
@@ -174,7 +185,7 @@ func TestClusterAdmitRejectShapes(t *testing.T) {
 	}
 	// U = 0.4 + 0.8 > 1: refused by utilization alone, and the evidence is
 	// the room 1 − U the candidate overflowed, with no RTA probe.
-	full := admitNow(t, c, task.Task{Name: "big", C: 8, T: 10})
+	full := admitEvidenceNow(t, c, task.Task{Name: "big", C: 8, T: 10})
 	if full.Accepted || full.Cause != "rta-deadline-miss" || full.Proc != -1 {
 		t.Fatalf("reject result: %+v", full)
 	}
@@ -183,7 +194,7 @@ func TestClusterAdmitRejectShapes(t *testing.T) {
 		full.Evidence[0].Utilization != 0.4 {
 		t.Fatalf("over-full rejection lacks utilization evidence: %+v", full.Evidence)
 	}
-	bad := admitNow(t, c, task.Task{C: 0, T: 10})
+	bad := admitEvidenceNow(t, c, task.Task{C: 0, T: 10})
 	if bad.Accepted || bad.Cause != "invalid-input" || bad.Evidence != nil {
 		t.Fatalf("invalid-input result: %+v", bad)
 	}

@@ -16,9 +16,10 @@ import (
 )
 
 // Alloc guards for the service layer (run with `go test -run AllocGuard`):
-// the accept path must not allocate once the cluster is warm, and an
-// analyzed rejection must cost a fixed number of allocations however many
-// processors its evidence covers.
+// the accept path must not allocate once the cluster is warm, an analyzed
+// rejection asked for its evidence must cost a fixed number of allocations
+// however many processors the evidence covers, and a rejection without it
+// must allocate less.
 
 func TestAllocGuardAdmitRemoveCycle(t *testing.T) {
 	defer obs.SetEnabled(obs.On())
@@ -44,32 +45,50 @@ func TestAllocGuardAdmitRemoveCycle(t *testing.T) {
 }
 
 // rejectAllocs measures one analyzed rejection: every call runs the engine
-// and rebuilds the evidence.
-func rejectAllocs(t *testing.T, m int, policy string, wantCause partition.Cause) float64 {
+// and, withEvidence, rebuilds the evidence.
+func rejectAllocs(t *testing.T, m int, policy string, wantCause partition.Cause, withEvidence bool) float64 {
 	t.Helper()
 	c := guardCluster(t, m, policy)
 	cand := task.Task{Name: "big", C: 90, T: 100}
+	wantRecords := 0
+	if withEvidence {
+		wantRecords = m
+	}
 	reject := func() {
-		res := admitNow(t, c, cand)
-		if res.Accepted || res.Cause != wantCause.String() || len(res.Evidence) != m {
-			t.Fatalf("%s M=%d: want an analyzed %s rejection with %d evidence records, got %+v", policy, m, wantCause, m, res)
+		res, err := c.admit(context.Background(), cand, withEvidence)
+		if err != nil || res.Accepted || res.Cause != wantCause.String() || len(res.Evidence) != wantRecords {
+			t.Fatalf("%s M=%d: want an analyzed %s rejection with %d evidence records, got %+v (%v)", policy, m, wantCause, wantRecords, res, err)
 		}
 	}
 	reject()
 	return testing.AllocsPerRun(100, reject)
 }
 
+var guardRejections = []struct {
+	policy string
+	cause  partition.Cause
+}{
+	{partition.OnlineRTAFirstFit, partition.CauseRTADeadlineMiss},
+	{partition.OnlineThreshold, partition.CauseThresholdExhausted},
+}
+
 func TestAllocGuardRejectionIndependentOfM(t *testing.T) {
-	for _, tc := range []struct {
-		policy string
-		cause  partition.Cause
-	}{
-		{partition.OnlineRTAFirstFit, partition.CauseRTADeadlineMiss},
-		{partition.OnlineThreshold, partition.CauseThresholdExhausted},
-	} {
-		small, large := rejectAllocs(t, 8, tc.policy, tc.cause), rejectAllocs(t, 32, tc.policy, tc.cause)
+	for _, tc := range guardRejections {
+		small, large := rejectAllocs(t, 8, tc.policy, tc.cause, true), rejectAllocs(t, 32, tc.policy, tc.cause, true)
 		if small != large {
 			t.Errorf("%s: analyzed rejection allocates %v at M=8 but %v at M=32; want a count independent of M", tc.policy, small, large)
+		}
+	}
+}
+
+// TestAllocGuardDefaultRejectionCheaper pins the point of the opt-in: a
+// rejection answered without evidence allocates fewer times than the same
+// rejection with it.
+func TestAllocGuardDefaultRejectionCheaper(t *testing.T) {
+	for _, tc := range guardRejections {
+		plain, opted := rejectAllocs(t, 32, tc.policy, tc.cause, false), rejectAllocs(t, 32, tc.policy, tc.cause, true)
+		if plain >= opted {
+			t.Errorf("%s: a rejection without evidence allocates %v times, with evidence %v; want fewer", tc.policy, plain, opted)
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // Reflection-free verdict encoding. Every admission answer is a Result, and
-// an analyzed rejection carries M per-processor evidence records (6.4 KB on
-// a 32-processor cluster), so the admit route encodes it by hand instead of
-// through encoding/json's reflection walk. The output is exactly what
+// an analyzed rejection sent with its evidence carries M per-processor
+// records (about 4 KB on a 32-processor cluster), so the admit route
+// encodes it by hand instead of through encoding/json's reflection walk. The output is exactly what
 // json.Encoder with SetEscapeHTML(false) writes for the same value — field
 // order, omitempty, string escaping, ES6 float formatting and the trailing
 // newline — which FuzzResultJSON pins byte for byte.

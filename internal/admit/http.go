@@ -24,8 +24,12 @@ import (
 //	GET    /v1/clusters                                                  → 200 {"clusters":[Status...]}
 //	GET    /v1/clusters/{name}                                           → 200 Status
 //	DELETE /v1/clusters/{name}                                           → 204
-//	POST   /v1/clusters/{name}/admit  {"name","c","t","d"}               → 200 Result
+//	POST   /v1/clusters/{name}/admit  {"name","c","t","d","evidence"}    → 200 Result
 //	POST   /v1/clusters/{name}/remove {"handle"}                         → 200 {"removed":true}
+//
+// An analyzed rejection answers with its verdict (cause, causeDetail,
+// reason); the per-processor evidence is probed and sent only when the
+// admit body sets "evidence":true.
 //
 // Both admission verdicts are 200s — a rejection is an analyzed answer, not
 // a transport error (mirroring cmd/explain's exit-code contract, where only
@@ -35,6 +39,9 @@ import (
 // admit and remove endpoints sheds with 429 + Retry-After; a journaled
 // mutation that cannot be made durable — or a request whose deadline
 // expires, whether queued at the gate or inside the handler — is 503.
+// Handler's mux answers a request no route takes itself: 404 for an
+// unknown path, 405 for a known path with another method, 301 to the
+// cleaned form of a path with dot or empty segments.
 //
 // GET /v1/canon returns a digest-friendly hex dump of the registry's
 // canonical state (Service.CanonicalState) — the crash-recovery smoke
@@ -58,11 +65,14 @@ type CreateRequest struct {
 
 // AdmitRequest is the POST /v1/clusters/{name}/admit body: one task in the
 // paper's model (c, t, optional constrained deadline d, optional label).
+// Evidence asks for the per-processor evidence of an analyzed rejection
+// (Cluster.AdmitWithEvidence); it must be a JSON bool.
 type AdmitRequest struct {
-	Name string `json:"name,omitempty"`
-	C    int64  `json:"c"`
-	T    int64  `json:"t"`
-	D    int64  `json:"d,omitempty"`
+	Name     string `json:"name,omitempty"`
+	C        int64  `json:"c"`
+	T        int64  `json:"t"`
+	D        int64  `json:"d,omitempty"`
+	Evidence bool   `json:"evidence,omitempty"`
 }
 
 // RemoveRequest is the POST /v1/clusters/{name}/remove body.
@@ -72,12 +82,17 @@ type RemoveRequest struct {
 
 // Handler returns the service's HTTP mux. The routes are also exported via
 // Routes for mounting beside other handlers (the obshttp status server).
+// Every response carries a request ID, the mux's own 404, 405 and
+// path-cleaning redirects included.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, r := range s.Routes() {
 		mux.Handle(r.Pattern, r.Handler)
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		EnsureRequestID(w, r)
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // Routes lists the service's endpoints (Go 1.22 method+path patterns) as
@@ -280,7 +295,7 @@ func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, err := c.Admit(r.Context(), task.Task{Name: req.Name, C: req.C, T: req.T, D: req.D})
+	res, err := c.admit(r.Context(), task.Task{Name: req.Name, C: req.C, T: req.T, D: req.D}, req.Evidence)
 	if err != nil {
 		writeOpError(w, err)
 		return

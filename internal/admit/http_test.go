@@ -68,7 +68,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 
 	// Fill the second processor, then a third full-utilization task is an
-	// analyzed rejection — still a 200 with a typed cause and evidence.
+	// analyzed rejection — still a 200 with a typed cause, and with
+	// evidence when the request asks for it.
 	w, v = doJSON(t, h, "POST", "/v1/clusters/edge/admit", `{"c":10,"t":10}`)
 	if w.Code != http.StatusOK || v["accepted"] != true {
 		t.Fatalf("second admit: %d %v", w.Code, v)
@@ -77,8 +78,12 @@ func TestHTTPLifecycle(t *testing.T) {
 	if w.Code != http.StatusOK || v["accepted"] == true {
 		t.Fatalf("overload admit: %d %v", w.Code, v)
 	}
-	if v["cause"] != "rta-deadline-miss" || v["evidence"] == nil {
+	if _, has := v["evidence"]; v["cause"] != "rta-deadline-miss" || has {
 		t.Fatalf("rejection shape: %v", v)
+	}
+	w, v = doJSON(t, h, "POST", "/v1/clusters/edge/admit", `{"c":10,"t":10,"evidence":true}`)
+	if w.Code != http.StatusOK || v["cause"] != "rta-deadline-miss" || v["evidence"] == nil {
+		t.Fatalf("opt-in rejection shape: %d %v", w.Code, v)
 	}
 
 	// Status and list.
@@ -87,7 +92,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("status: %d %v", w.Code, v)
 	}
 	stats := v["stats"].(map[string]any)
-	if stats["requests"].(float64) != 3 || stats["rejected"].(float64) != 1 {
+	if stats["requests"].(float64) != 4 || stats["rejected"].(float64) != 2 {
 		t.Fatalf("stats: %v", stats)
 	}
 	w, v = doJSON(t, h, "GET", "/v1/clusters", "")
@@ -155,6 +160,8 @@ func TestHTTPErrorTable(t *testing.T) {
 		{"duplicate create", "POST", "/v1/clusters", `{"name":"edge","m":2}`, http.StatusConflict},
 		{"invalid params", "POST", "/v1/clusters", `{"name":"bad","m":0}`, http.StatusBadRequest},
 		{"out-of-domain surcharge", "POST", "/v1/clusters", `{"name":"big","m":1,"surcharge":17592186044417}`, http.StatusBadRequest},
+		{"out-of-domain processor count", "POST", "/v1/clusters", `{"name":"wide","m":65537}`, http.StatusBadRequest},
+		{"processor count past any allocation", "POST", "/v1/clusters", `{"name":"wide","m":1125899906842624}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,9 +285,9 @@ func TestHTTPConcurrentStress(t *testing.T) {
 
 // TestHTTPLargeBodyHasContentLength pins the response framing of a verdict
 // past net/http's 2 KB pre-chunking buffer: a 32-processor analyzed
-// rejection at the capacity edge (32 evidence records, each in the
-// utilization form) must go out with a Content-Length equal to its body,
-// not Transfer-Encoding: chunked.
+// rejection at the capacity edge, asked for its evidence (32 records, each
+// in the utilization form), must go out with a Content-Length equal to its
+// body, not Transfer-Encoding: chunked.
 func TestHTTPLargeBodyHasContentLength(t *testing.T) {
 	srv := httptest.NewServer(NewService(1).Handler())
 	defer srv.Close()
@@ -305,7 +312,7 @@ func TestHTTPLargeBodyHasContentLength(t *testing.T) {
 			break
 		}
 	}
-	resp, b := post("/v1/clusters/wide/admit", `{"name":"big","c":90,"t":100}`)
+	resp, b := post("/v1/clusters/wide/admit", `{"name":"big","c":90,"t":100,"evidence":true}`)
 	var res Result
 	if err := json.Unmarshal(b, &res); err != nil || res.Accepted || len(res.Evidence) != 32 {
 		t.Fatalf("want a 32-processor analyzed rejection, got %d %s (%v)", resp.StatusCode, b, err)
@@ -370,5 +377,139 @@ func TestHTTPAdmitDomainEdge(t *testing.T) {
 	}
 	if reason, _ := v["reason"].(string); !strings.Contains(reason, "outside the model's domain") {
 		t.Errorf("reason %q lacks the domain message", reason)
+	}
+}
+
+// Parent-format opt-in rejection bodies: an rta-ff cluster refusing x(2/5,
+// D4) with an RTA probe that blocks a resident on P0 and a utilization
+// refusal on P1, and a threshold cluster with no L&L room anywhere.
+const (
+	optInRTABody       = `{"accepted":false,"proc":-1,"cause":"rta-deadline-miss","causeDetail":"exact response-time analysis proved a deadline miss on every candidate processor","reason":"exact RTA proves a deadline miss for x(2/5,D4) on every processor","evidence":[{"proc":0,"u":0.6,"residents":2,"detail":{"ownResponse":2,"ownVerdict":"fits","blocked":{"task":12,"part":1,"c":6,"deadline":12,"response":14,"verdict":"exceeds-limit"}}},{"proc":1,"u":0.9,"residents":1,"detail":{"utilizationRoom":0.09999999999999998,"hasUtilization":true}}]}` + "\n"
+	optInThresholdBody = `{"accepted":false,"proc":-1,"cause":"threshold-exhausted","causeDetail":"the utilization-threshold admission ran out of room on every processor","reason":"no processor has 0.4000 utilization room under the L&L threshold for c(4/10)","evidence":[{"proc":0,"u":0.5,"residents":1,"detail":{"thresholdRoom":0.3284271247461903,"hasThreshold":true}},{"proc":1,"u":0.5,"residents":1,"detail":{"thresholdRoom":0.3284271247461903,"hasThreshold":true}}]}` + "\n"
+)
+
+// withoutEvidence strips the trailing "evidence" member from an opt-in
+// rejection body, or fails if the body has none.
+func withoutEvidence(t *testing.T, body string) string {
+	t.Helper()
+	i := strings.Index(body, `,"evidence":[`)
+	if i < 0 || !strings.HasSuffix(body, "]}\n") {
+		t.Fatalf("body has no trailing evidence member: %q", body)
+	}
+	return body[:i] + "}\n"
+}
+
+// TestHTTPAdmitEvidenceOptIn pins both rejection shapes on fixed states:
+// "evidence":true answers byte for byte as every analyzed rejection did
+// before the opt-in existed; an absent field and "evidence":false answer
+// with the same body minus its evidence member; a non-bool value is a 400.
+func TestHTTPAdmitEvidenceOptIn(t *testing.T) {
+	h := NewService(0).Handler()
+	post := func(path, body string) (int, string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return w.Code, w.Body.String()
+	}
+	for _, tc := range []struct {
+		name, policy, want string
+		residents          []string
+		candidate          string // admit body without the closing brace
+	}{
+		{"r", "rta-ff", optInRTABody,
+			[]string{`{"name":"a","c":1,"t":10}`, `{"name":"b","c":6,"t":12}`, `{"name":"c","c":9,"t":10}`},
+			`{"name":"x","c":2,"t":5,"d":4`},
+		{"th", "threshold", optInThresholdBody,
+			[]string{`{"name":"a","c":5,"t":10}`, `{"name":"b","c":5,"t":10}`},
+			`{"name":"c","c":4,"t":10`},
+	} {
+		if code, b := post("/v1/clusters", `{"name":"`+tc.name+`","m":2,"policy":"`+tc.policy+`"}`); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", tc.name, code, b)
+		}
+		admitPath := "/v1/clusters/" + tc.name + "/admit"
+		for _, r := range tc.residents {
+			if code, b := post(admitPath, r); code != http.StatusOK || !strings.Contains(b, `"accepted":true`) {
+				t.Fatalf("%s: admit %s: %d %s", tc.policy, r, code, b)
+			}
+		}
+		if _, b := post(admitPath, tc.candidate+`,"evidence":true}`); b != tc.want {
+			t.Errorf("%s opt-in body:\n got %q\nwant %q", tc.policy, b, tc.want)
+		}
+		want := withoutEvidence(t, tc.want)
+		for _, suffix := range []string{`}`, `,"evidence":false}`} {
+			if code, b := post(admitPath, tc.candidate+suffix); code != http.StatusOK || b != want {
+				t.Errorf("%s default body (%s): %d\n got %q\nwant %q", tc.policy, suffix, code, b, want)
+			}
+		}
+		for _, bad := range []string{`"yes"`, `1`, `"true"`, `[true]`} {
+			if code, b := post(admitPath, tc.candidate+`,"evidence":`+bad+`}`); code != http.StatusBadRequest {
+				t.Errorf("%s: \"evidence\":%s answered %d %s, want 400", tc.policy, bad, code, b)
+			}
+		}
+	}
+}
+
+// TestHTTPRejectionTwin drives the same seeded admit/remove stream into two
+// services, one asking for evidence on every admission and one never
+// asking, on M = 8 and 32 under each placement policy. Every answer must
+// agree: an acceptance and an input-shaped rejection byte for byte, an
+// analyzed rejection up to the opt-in body's evidence member, which must
+// hold one record per processor.
+func TestHTTPRejectionTwin(t *testing.T) {
+	for _, policy := range onlinePolicies {
+		for _, m := range []int{8, 32} {
+			plain, opted := NewService(0).Handler(), NewService(0).Handler()
+			post := func(h http.Handler, path, body string) string {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+				if w.Code != http.StatusOK && w.Code != http.StatusCreated {
+					t.Fatalf("%s M=%d: POST %s %s: %d %s", policy, m, path, body, w.Code, w.Body)
+				}
+				return w.Body.String()
+			}
+			create := fmt.Sprintf(`{"name":"twin","m":%d,"policy":%q}`, m, policy)
+			post(plain, "/v1/clusters", create)
+			post(opted, "/v1/clusters", create)
+			rng := rand.New(rand.NewSource(int64(m)))
+			var handles []uint64
+			rejections := 0
+			for i := 0; i < 40*m; i++ {
+				if len(handles) > 0 && rng.Intn(4) == 0 {
+					k := rng.Intn(len(handles))
+					body := fmt.Sprintf(`{"handle":%d}`, handles[k])
+					if a, b := post(plain, "/v1/clusters/twin/remove", body), post(opted, "/v1/clusters/twin/remove", body); a != b {
+						t.Fatalf("%s M=%d remove %s: %q vs %q", policy, m, body, a, b)
+					}
+					handles = append(handles[:k], handles[k+1:]...)
+					continue
+				}
+				T := 10 + rng.Int63n(190)
+				tk := fmt.Sprintf(`"name":"t%d","c":%d,"t":%d`, i, 1+rng.Int63n(T*3/5), T)
+				if rng.Intn(3) == 0 {
+					tk += fmt.Sprintf(`,"d":%d`, T/2+rng.Int63n(T/2))
+				}
+				a := post(plain, "/v1/clusters/twin/admit", "{"+tk+"}")
+				b := post(opted, "/v1/clusters/twin/admit", "{"+tk+`,"evidence":true}`)
+				var res Result
+				if err := json.Unmarshal([]byte(b), &res); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case res.Accepted:
+					handles = append(handles, res.Handle)
+				case res.Cause == "rta-deadline-miss" || res.Cause == "threshold-exhausted":
+					rejections++
+					if len(res.Evidence) != m {
+						t.Fatalf("%s M=%d op %d: opt-in rejection has %d evidence records, want %d", policy, m, i, len(res.Evidence), m)
+					}
+					b = withoutEvidence(t, b)
+				}
+				if a != b {
+					t.Fatalf("%s M=%d op %d %s: default and opt-in answers differ\n default %q\n opt-in  %q", policy, m, i, tk, a, b)
+				}
+			}
+			if rejections == 0 {
+				t.Fatalf("%s M=%d: the stream produced no analyzed rejection", policy, m)
+			}
+		}
 	}
 }

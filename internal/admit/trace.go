@@ -103,10 +103,15 @@ func RequestIDFrom(ctx context.Context) string {
 }
 
 // EnsureRequestID resolves the request's ID (inbound header or generated)
-// and sets it on the response. It is for handlers outside the traced route
-// set — cmd/admitd's ready guard uses it so even a 503 "not ready yet"
-// carries the ID the client can quote.
+// and sets it on the response; an ID an outer layer already set on the
+// response is kept. It is for handlers outside the traced route set —
+// cmd/admitd's ready guard uses it so even a 503 "not ready yet" carries
+// the ID the client can quote, and Service.Handler so the mux's own 404,
+// 405 and redirect answers do.
 func EnsureRequestID(w http.ResponseWriter, r *http.Request) string {
+	if id := w.Header().Get(RequestIDHeader); id != "" {
+		return id
+	}
 	id := r.Header.Get(RequestIDHeader)
 	if !usableRequestID(id) {
 		id = newRequestID()

@@ -103,6 +103,12 @@ func NewOnline(m int, policy string, surcharge task.Time) (*Online, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("partition: online cluster needs at least one processor, got %d", m)
 	}
+	if m > task.MaxTasks {
+		// A cluster holds at most MaxTasks residents, so more processors
+		// than that can never all be in use; the bound also caps what one
+		// create request can make the engine allocate.
+		return nil, fmt.Errorf("partition: online cluster of %d processors exceeds MaxTasks %d: %w", m, task.MaxTasks, task.ErrDomain)
+	}
 	if surcharge < 0 {
 		return nil, fmt.Errorf("partition: negative surcharge %d", surcharge)
 	}

@@ -348,6 +348,12 @@ func TestNewOnlineValidation(t *testing.T) {
 	if _, err := NewOnline(2, "", task.MaxTime); err != nil {
 		t.Errorf("surcharge at MaxTime: %v", err)
 	}
+	if _, err := NewOnline(task.MaxTasks+1, "", 0); !errors.Is(err, task.ErrDomain) {
+		t.Errorf("m past MaxTasks: %v, want a domain error", err)
+	}
+	if _, err := NewOnline(task.MaxTasks, "", 0); err != nil {
+		t.Errorf("m at MaxTasks: %v", err)
+	}
 	o, err := NewOnline(2, "", 0)
 	if err != nil {
 		t.Fatal(err)
